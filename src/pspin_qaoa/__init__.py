@@ -17,8 +17,6 @@ from .sector import (
 from .engine import (
     EvaluationRecord,
     QaoaParams,
-    apply_mixer_layer,
-    apply_phase_layer,
     energy,
     energy_and_gradient,
     equivalent_annealing_time,

@@ -1,8 +1,14 @@
 """Layer-by-layer QAOA circuit in the collective-spin sector.
 
 One step applies the diagonal phase unitary exp(-i gamma Hz) followed by the
-mixer exp(-i beta Hx) with Hx = -sum_j sigma^x_j; the mixer is evaluated
-through the cached spectral decomposition of the collective-X matrix.
+mixer exp(-i beta Hx) with Hx = -sum_j sigma^x_j. The mixer goes through the
+cached spectral decomposition V diag(lam) V^T of the collective-X matrix. V is
+real, so a complex state, or an (N+1, k) block of states, is viewed as an
+(N+1, 2k) float64 array and rotated by two real GEMMs (V^T, then V) around one
+diagonal scaling by exp(i beta lam). The state, the energy and the adjoint
+gradient all run through these two kernels; the reverse sweep carries the
+state and the adjoint vector as one (N+1, 2) block, so each of its layers is
+one mixer call and one phase multiply.
 """
 
 from __future__ import annotations
@@ -87,12 +93,22 @@ class CircuitContext:
         self.plus = plus_state(self.basis)
 
     def apply_phase(self, state: np.ndarray, gamma: float) -> np.ndarray:
-        return state * _phase_factors(gamma, self.hz, self.hz_float, self.max_abs_hz)
+        """exp(-i gamma Hz) on a vector or on each column of an (N+1, k) block."""
+        factors = _phase_factors(gamma, self.hz, self.hz_float, self.max_abs_hz)
+        return state * (factors if state.ndim == 1 else factors[:, None])
 
     def apply_mixer(self, state: np.ndarray, beta: float) -> np.ndarray:
+        """exp(-i beta Hx) on a vector or on each column of an (N+1, k) block.
+
+        V is real, so both products are real GEMMs on the (N+1, 2k) float64
+        view of the complex block.
+        """
         v = self.xdec.eigenvectors
-        lam = self.xdec.eigenvalues
-        return v @ (np.exp(1j * beta * lam) * (v.T @ state))
+        state = np.ascontiguousarray(state, dtype=complex)
+        dim = state.shape[0]
+        rotated = (v.T @ state.view(np.float64).reshape(dim, -1)).view(complex)
+        rotated *= np.exp(1j * beta * self.xdec.eigenvalues)[:, None]
+        return (v @ rotated.view(np.float64)).view(complex).reshape(state.shape)
 
     def apply_x(self, state: np.ndarray) -> np.ndarray:
         out = np.zeros_like(state)
@@ -132,29 +148,15 @@ def _phase_factors(gamma, hz_ints, hz_float, max_abs_hz) -> np.ndarray:
     return np.exp(-1j * angles)
 
 
-def apply_phase_layer(state: np.ndarray, gamma: float, hz) -> np.ndarray:
-    """Multiply amplitude_k by exp(-i gamma hz_k)."""
-    hz = list(hz)
-    hz_float = np.array([float(v) for v in hz])
-    max_abs = max(abs(int(v)) for v in hz)
-    return np.asarray(state, dtype=complex) * _phase_factors(gamma, hz, hz_float, max_abs)
-
-
-def apply_mixer_layer(
-    state: np.ndarray, beta: float, xdec: XSpectralDecomposition
-) -> np.ndarray:
-    """Apply exp(-i beta Hx) = exp(+i beta sum_j sigma^x_j)."""
-    v = xdec.eigenvectors
-    return v @ (np.exp(1j * beta * xdec.eigenvalues) * (v.T @ np.asarray(state, complex)))
-
-
 def qaoa_state(spec: ProblemSpec, params: QaoaParams) -> np.ndarray:
     """Run the full circuit on |+>, phase layer first within each step."""
-    ctx = circuit_context(spec)
-    psi = ctx.plus.copy()
+    return _forward(circuit_context(spec), params)
+
+
+def _forward(ctx: CircuitContext, params: QaoaParams) -> np.ndarray:
+    psi = ctx.plus
     for gamma, beta in zip(params.gammas, params.betas):
-        psi = ctx.apply_phase(psi, gamma)
-        psi = ctx.apply_mixer(psi, beta)
+        psi = ctx.apply_mixer(ctx.apply_phase(psi, gamma), beta)
     return psi
 
 
@@ -194,7 +196,9 @@ def energy_and_gradient(spec: ProblemSpec, params: QaoaParams) -> tuple[float, n
     """Exact analytic gradient of the energy via one forward and one adjoint sweep.
 
     The reverse sweep peels layers off both the state and the adjoint vector
-    H|psi>, so the cost is O(P N^2) regardless of depth.
+    H|psi>, so the cost is O(P N^2) regardless of depth. Both ride in one
+    (N+1, 2) block, so each reverse layer is one mixer call and one phase
+    multiply.
     """
     ctx = circuit_context(spec)
     gammas, betas = params.gammas, params.betas
@@ -202,11 +206,7 @@ def energy_and_gradient(spec: ProblemSpec, params: QaoaParams) -> tuple[float, n
     # d/dgamma of the phase layer brings down +i M^p = -i hz
     d_diag = -ctx.hz_float
 
-    phi = ctx.plus.copy()
-    for m in range(depth):
-        phi = ctx.apply_phase(phi, gammas[m])
-        phi = ctx.apply_mixer(phi, betas[m])
-
+    phi = _forward(ctx, params)
     adj = ctx.apply_target(phi)
     e_val = np.vdot(phi, adj)
     if abs(e_val.imag) >= 1e-12 * max(1.0, abs(e_val.real)):
@@ -214,13 +214,14 @@ def energy_and_gradient(spec: ProblemSpec, params: QaoaParams) -> tuple[float, n
 
     grad_g = np.zeros(depth)
     grad_b = np.zeros(depth)
+    block = np.stack([phi, adj], axis=1)
     for m in reversed(range(depth)):
+        phi, adj = block.T
         grad_b[m] = 2.0 * np.real(np.vdot(adj, 1j * ctx.apply_x(phi)))
-        phi = ctx.apply_mixer(phi, -betas[m])
-        adj = ctx.apply_mixer(adj, -betas[m])
+        block = ctx.apply_mixer(block, -betas[m])
+        phi, adj = block.T
         grad_g[m] = 2.0 * np.real(np.vdot(adj, 1j * d_diag * phi))
-        phi = ctx.apply_phase(phi, -gammas[m])
-        adj = ctx.apply_phase(adj, -gammas[m])
+        block = ctx.apply_phase(block, -gammas[m])
     return float(e_val.real), np.concatenate([grad_g, grad_b])
 
 

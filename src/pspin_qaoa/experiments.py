@@ -19,7 +19,7 @@ import numpy as np
 import scipy.optimize
 
 from . import analytic
-from .engine import QaoaParams, equivalent_annealing_time, evaluate
+from .engine import QaoaParams, evaluate
 from .optimizer import LinearInit, OptimizerConfig, RandomInit, derive_seed, multi_start
 from .sector import ProblemSpec, diagonalize_target, dynamical_gap
 
@@ -132,21 +132,13 @@ def collapse_coordinate(p: int, n_sites: int, depth: int) -> float:
     return (depth - offset) / n_sites
 
 
-def _make_scheme(tag: str, config: ExperimentConfig):
-    if tag == "r":
-        return RandomInit()
-    return LinearInit(dt=config.dt, noise_amplitude=config.noise_amplitude)
-
-
 def _sweep_task(args: tuple) -> dict:
     """One grid point: a seeded multi-start; runs in the worker process."""
     (n, p, h, depth, tag, dt, noise, n_restarts, seed) = args
     spec = ProblemSpec(n_sites=n, p_exponent=p, field=h)
     scheme = RandomInit() if tag == "r" else LinearInit(dt=dt, noise_amplitude=noise)
     stats = multi_start(spec, depth, scheme, n_restarts, base_seed=seed)
-    mean_tau = float(
-        np.mean([equivalent_annealing_time(spec, r.params_star) for r in stats.results])
-    )
+    mean_tau = float(np.mean([r.record.annealing_time for r in stats.results]))
     return {
         "mean_residual": stats.mean_residual,
         "std_residual": stats.std_residual,
@@ -397,9 +389,16 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _is_nan(value) -> bool:
+    return isinstance(value, float) and math.isnan(value)
+
+
 def emit_results(rows, out_format: str, path, config: Optional[ExperimentConfig] = None):
     """Persist a result table: CSV with a fixed column order, or JSON embedding
-    the full config for exact reproduction."""
+    the full config for exact reproduction.
+
+    JSON has no NaN, so the missing numbers of failed or undefined rows are
+    written as null; any other non-finite value is refused."""
     if not rows:
         raise ValueError("refusing to emit an empty table")
     path = Path(path)
@@ -416,11 +415,14 @@ def emit_results(rows, out_format: str, path, config: Optional[ExperimentConfig]
             payload = {
                 "config": asdict(config) if config is not None else None,
                 "columns": columns,
-                "rows": [asdict(r) for r in rows],
+                "rows": [
+                    {k: None if _is_nan(v) else v for k, v in asdict(r).items()}
+                    for r in rows
+                ],
             }
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
             with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+                fh.write(text)
         else:
             raise ValueError(f"unknown output format {out_format!r}")
     except OSError as exc:
@@ -429,10 +431,14 @@ def emit_results(rows, out_format: str, path, config: Optional[ExperimentConfig]
 
 
 def load_results_json(path) -> tuple[Optional[ExperimentConfig], list[dict]]:
-    """Read back a JSON artifact written by emit_results."""
+    """Read back a JSON artifact written by emit_results; null row values
+    become nan again."""
     with open(path) as fh:
         payload = json.load(fh)
     config = None
     if payload.get("config") is not None:
         config = ExperimentConfig.from_dict(payload["config"])
-    return config, payload["rows"]
+    rows = [
+        {k: math.nan if v is None else v for k, v in row.items()} for row in payload["rows"]
+    ]
+    return config, rows

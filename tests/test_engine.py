@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fullspace import embed_sector_state, full_energy, full_qaoa_state
 from pspin_qaoa.engine import (
     QaoaParams,
-    apply_mixer_layer,
-    apply_phase_layer,
+    circuit_context,
     energy,
     energy_and_gradient,
     equivalent_annealing_time,
@@ -16,14 +15,12 @@ from pspin_qaoa.engine import (
     qaoa_state,
     residual_energy,
 )
-from pspin_qaoa.optimizer import r_init
+from pspin_qaoa.optimizer import l_init, r_init
 from pspin_qaoa.sector import (
     ProblemSpec,
     build_basis,
     diagonalize_target,
-    hz_diagonal,
     plus_state,
-    x_spectral_decomposition,
 )
 
 
@@ -37,44 +34,67 @@ def params_of(gammas, betas):
     return QaoaParams(gammas=np.atleast_1d(gammas), betas=np.atleast_1d(betas))
 
 
+def context(n, p=2):
+    return circuit_context(ProblemSpec(n, p))
+
+
 class TestPhaseLayer:
     def test_zero_angle_is_identity(self):
         psi = random_state(6, 1)
-        hz = hz_diagonal(build_basis(6), 2)
-        np.testing.assert_allclose(apply_phase_layer(psi, 0.0, hz), psi)
+        np.testing.assert_allclose(context(6, 2).apply_phase(psi, 0.0), psi)
 
     def test_single_spin_global_phase(self):
         # N=1, p=3, gamma=pi: phases exp(+-i pi) are a common factor of -1
         psi = random_state(1, 2)
-        hz = hz_diagonal(build_basis(1), 3)
-        out = apply_phase_layer(psi, np.pi, hz)
+        out = context(1, 3).apply_phase(psi, np.pi)
         np.testing.assert_allclose(out, -psi, atol=1e-14)
 
     def test_norm_preserved(self):
         psi = random_state(9, 3)
-        hz = hz_diagonal(build_basis(9), 3)
-        out = apply_phase_layer(psi, 0.3, hz)
+        out = context(9, 3).apply_phase(psi, 0.3)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-14
 
 
 class TestMixerLayer:
     def test_zero_angle_is_identity(self):
         psi = random_state(5, 4)
-        out = apply_mixer_layer(psi, 0.0, x_spectral_decomposition(5))
+        out = context(5).apply_mixer(psi, 0.0)
         np.testing.assert_allclose(out, psi, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_pi_shift_is_global_phase(self, n):
         psi = random_state(n, 5)
-        out = apply_mixer_layer(psi, np.pi, x_spectral_decomposition(n))
+        out = context(n).apply_mixer(psi, np.pi)
         assert abs(abs(np.vdot(psi, out)) - 1.0) < 1e-12
 
     def test_plus_state_is_eigenstate(self):
         basis = build_basis(8)
         plus = plus_state(basis)
-        out = apply_mixer_layer(plus, 0.77, x_spectral_decomposition(8))
+        out = context(8).apply_mixer(plus, 0.77)
         assert abs(fidelity(out, plus) - 1.0) < 1e-12
         np.testing.assert_allclose(out, np.exp(1j * 0.77 * 8) * plus, atol=1e-12)
+
+
+class TestBlockKernel:
+    """A block of states goes through the same kernels as its columns."""
+
+    @pytest.mark.parametrize("n", [1, 8, 129])
+    def test_mixer_block_matches_columns(self, n):
+        ctx = context(n)
+        block = np.stack([random_state(n, seed) for seed in (6, 7, 8)], axis=1)
+        out = ctx.apply_mixer(block, 0.41)
+        assert out.shape == block.shape
+        for j in range(3):
+            column = ctx.apply_mixer(block[:, j], 0.41)
+            np.testing.assert_allclose(out[:, j], column, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 8, 129])
+    def test_phase_block_matches_columns(self, n):
+        ctx = context(n, 3)
+        block = np.stack([random_state(n, seed) for seed in (9, 10, 11)], axis=1)
+        out = ctx.apply_phase(block, 0.23)
+        for j in range(3):
+            np.testing.assert_array_equal(out[:, j], ctx.apply_phase(block[:, j], 0.23))
 
 
 class TestQaoaState:
@@ -225,6 +245,25 @@ class TestGradient:
         e_grad, _ = energy_and_gradient(spec, params)
         e_plain = energy(spec, qaoa_state(spec, params))
         assert abs(e_grad - e_plain) < 1e-13
+
+    def test_large_n_against_central_differences(self):
+        # the large-N circuit of the benchmark, at a linear-schedule start;
+        # gamma multiplies |M|^p up to N^p, so its step is scaled by N^-(p-1)
+        spec = ProblemSpec(512, 2, 1.0)
+        params = l_init(4, spec, seed=0)
+        e_grad, grad = energy_and_gradient(spec, params)
+        assert abs(e_grad - evaluate(spec, params).energy) < 1e-12
+        x = params.to_vector()
+        steps = np.concatenate([np.full(4, 1e-5 / 512), np.full(4, 1e-5)])
+        fd = np.zeros_like(x)
+        for i, step in enumerate(steps):
+            xp, xm = x.copy(), x.copy()
+            xp[i] += step
+            xm[i] -= step
+            ep = evaluate(spec, QaoaParams.from_vector(xp)).energy
+            em = evaluate(spec, QaoaParams.from_vector(xm)).energy
+            fd[i] = (ep - em) / (2 * step)
+        assert np.all(np.abs(grad - fd) < 1e-6 * np.abs(grad))
 
 
 class TestSymmetries:

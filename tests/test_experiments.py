@@ -41,6 +41,15 @@ def synthetic_rows(b, n_sites=20, p=2, depths=range(2, 11)):
     return rows
 
 
+def strict_json(text):
+    """json.loads that refuses the NaN/Infinity tokens JSON does not define."""
+
+    def reject(token):
+        raise ValueError(f"invalid JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -211,6 +220,41 @@ class TestEmit:
         for row, data in zip(rows, raw):
             for key, val in data.items():
                 assert getattr(row, key) == val
+
+    def test_json_is_valid_with_nan_rows(self, tmp_path):
+        # even N has no closed form: its p1-table row carries nan numbers
+        cfg = ExperimentConfig(kind="p1-table", p_exponent=3, n_grid=(6, 7))
+        rows = run_experiment(cfg)
+        path = tmp_path / "p1.json"
+        emit_results(rows, "json", path, cfg)
+        payload = strict_json(path.read_text())
+        assert payload["rows"][0]["fidelity"] is None
+        _, raw = load_results_json(path)
+        for row, data in zip(rows, raw):
+            for key, val in data.items():
+                expected = getattr(row, key)
+                if isinstance(expected, float) and math.isnan(expected):
+                    assert math.isnan(val)
+                else:
+                    assert val == expected
+
+    def test_json_failed_row_round_trip(self, tmp_path):
+        nan = float("nan")
+        row = GapRow(n_sites=8, p_exponent=2, h_at_minimum=nan, minimal_gap=nan,
+                     status="failed: boom")
+        path = tmp_path / "gap.json"
+        emit_results([row], "json", path)
+        strict_json(path.read_text())
+        _, raw = load_results_json(path)
+        assert math.isnan(raw[0]["minimal_gap"])
+        assert raw[0]["status"] == "failed: boom"
+
+    def test_json_refuses_infinity(self, tmp_path):
+        row = GapRow(n_sites=8, p_exponent=2, h_at_minimum=1.0, minimal_gap=float("inf"))
+        path = tmp_path / "inf.json"
+        with pytest.raises(ValueError):
+            emit_results([row], "json", path)
+        assert not path.exists()
 
     def test_csv_header_and_precision(self, tmp_path):
         rows = synthetic_rows(3.0)
