@@ -7,11 +7,9 @@ from .sector import (
     TargetSpectrum,
     XSpectralDecomposition,
     build_basis,
-    collective_x_matrix,
     diagonalize_target,
     hz_diagonal,
     plus_state,
-    target_matrix,
     x_spectral_decomposition,
 )
 from .engine import (

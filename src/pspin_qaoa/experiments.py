@@ -184,7 +184,7 @@ def _run_sweep_tasks(points: list[tuple], config: ExperimentConfig) -> list[Swee
                 min_residual=nan, max_residual=nan, mean_iters=nan,
                 mean_annealing_time=nan, n_converged=0,
             )
-            status = f"failed: {outcome}"
+            status = f"failed: {type(outcome).__name__}: {outcome}"
         else:
             stats, status = outcome, "ok"
         rows.append(
@@ -310,7 +310,7 @@ def run_gap_scaling(config: ExperimentConfig) -> list[GapRow]:
             rows.append(
                 GapRow(
                     n_sites=n, p_exponent=p, h_at_minimum=float("nan"),
-                    minimal_gap=float("nan"), status=f"failed: {exc}",
+                    minimal_gap=float("nan"), status=f"failed: {type(exc).__name__}: {exc}",
                 )
             )
     return rows

@@ -1,10 +1,14 @@
-"""Independent brute-force oracle: the same circuit in the full 2^N space.
+"""Independent oracles: the same circuit in the full 2^N space, and dense
+matrices of the Dicke sector.
 
-Everything here works with explicit per-qubit tensor products and knows
-nothing about the Dicke-sector code paths it is used to check.
+The full-space functions work with explicit per-qubit tensor products and
+know nothing about the Dicke-sector code paths they are used to check. The
+dense sector matrices at the end are the plain constructions that the
+tridiagonal production code replaced; they are kept as references.
 """
 
 import numpy as np
+import scipy.linalg
 from math import comb
 
 
@@ -53,3 +57,40 @@ def full_energy(n: int, p: int, h: float, psi: np.ndarray) -> float:
         flipped = np.arange(2**n) ^ (1 << j)
         val += -h * np.vdot(psi, psi[flipped])
     return float(val.real)
+
+
+def collective_x_matrix(basis) -> np.ndarray:
+    """Matrix of sum_j sigma^x_j in the Dicke basis (symmetric tridiagonal)."""
+    n = basis.n_sites
+    k = np.arange(n)
+    off = np.sqrt((k + 1.0) * (n - k))
+    mat = np.zeros((n + 1, n + 1))
+    mat[k, k + 1] = off
+    mat[k + 1, k] = off
+    return mat
+
+
+def target_matrix(spec, basis, xmat: np.ndarray) -> np.ndarray:
+    """Dense sector Hamiltonian -(M_k)^p / N^(p-1) on the diagonal, -h X off it."""
+    if basis.n_sites != spec.n_sites or xmat.shape != (basis.dimension, basis.dimension):
+        raise ValueError("inconsistent system size across inputs")
+    p = spec.p_exponent
+    mat = -spec.field * xmat
+    diag = np.array([-float(int(m) ** p) for m in basis.magnetizations])
+    mat[np.diag_indices_from(mat)] = diag / float(spec.n_sites ** (p - 1))
+    return mat
+
+
+def dense_even_gap(spec, basis) -> float:
+    """Gap of the reflection-even block, by a dense projector and a full eigh."""
+    mat = target_matrix(spec, basis, collective_x_matrix(basis))
+    n = spec.n_sites
+    half = (n + 1) // 2
+    m = half + (1 if n % 2 == 0 else 0)
+    proj = np.zeros((n + 1, m))
+    for j in range(half):
+        proj[j, j] = proj[n - j, j] = 1.0 / np.sqrt(2.0)
+    if n % 2 == 0:
+        proj[n // 2, m - 1] = 1.0
+    w = scipy.linalg.eigh(proj.T @ mat @ proj, eigvals_only=True)
+    return float(w[1] - w[0])

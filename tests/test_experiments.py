@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pspin_qaoa import experiments
 from pspin_qaoa.cli import main as cli_main, parse_grid
 from pspin_qaoa.experiments import (
     ConfigError,
@@ -198,6 +199,26 @@ class TestRunners:
         assert rows[1].minimal_gap < rows[0].minimal_gap
         for r in rows:
             assert 1.0 < r.h_at_minimum < 3.0
+
+    def test_gap_scaling_single_site_fails_with_cause(self):
+        cfg = ExperimentConfig(kind="gap-scaling", p_exponent=2, n_grid=(1,))
+        (row,) = run_experiment(cfg)
+        assert row.status.startswith("failed: ValueError: ")
+        assert "one state" in row.status
+        assert math.isnan(row.minimal_gap)
+
+    def test_sweep_failure_keeps_exception_type(self, monkeypatch):
+        def boom(args):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(experiments, "_sweep_task", boom)
+        cfg = ExperimentConfig(
+            kind="scaling", p_exponent=2, n_grid=(4,), depth_grid=(1,),
+            h_grid=(0.0,), n_restarts=1,
+        )
+        (row,) = run_experiment(cfg)
+        assert row.status == "failed: ZeroDivisionError: boom"
+        assert row.n_converged == 0
 
     def test_minimal_gap_converges_to_critical_field(self):
         h_min, gap = minimal_gap(64, 2, 2.0)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -5,15 +6,14 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
+from fullspace import collective_x_matrix, dense_even_gap, target_matrix
 from pspin_qaoa.sector import (
     ProblemSpec,
     build_basis,
-    collective_x_matrix,
     diagonalize_target,
     dynamical_gap,
     hz_diagonal,
     plus_state,
-    target_matrix,
     x_spectral_decomposition,
 )
 
@@ -203,3 +203,74 @@ class TestDiagonalizeTarget:
     def test_dynamical_gap_n2_exact(self):
         # parity-even block of the p=2, N=2, h=0 problem is diag(-2, 0)
         assert abs(dynamical_gap(ProblemSpec(2, 2, 0.0)) - 2.0) < 1e-12
+
+
+def gap_bound(spec: ProblemSpec) -> float:
+    """The stated absolute error bound of dynamical_gap for even p."""
+    basis = build_basis(spec.n_sites)
+    mat = target_matrix(spec, basis, collective_x_matrix(basis))
+    return 1e-13 * (np.max(np.abs(np.diag(mat))) + 2 * np.max(np.abs(np.diag(mat, 1))))
+
+
+def mp_even_gap(n: int, p: int, h: str) -> float:
+    """Gap of the reflection-even block at 40 digits: the dense sector
+    matrix and the projector built in mpmath, then mpmath.eigsy."""
+    with mpmath.workdps(40):
+        field = mpmath.mpf(h)
+        mat = mpmath.zeros(n + 1, n + 1)
+        for k in range(n + 1):
+            mat[k, k] = -mpmath.mpf((n - 2 * k) ** p) / n ** (p - 1)
+        for k in range(n):
+            mat[k, k + 1] = mat[k + 1, k] = -field * mpmath.sqrt((k + 1) * (n - k))
+        half = (n + 1) // 2
+        m = half + (1 if n % 2 == 0 else 0)
+        proj = mpmath.zeros(n + 1, m)
+        for j in range(half):
+            proj[j, j] = proj[n - j, j] = 1 / mpmath.sqrt(2)
+        if n % 2 == 0:
+            proj[n // 2, m - 1] = 1
+        w = sorted(mpmath.eigsy(proj.T * mat * proj, eigvals_only=True))
+        return float(w[1] - w[0])
+
+
+class TestDynamicalGap:
+    @given(
+        st.integers(min_value=2, max_value=80),
+        st.sampled_from([2, 4]),
+        st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_projected_block(self, n, p, h):
+        spec = ProblemSpec(n, p, h)
+        expected = dense_even_gap(spec, build_basis(n))
+        assert abs(dynamical_gap(spec) - expected) <= gap_bound(spec)
+
+    @pytest.mark.parametrize("n", [20, 21, 40, 41])
+    @pytest.mark.parametrize("h", ["0.5", "2.0", "3.0"])
+    def test_matches_mpmath(self, n, h):
+        spec = ProblemSpec(n, 2, float(h))
+        assert abs(dynamical_gap(spec) - mp_even_gap(n, 2, h)) <= gap_bound(spec)
+
+    def test_n3_exact(self):
+        # odd N: the middle pair |1>, |2> is coupled, so the even block's last
+        # diagonal entry gains that coupling; checked against exact sympy roots
+        sympy = pytest.importorskip("sympy")
+        r3 = sympy.sqrt(3)
+        third = sympy.Rational(1, 3)
+        full = sympy.Matrix(
+            [
+                [-3, -r3, 0, 0],
+                [-r3, -third, -2, 0],
+                [0, -2, -third, -r3],
+                [0, 0, -r3, -3],
+            ]
+        )
+        s2 = 1 / sympy.sqrt(2)
+        proj = sympy.Matrix([[s2, 0], [0, s2], [0, s2], [s2, 0]])
+        w = sorted((proj.T * full * proj).eigenvals(multiple=True), key=float)
+        exact = float(w[1] - w[0])
+        assert abs(dynamical_gap(ProblemSpec(3, 2, 1.0)) - exact) < 1e-12
+
+    def test_single_site_even_p_rejected(self):
+        with pytest.raises(ValueError, match="one state"):
+            dynamical_gap(ProblemSpec(1, 2, 1.0))
