@@ -5,12 +5,10 @@ from .sector import (
     ProblemSpec,
     SymmetricBasis,
     TargetSpectrum,
-    XSpectralDecomposition,
     build_basis,
     diagonalize_target,
     hz_diagonal,
     plus_state,
-    x_spectral_decomposition,
 )
 from .engine import (
     EvaluationRecord,

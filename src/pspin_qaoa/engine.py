@@ -1,14 +1,22 @@
 """Layer-by-layer QAOA circuit in the collective-spin sector.
 
 One step applies the diagonal phase unitary exp(-i gamma Hz) followed by the
-mixer exp(-i beta Hx) with Hx = -sum_j sigma^x_j. The mixer goes through the
-cached spectral decomposition V diag(lam) V^T of the collective-X matrix. V is
-real, so a complex state, or an (N+1, k) block of states, is viewed as an
-(N+1, 2k) float64 array and rotated by two real GEMMs (V^T, then V) around one
+mixer exp(-i beta Hx) with Hx = -sum_j sigma^x_j. For even p, Hz, Hx and the
+target commute with the spin flip k -> N - k and |+> is even under it, so
+the circuit runs in the reflection-even block of the sector: the
+floor(N/2)+1 states (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for even N
+(``sector.reflection_even_tridiagonal``, ``sector.reflection_even_lift``).
+For odd p it runs in the whole
+sector of N+1 states. Either way the context holds the same fields, m the
+dimension: the phases, the target and collective-X as tridiagonals, |+>, and
+the cached spectral decomposition V diag(lam) V^T of collective-X. V is
+real, so a complex state, or an (m, k) block of states, is viewed as an
+(m, 2k) float64 array and rotated by two real GEMMs (V^T, then V) around one
 diagonal scaling by exp(i beta lam). The state, the energy and the adjoint
 gradient all run through these two kernels; the reverse sweep carries the
-state and the adjoint vector as one (N+1, 2) block, so each of its layers is
-one mixer call and one phase multiply.
+state and the adjoint vector as one (m, 2) block, so each of its layers is
+one mixer call and one phase multiply. ``qaoa_state`` lifts its result back
+to the N+1 sector amplitudes.
 """
 
 from __future__ import annotations
@@ -20,13 +28,14 @@ import numpy as np
 
 from .sector import (
     ProblemSpec,
-    SymmetricBasis,
     TargetSpectrum,
     XSpectralDecomposition,
     build_basis,
     diagonalize_target,
     hz_diagonal,
     plus_state,
+    reflection_even_lift,
+    reflection_even_tridiagonal,
     target_diagonal,
     x_off_diagonal,
     x_spectral_decomposition,
@@ -79,28 +88,47 @@ class EvaluationRecord:
 
 
 class CircuitContext:
-    """Per-(N, p, h) immutable workspace shared by many evaluations."""
+    """Per-(N, p, h) immutable workspace shared by many evaluations.
+
+    For even p every field describes the reflection-even block, for odd p the
+    whole sector; the kernels do not tell the two apart. Sector amplitude k
+    is block amplitude ``lift_index[k]`` times ``lift_weight[k]``.
+    """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
-        self.basis: SymmetricBasis = build_basis(spec.n_sites)
-        self.hz: tuple[int, ...] = tuple(hz_diagonal(self.basis, spec.p_exponent))
+        n = spec.n_sites
+        basis = build_basis(n)
+        x_diag, x_off = np.zeros(n + 1), x_off_diagonal(basis)
+        target_diag, target_off = target_diagonal(spec, basis), -spec.field * x_off
+        even_block = spec.p_exponent % 2 == 0
+        self.lift_index, self.lift_weight = np.arange(n + 1), np.ones(n + 1)
+        if even_block:
+            x_diag, x_off = reflection_even_tridiagonal(x_diag, x_off)
+            target_diag, target_off = reflection_even_tridiagonal(target_diag, target_off)
+            self.lift_index, self.lift_weight = reflection_even_lift(n)
+        dim = x_diag.size
+        self.hz: tuple[int, ...] = tuple(hz_diagonal(basis, spec.p_exponent)[:dim])
         self.max_abs_hz: int = max(abs(v) for v in self.hz)
         self.hz_float = np.array([float(v) for v in self.hz])
-        self.target_diag = target_diagonal(spec, self.basis)
-        self.x_off = x_off_diagonal(self.basis)
-        self.xdec: XSpectralDecomposition = x_spectral_decomposition(spec.n_sites)
-        self.plus = plus_state(self.basis)
+        self.x_diag, self.x_off = x_diag, x_off
+        self.target_diag, self.target_off = target_diag, target_off
+        self.xdec: XSpectralDecomposition = x_spectral_decomposition(n, even_parity=even_block)
+        self.plus = plus_state(basis)[:dim] / self.lift_weight[:dim]
+
+    def lift(self, state: np.ndarray) -> np.ndarray:
+        """The N+1 sector amplitudes of a context-dimension state vector."""
+        return state[self.lift_index] * self.lift_weight
 
     def apply_phase(self, state: np.ndarray, gamma: float) -> np.ndarray:
-        """exp(-i gamma Hz) on a vector or on each column of an (N+1, k) block."""
+        """exp(-i gamma Hz) on a vector or on each column of an (m, k) block."""
         factors = _phase_factors(gamma, self.hz, self.hz_float, self.max_abs_hz)
         return state * (factors if state.ndim == 1 else factors[:, None])
 
     def apply_mixer(self, state: np.ndarray, beta: float) -> np.ndarray:
-        """exp(-i beta Hx) on a vector or on each column of an (N+1, k) block.
+        """exp(-i beta Hx) on a vector or on each column of an (m, k) block.
 
-        V is real, so both products are real GEMMs on the (N+1, 2k) float64
+        V is real, so both products are real GEMMs on the (m, 2k) float64
         view of the complex block.
         """
         v = self.xdec.eigenvectors
@@ -111,18 +139,20 @@ class CircuitContext:
         return (v @ rotated.view(np.float64)).view(complex).reshape(state.shape)
 
     def apply_x(self, state: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(state)
-        out[:-1] += self.x_off * state[1:]
-        out[1:] += self.x_off * state[:-1]
-        return out
+        return _tridiagonal_product(self.x_diag, self.x_off, state)
 
     def apply_target(self, state: np.ndarray) -> np.ndarray:
-        out = self.target_diag * state
-        if self.spec.field != 0.0:
-            h = self.spec.field
-            out[:-1] -= h * self.x_off * state[1:]
-            out[1:] -= h * self.x_off * state[:-1]
-        return out
+        if self.spec.field == 0.0:
+            return self.target_diag * state
+        return _tridiagonal_product(self.target_diag, self.target_off, state)
+
+
+def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal (diag, off) times a state vector."""
+    out = diag * state
+    out[:-1] += off * state[1:]
+    out[1:] += off * state[:-1]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -149,8 +179,12 @@ def _phase_factors(gamma, hz_ints, hz_float, max_abs_hz) -> np.ndarray:
 
 
 def qaoa_state(spec: ProblemSpec, params: QaoaParams) -> np.ndarray:
-    """Run the full circuit on |+>, phase layer first within each step."""
-    return _forward(circuit_context(spec), params)
+    """Run the full circuit on |+>, phase layer first within each step.
+
+    Returns the N+1 amplitudes of the sector, also for even p.
+    """
+    ctx = circuit_context(spec)
+    return ctx.lift(_forward(ctx, params))
 
 
 def _forward(ctx: CircuitContext, params: QaoaParams) -> np.ndarray:
@@ -161,9 +195,21 @@ def _forward(ctx: CircuitContext, params: QaoaParams) -> np.ndarray:
 
 
 def energy(spec: ProblemSpec, state: np.ndarray) -> float:
-    """<state| H_target |state>, asserted real."""
-    ctx = circuit_context(spec)
-    val = np.vdot(state, ctx.apply_target(np.asarray(state, complex)))
+    """<state| H_target |state> of the N+1 sector amplitudes, asserted real."""
+    n = spec.n_sites
+    state = np.asarray(state, complex)
+    if state.shape != (n + 1,):
+        raise ValueError(
+            f"energy needs the N + 1 = {n + 1} amplitudes of the sector, "
+            f"got a state of shape {state.shape}"
+        )
+    basis = build_basis(n)
+    off = -spec.field * x_off_diagonal(basis)
+    h_state = _tridiagonal_product(target_diagonal(spec, basis), off, state)
+    return _real_energy(np.vdot(state, h_state))
+
+
+def _real_energy(val: complex) -> float:
     if abs(val.imag) >= 1e-12 * max(1.0, abs(val.real)):
         raise ValueError(f"energy has non-negligible imaginary part {val.imag}")
     return float(val.real)
@@ -196,9 +242,9 @@ def energy_and_gradient(spec: ProblemSpec, params: QaoaParams) -> tuple[float, n
     """Exact analytic gradient of the energy via one forward and one adjoint sweep.
 
     The reverse sweep peels layers off both the state and the adjoint vector
-    H|psi>, so the cost is O(P N^2) regardless of depth. Both ride in one
-    (N+1, 2) block, so each reverse layer is one mixer call and one phase
-    multiply.
+    H|psi>, so the cost is O(P m^2) regardless of depth, with m = floor(N/2)+1
+    for even p and N+1 for odd p. Both ride in one (m, 2) block, so each
+    reverse layer is one mixer call and one phase multiply.
     """
     ctx = circuit_context(spec)
     gammas, betas = params.gammas, params.betas
@@ -208,9 +254,7 @@ def energy_and_gradient(spec: ProblemSpec, params: QaoaParams) -> tuple[float, n
 
     phi = _forward(ctx, params)
     adj = ctx.apply_target(phi)
-    e_val = np.vdot(phi, adj)
-    if abs(e_val.imag) >= 1e-12 * max(1.0, abs(e_val.real)):
-        raise ValueError(f"energy has non-negligible imaginary part {e_val.imag}")
+    e_val = _real_energy(np.vdot(phi, adj))
 
     grad_g = np.zeros(depth)
     grad_b = np.zeros(depth)
@@ -222,7 +266,7 @@ def energy_and_gradient(spec: ProblemSpec, params: QaoaParams) -> tuple[float, n
         phi, adj = block.T
         grad_g[m] = 2.0 * np.real(np.vdot(adj, 1j * d_diag * phi))
         block = ctx.apply_phase(block, -gammas[m])
-    return float(e_val.real), np.concatenate([grad_g, grad_b])
+    return e_val, np.concatenate([grad_g, grad_b])
 
 
 def evaluate(spec: ProblemSpec, params: QaoaParams) -> EvaluationRecord:

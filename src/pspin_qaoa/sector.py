@@ -121,12 +121,56 @@ def target_diagonal(spec: ProblemSpec, basis: SymmetricBasis) -> np.ndarray:
     return np.array([float(v) for v in hz]) / scale
 
 
+def reflection_even_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reflection-even block of a mirror-symmetric sector tridiagonal.
+
+    ``diag`` (length N+1) and ``off`` (length N) must be symmetric under
+    k -> N - k. In the basis (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for
+    even N, the block has floor(N/2)+1 states and is again tridiagonal:
+
+    - odd N: diagonal diag[:(N+1)/2] whose last entry gains off[(N-1)/2], the
+      coupling of the two middle states; off-diagonal off[:(N-1)/2];
+    - even N: diagonal diag[:N/2+1]; off-diagonal off[:N/2] with its last
+      entry, the coupling to |N/2>, times sqrt(2).
+
+    Returns new arrays (diagonal, off-diagonal).
+    """
+    n = off.size
+    half = (n + 1) // 2
+    if n % 2 == 1:
+        d = diag[:half].copy()
+        d[-1] += off[half - 1]
+        e = off[: half - 1].copy()
+    else:
+        d = diag[: n // 2 + 1].copy()
+        e = off[: n // 2].copy()
+        e[-1] *= np.sqrt(2.0)
+    return d, e
+
+
+def reflection_even_lift(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index and weight that lift a reflection-even block state to the sector.
+
+    Sector amplitude k is block amplitude index[k] = min(k, N - k) times
+    weight[k]: 1/sqrt(2) from a pair state (|k> + |N-k>)/sqrt(2), 1 from |N/2>.
+    """
+    k = np.arange(n_sites + 1)
+    return np.minimum(k, n_sites - k), np.where(2 * k == n_sites, 1.0, np.sqrt(0.5))
+
+
 @lru_cache(maxsize=None)
-def x_spectral_decomposition(n_sites: int) -> XSpectralDecomposition:
-    """Cached eigendecomposition of the collective-X matrix for size N."""
+def x_spectral_decomposition(n_sites: int, even_parity: bool = False) -> XSpectralDecomposition:
+    """Cached eigendecomposition of the collective-X matrix for size N.
+
+    With ``even_parity`` it decomposes the reflection-even block of
+    ``reflection_even_tridiagonal`` instead of the whole sector: floor(N/2)+1
+    states, eigenvalues N - 2j for even j.
+    """
     basis = build_basis(n_sites)
     diag = np.zeros(n_sites + 1)
     off = x_off_diagonal(basis)
+    if even_parity:
+        diag, off = reflection_even_tridiagonal(diag, off)
     try:
         lam, vec = scipy.linalg.eigh_tridiagonal(diag, off)
     except scipy.linalg.LinAlgError as exc:
@@ -146,16 +190,10 @@ def dynamical_gap(spec: ProblemSpec) -> float:
     In that case the gap is taken within the reflection-even block; for odd p
     there is no such symmetry and the full-sector gap is returned.
 
-    With d the target diagonal and o = -h x_off_diagonal (both mirror
-    symmetric for even p), the even block in the basis
-    (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for even N, is tridiagonal:
-
-    - odd N: diagonal d[:(N+1)/2] whose last entry gains o[(N-1)/2], the
-      coupling of the two middle states; off-diagonal o[:(N-1)/2];
-    - even N: diagonal d[:N/2+1]; off-diagonal o[:N/2] with its last entry,
-      the coupling to |N/2>, times sqrt(2).
-
-    Its two lowest eigenvalues come from LAPACK bisection (stebz) in O(N).
+    The target diagonal d and o = -h x_off_diagonal are mirror symmetric
+    for even p, so the even block is the tridiagonal
+    ``reflection_even_tridiagonal(d, o)``. Its two lowest eigenvalues come
+    from LAPACK bisection (stebz) in O(N).
     Each is accurate to a few ulp of max|d| + 2 max|o|, the Gershgorin bound
     on the block's norm; the tests hold the gap to 1e-13 times that bound
     against the dense projected block and against 40-digit mpmath. The bound
@@ -173,15 +211,7 @@ def dynamical_gap(spec: ProblemSpec) -> float:
     basis = build_basis(n)
     diag = target_diagonal(spec, basis)
     off = -spec.field * x_off_diagonal(basis)
-    half = (n + 1) // 2
-    if n % 2 == 1:
-        d = diag[:half]
-        d[-1] += off[half - 1]
-        e = off[: half - 1]
-    else:
-        d = diag[: n // 2 + 1]
-        e = off[: n // 2]
-        e[-1] *= np.sqrt(2.0)
+    d, e = reflection_even_tridiagonal(diag, off)
     w = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 1))
     return float(w[1] - w[0])
 

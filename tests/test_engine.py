@@ -1,9 +1,19 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fullspace import embed_sector_state, full_energy, full_qaoa_state
+from fullspace import (
+    collective_x_matrix,
+    embed_sector_state,
+    full_energy,
+    full_qaoa_state,
+    target_matrix,
+)
 from pspin_qaoa.engine import (
     QaoaParams,
     circuit_context,
@@ -24,10 +34,14 @@ from pspin_qaoa.sector import (
 )
 
 
-def random_state(n, seed=0):
+def random_vector(dim, seed=0):
     rng = np.random.default_rng(seed)
-    psi = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
+
+
+def random_state(n, seed=0):
+    return random_vector(n + 1, seed)
 
 
 def params_of(gammas, betas):
@@ -40,8 +54,9 @@ def context(n, p=2):
 
 class TestPhaseLayer:
     def test_zero_angle_is_identity(self):
-        psi = random_state(6, 1)
-        np.testing.assert_allclose(context(6, 2).apply_phase(psi, 0.0), psi)
+        ctx = context(6, 2)
+        psi = random_vector(ctx.plus.size, 1)
+        np.testing.assert_allclose(ctx.apply_phase(psi, 0.0), psi)
 
     def test_single_spin_global_phase(self):
         # N=1, p=3, gamma=pi: phases exp(+-i pi) are a common factor of -1
@@ -57,20 +72,22 @@ class TestPhaseLayer:
 
 class TestMixerLayer:
     def test_zero_angle_is_identity(self):
-        psi = random_state(5, 4)
-        out = context(5).apply_mixer(psi, 0.0)
+        ctx = context(5)
+        psi = random_vector(ctx.plus.size, 4)
+        out = ctx.apply_mixer(psi, 0.0)
         np.testing.assert_allclose(out, psi, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_pi_shift_is_global_phase(self, n):
-        psi = random_state(n, 5)
-        out = context(n).apply_mixer(psi, np.pi)
+        ctx = context(n)
+        psi = random_vector(ctx.plus.size, 5)
+        out = ctx.apply_mixer(psi, np.pi)
         assert abs(abs(np.vdot(psi, out)) - 1.0) < 1e-12
 
     def test_plus_state_is_eigenstate(self):
-        basis = build_basis(8)
-        plus = plus_state(basis)
-        out = context(8).apply_mixer(plus, 0.77)
+        ctx = context(8)
+        plus = ctx.plus
+        out = ctx.apply_mixer(plus, 0.77)
         assert abs(fidelity(out, plus) - 1.0) < 1e-12
         np.testing.assert_allclose(out, np.exp(1j * 0.77 * 8) * plus, atol=1e-12)
 
@@ -81,7 +98,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n", [1, 8, 129])
     def test_mixer_block_matches_columns(self, n):
         ctx = context(n)
-        block = np.stack([random_state(n, seed) for seed in (6, 7, 8)], axis=1)
+        block = np.stack([random_vector(ctx.plus.size, seed) for seed in (6, 7, 8)], axis=1)
         out = ctx.apply_mixer(block, 0.41)
         assert out.shape == block.shape
         for j in range(3):
@@ -154,6 +171,115 @@ class TestBruteForceOracle:
         assert abs(energy(spec, sector) - full_energy(n, p, h, full)) < 1e-10
 
 
+class DenseSectorCircuit:
+    """The sector circuit from dense matrices, for one (N, p, h).
+
+    |+> comes from exact binomials, each phase exp(-i gamma hz_k) is reduced
+    modulo 2 pi from the exact integer hz_k = -(M_k)^p in 40-digit
+    arithmetic, and each mixer is scipy's expm of i beta times the dense
+    collective-X matrix. Layer factors are cached per angle, so central
+    differences pay for the layers they move.
+    """
+
+    def __init__(self, spec):
+        n, p = spec.n_sites, spec.p_exponent
+        basis = build_basis(n)
+        self.xmat = collective_x_matrix(basis)
+        self.hmat = target_matrix(spec, basis, self.xmat)
+        self.hz = [-((n - 2 * k) ** p) for k in range(n + 1)]
+        self.plus = np.array([math.sqrt(math.comb(n, k) / 2**n) for k in range(n + 1)], complex)
+        self._phases, self._mixers = {}, {}
+
+    def phases(self, gamma):
+        if gamma not in self._phases:
+            with mpmath.workdps(40):
+                g, two_pi = mpmath.mpf(float(gamma)), 2 * mpmath.pi
+                angles = np.array([float(mpmath.fmod(g * v, two_pi)) for v in self.hz])
+            self._phases[gamma] = np.exp(-1j * angles)
+        return self._phases[gamma]
+
+    def mixer(self, beta):
+        if beta not in self._mixers:
+            self._mixers[beta] = scipy.linalg.expm(1j * beta * self.xmat)
+        return self._mixers[beta]
+
+    def state(self, x):
+        params = QaoaParams.from_vector(x)
+        psi = self.plus
+        for gamma, beta in zip(params.gammas, params.betas):
+            psi = self.mixer(beta) @ (self.phases(gamma) * psi)
+        return psi
+
+    def energy(self, x):
+        psi = self.state(x)
+        return float(np.vdot(psi, self.hmat @ psi).real)
+
+
+even_p_circuits = given(
+    n=st.integers(min_value=1, max_value=160),
+    p=st.sampled_from([2, 4]),
+    h=st.floats(min_value=0.0, max_value=3.0),
+    depth=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+
+
+def natural_units(spec, depth):
+    # gamma multiplies |M|^p up to N^p, so N^(p-1) gamma is its natural scale
+    return np.concatenate([np.full(depth, 1.0 / spec.n_sites ** (spec.p_exponent - 1)), np.ones(depth)])
+
+
+def random_angles(spec, depth, seed):
+    unit = natural_units(spec, depth)
+    return np.random.default_rng(seed).uniform(-np.pi, np.pi, 2 * depth) * unit
+
+
+class TestReflectionEvenBlock:
+    """Even p runs in the reflection-even block of floor(N/2)+1 states; what
+    it returns must agree with the dense circuit on all N+1 states."""
+
+    @even_p_circuits
+    @example(n=1, p=2, h=0.5, depth=3, seed=1)
+    @example(n=2, p=2, h=1.0, depth=2, seed=2)
+    @example(n=7, p=4, h=2.0, depth=4, seed=3)
+    @example(n=160, p=2, h=3.0, depth=6, seed=4)
+    @settings(max_examples=25, deadline=None)
+    def test_state_matches_dense_circuit(self, n, p, h, depth, seed):
+        spec = ProblemSpec(n, p, h)
+        x = random_angles(spec, depth, seed)
+        psi = qaoa_state(spec, QaoaParams.from_vector(x))
+        assert psi.shape == (n + 1,)
+        assert np.max(np.abs(psi - DenseSectorCircuit(spec).state(x))) < 1e-12
+        np.testing.assert_array_equal(psi, psi[::-1])
+
+    @even_p_circuits
+    @example(n=1, p=4, h=1.5, depth=2, seed=5)
+    @example(n=9, p=2, h=0.7, depth=3, seed=6)
+    @example(n=10, p=2, h=2.5, depth=3, seed=7)
+    @settings(max_examples=10, deadline=None)
+    def test_gradient_matches_dense_central_differences(self, n, p, h, depth, seed):
+        # five-point central differences in natural units, step 5e-5: the
+        # truncation error is about step^4 times the fifth derivative, the
+        # roundoff about 1e-13 |E| / step
+        spec = ProblemSpec(n, p, h)
+        dense = DenseSectorCircuit(spec)
+        x = random_angles(spec, depth, seed)
+        e_val, grad = energy_and_gradient(spec, QaoaParams.from_vector(x))
+        assert abs(e_val - dense.energy(x)) < 1e-10 * max(1.0, abs(e_val))
+        unit = natural_units(spec, depth)
+        step = 5e-5
+        fd = np.zeros_like(x)
+        for i in range(x.size):
+            def shifted(j):
+                y = x.copy()
+                y[i] += j * step * unit[i]
+                return dense.energy(y)
+            fd[i] = (8 * (shifted(1) - shifted(-1)) - (shifted(2) - shifted(-2))) / (12 * step)
+        scaled = grad * unit
+        scale = max(1.0, abs(e_val), np.max(np.abs(scaled)))
+        assert np.max(np.abs(scaled - fd)) < 1e-7 * scale
+
+
 class TestEnergy:
     def test_plus_state_odd_p(self):
         # odd moments of the symmetric magnetization distribution vanish
@@ -175,6 +301,13 @@ class TestEnergy:
         e0 = np.zeros(7, complex)
         e0[0] = 1.0
         assert abs(energy(spec, e0) + 6.0) < 1e-12
+
+    def test_rejects_state_of_wrong_length(self):
+        # an even-p context holds floor(N/2)+1 amplitudes, energy takes N+1
+        spec = ProblemSpec(8, 2, 1.0)
+        block = circuit_context(spec).plus
+        with pytest.raises(ValueError, match=r"N \+ 1 = 9 .*shape \(5,\)"):
+            energy(spec, block)
 
 
 class TestResidualEnergy:

@@ -101,6 +101,10 @@ class TestCollectiveX:
         dec = x_spectral_decomposition(n)
         mags = np.sort(build_basis(n).magnetizations)
         np.testing.assert_allclose(np.sort(dec.eigenvalues), mags, atol=1e-10)
+        # the reflection-even block keeps the eigenvalues N - 2j with j even
+        even = x_spectral_decomposition(n, even_parity=True)
+        even_mags = np.sort(build_basis(n).magnetizations[::2])
+        np.testing.assert_allclose(np.sort(even.eigenvalues), even_mags, atol=1e-10)
 
     def test_decomposition_reconstructs(self):
         for n in (1, 5, 40):
