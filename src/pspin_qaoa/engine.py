@@ -5,14 +5,13 @@ mixer exp(-i beta Hx) with Hx = -sum_j sigma^x_j. For even p, Hz, Hx and the
 target commute with the spin flip k -> N - k and |+> is even under it, so
 the circuit runs in the reflection-even block of the sector: the
 floor(N/2)+1 states (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for even N
-(``sector.reflection_even_tridiagonal``, ``sector.reflection_even_lift``).
-For odd p it runs in the whole
-sector of N+1 states. Either way the context holds the same fields, m the
-dimension: the phases, the target and collective-X as tridiagonals, |+>, and
-the cached spectral decomposition V diag(lam) V^T of collective-X. V is
-real, so a complex state, or an (m, k) block of states, is viewed as an
-(m, 2k) float64 array and rotated by two real GEMMs (V^T, then V) around one
-diagonal scaling by exp(i beta lam). The state, the energy and the adjoint
+(``sector.dynamics_block``, ``sector.reflection_even_lift``). For odd p it
+runs in the whole sector of N+1 states. Either way the context holds the
+same fields, m the dimension: the phases, the target and collective-X as
+tridiagonals, |+>, and the cached spectral decomposition V diag(lam) V^T of
+collective-X. V is real, so a complex state, or an (m, k) block of states,
+is viewed as an (m, 2k) float64 array and rotated by two real GEMMs (V^T,
+then V) around one diagonal scaling by exp(i beta lam). The state, the energy and the adjoint
 gradient all run through these two kernels; the reverse sweep carries the
 state and the adjoint vector as one (m, 2) block, so each of its layers is
 one mixer call and one phase multiply. ``qaoa_state`` lifts its result back
@@ -32,11 +31,11 @@ from .sector import (
     XSpectralDecomposition,
     build_basis,
     diagonalize_target,
+    dynamics_block,
     hz_diagonal,
     plus_state,
     reflection_even_lift,
-    reflection_even_tridiagonal,
-    target_diagonal,
+    target_tridiagonal,
     x_off_diagonal,
     x_spectral_decomposition,
 )
@@ -97,22 +96,18 @@ class CircuitContext:
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
-        n = spec.n_sites
+        n, p = spec.n_sites, spec.p_exponent
         basis = build_basis(n)
-        x_diag, x_off = np.zeros(n + 1), x_off_diagonal(basis)
-        target_diag, target_off = target_diagonal(spec, basis), -spec.field * x_off
-        even_block = spec.p_exponent % 2 == 0
+        self.x_diag, self.x_off = dynamics_block(p, np.zeros(n + 1), x_off_diagonal(basis))
+        self.target_diag, self.target_off = dynamics_block(p, *target_tridiagonal(spec))
+        even_block = p % 2 == 0
         self.lift_index, self.lift_weight = np.arange(n + 1), np.ones(n + 1)
         if even_block:
-            x_diag, x_off = reflection_even_tridiagonal(x_diag, x_off)
-            target_diag, target_off = reflection_even_tridiagonal(target_diag, target_off)
             self.lift_index, self.lift_weight = reflection_even_lift(n)
-        dim = x_diag.size
-        self.hz: tuple[int, ...] = tuple(hz_diagonal(basis, spec.p_exponent)[:dim])
+        dim = self.x_diag.size
+        self.hz: tuple[int, ...] = tuple(hz_diagonal(basis, p)[:dim])
         self.max_abs_hz: int = max(abs(v) for v in self.hz)
         self.hz_float = np.array([float(v) for v in self.hz])
-        self.x_diag, self.x_off = x_diag, x_off
-        self.target_diag, self.target_off = target_diag, target_off
         self.xdec: XSpectralDecomposition = x_spectral_decomposition(n, even_parity=even_block)
         self.plus = plus_state(basis)[:dim] / self.lift_weight[:dim]
 
@@ -142,8 +137,6 @@ class CircuitContext:
         return _tridiagonal_product(self.x_diag, self.x_off, state)
 
     def apply_target(self, state: np.ndarray) -> np.ndarray:
-        if self.spec.field == 0.0:
-            return self.target_diag * state
         return _tridiagonal_product(self.target_diag, self.target_off, state)
 
 
@@ -203,9 +196,7 @@ def energy(spec: ProblemSpec, state: np.ndarray) -> float:
             f"energy needs the N + 1 = {n + 1} amplitudes of the sector, "
             f"got a state of shape {state.shape}"
         )
-    basis = build_basis(n)
-    off = -spec.field * x_off_diagonal(basis)
-    h_state = _tridiagonal_product(target_diagonal(spec, basis), off, state)
+    h_state = _tridiagonal_product(*target_tridiagonal(spec), state)
     return _real_energy(np.vdot(state, h_state))
 
 
@@ -216,13 +207,17 @@ def _real_energy(val: complex) -> float:
 
 
 def residual_energy(spectrum: TargetSpectrum, energy_value: float) -> float:
-    """(E - E_min) / (E_max - E_min), clamped only within roundoff of [0, 1]."""
-    if spectrum.e_max <= spectrum.e_min:
-        raise ValueError("degenerate spectrum: e_max must exceed e_min")
+    """(E - E_min) / (E_max - E_min), clamped only within roundoff of [0, 1].
+
+    A flat spectrum (E_max = E_min) has every state as a ground state, so its
+    residual is 0.
+    """
     if not (spectrum.e_min - 1e-9 <= energy_value <= spectrum.e_max + 1e-9):
         raise ValueError(
             f"energy {energy_value} outside spectrum [{spectrum.e_min}, {spectrum.e_max}]"
         )
+    if spectrum.e_max <= spectrum.e_min:
+        return 0.0
     res = (energy_value - spectrum.e_min) / (spectrum.e_max - spectrum.e_min)
     return min(max(res, 0.0), 1.0)
 

@@ -21,7 +21,7 @@ import scipy.optimize
 from . import analytic
 from .engine import QaoaParams, evaluate
 from .optimizer import LinearInit, OptimizerConfig, RandomInit, derive_seed, multi_start
-from .sector import ProblemSpec, diagonalize_target, dynamical_gap
+from .sector import ProblemSpec, dynamical_gap
 
 EXPERIMENT_KINDS = ("scaling", "field-sweep", "iteration-scaling", "p1-table", "gap-scaling")
 
@@ -339,6 +339,16 @@ def fit_scaling_exponent(rows: Sequence[SweepRow]) -> tuple[float, float]:
     return float(coeffs[0]), fit_residual
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares line through (x, y); returns (slope, r_squared)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), r_squared
+
+
 def fit_gap_exponent(rows: Sequence[GapRow], p: int) -> tuple[float, float]:
     """Gap-scaling fit: slope of log(gap) vs log(N) for p=2, vs N for p>=3.
 
@@ -349,12 +359,7 @@ def fit_gap_exponent(rows: Sequence[GapRow], p: int) -> tuple[float, float]:
         raise ValueError("need at least 3 usable rows for the gap fit")
     x = np.array([math.log(r.n_sites) if p == 2 else r.n_sites for r in usable], float)
     y = np.array([math.log(r.minimal_gap) for r in usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r_squared
+    return _line_fit(x, y)
 
 
 def fit_iteration_slope(rows: Sequence[SweepRow]) -> tuple[float, float]:
@@ -364,12 +369,7 @@ def fit_iteration_slope(rows: Sequence[SweepRow]) -> tuple[float, float]:
         raise ValueError("need at least 3 usable rows for the iteration fit")
     x = np.array([r.n_sites for r in usable], float)
     y = np.array([r.mean_iters for r in usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r_squared
+    return _line_fit(x, y)
 
 
 def run_experiment(config: ExperimentConfig):

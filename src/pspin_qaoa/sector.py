@@ -3,7 +3,14 @@
 The fully-connected p-spin Hamiltonian commutes with total spin, and the
 dynamics we simulate starts from the fully x-polarized state, so everything
 lives in the (N+1)-dimensional Dicke subspace labeled by the magnetization
-M_k = N - 2k, with k the number of down spins.
+M_k = N - 2k, with k the number of down spins. In that basis the target is
+the tridiagonal ``target_tridiagonal(spec)``.
+
+For even p the target, the phase and the mixer also commute with the spin
+flip k -> N - k, and |+> is even under it, so the dynamics stays in the
+reflection-even block of floor(N/2)+1 states, again tridiagonal. For odd p
+it uses the whole sector. ``dynamics_block`` picks that block for any
+sector tridiagonal; the circuit and the dynamical gap both work in it.
 """
 
 from __future__ import annotations
@@ -64,13 +71,11 @@ class XSpectralDecomposition:
 
 @dataclass(frozen=True)
 class TargetSpectrum:
-    """Extremal eigenvalues, gap and ground state of the sector Hamiltonian."""
+    """Extremal eigenvalues and ground state of the sector Hamiltonian."""
 
     e_min: float
     e_max: float
-    spectral_gap: float
     ground_state: np.ndarray
-    eigenvalues: np.ndarray
 
 
 def build_basis(n_sites: int) -> SymmetricBasis:
@@ -114,11 +119,15 @@ def hz_diagonal(basis: SymmetricBasis, p: int) -> list[int]:
     return [-(int(m) ** p) for m in basis.magnetizations]
 
 
-def target_diagonal(spec: ProblemSpec, basis: SymmetricBasis) -> np.ndarray:
-    """Diagonal part of the target Hamiltonian, -(M_k)^p / N^(p-1)."""
+def target_tridiagonal(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The sector target Hamiltonian as a tridiagonal (diagonal, off-diagonal).
+
+    The diagonal is -(M_k)^p / N^(p-1), the off-diagonal -h x_off_diagonal.
+    """
+    basis = build_basis(spec.n_sites)
     scale = float(spec.n_sites ** (spec.p_exponent - 1))
-    hz = hz_diagonal(basis, spec.p_exponent)
-    return np.array([float(v) for v in hz]) / scale
+    diag = np.array([float(v) for v in hz_diagonal(basis, spec.p_exponent)]) / scale
+    return diag, -spec.field * x_off_diagonal(basis)
 
 
 def reflection_even_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,6 +155,15 @@ def reflection_even_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.n
         e = off[: n // 2].copy()
         e[-1] *= np.sqrt(2.0)
     return d, e
+
+
+def dynamics_block(p: int, diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The block of a sector tridiagonal that the dynamics from |+> stays in.
+
+    The reflection-even block of ``reflection_even_tridiagonal`` for even p,
+    the whole sector (the arrays themselves) for odd p.
+    """
+    return (diag, off) if p % 2 == 1 else reflection_even_tridiagonal(diag, off)
 
 
 def reflection_even_lift(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,35 +201,28 @@ def x_spectral_decomposition(n_sites: int, even_parity: bool = False) -> XSpectr
 def dynamical_gap(spec: ProblemSpec) -> float:
     """Spectral gap relevant for dynamics started from the x-polarized state.
 
-    For even p the Hamiltonian commutes with the spin-flip reflection
-    k -> N - k and |+> lies in the even subspace, so the full-sector gap
-    E1 - E0 collapses to an exponentially small parity splitting below the
-    critical field while the dynamics never couples the two parity sectors.
-    In that case the gap is taken within the reflection-even block; for odd p
-    there is no such symmetry and the full-sector gap is returned.
+    This is the gap E1 - E0 within ``dynamics_block``. For even p the
+    full-sector gap collapses to an exponentially small parity splitting
+    below the critical field, but the dynamics never couples the two parity
+    sectors, so the gap is taken within the reflection-even block; for odd p
+    there is no such symmetry and it is the full-sector gap.
 
-    The target diagonal d and o = -h x_off_diagonal are mirror symmetric
-    for even p, so the even block is the tridiagonal
-    ``reflection_even_tridiagonal(d, o)``. Its two lowest eigenvalues come
-    from LAPACK bisection (stebz) in O(N).
-    Each is accurate to a few ulp of max|d| + 2 max|o|, the Gershgorin bound
-    on the block's norm; the tests hold the gap to 1e-13 times that bound
-    against the dense projected block and against 40-digit mpmath. The bound
-    is absolute: below the critical field the gap can be exponentially small.
+    Either way the block is tridiagonal, and its two lowest eigenvalues come
+    from LAPACK bisection (stebz) in O(N). Each is accurate to a few ulp of
+    max|d| + 2 max|o|, with d and o the sector diagonal and off-diagonal of
+    ``target_tridiagonal``: the Gershgorin bound on the norm. The tests hold
+    the gap to 1e-13 times that bound against 40-digit mpmath and against
+    dense eigensolvers. The bound is absolute: below the critical field the
+    gap can be exponentially small.
 
-    Raises ValueError for N = 1 with even p, whose even block has one state.
+    Raises ValueError for N = 1 with even p, whose block has one state.
     """
-    if spec.p_exponent % 2 == 1:
-        return diagonalize_target(spec).spectral_gap
-    n = spec.n_sites
-    if n == 1:
+    d, e = dynamics_block(spec.p_exponent, *target_tridiagonal(spec))
+    if d.size < 2:
         raise ValueError(
-            "the reflection-even block of N = 1 has one state, so there is no gap"
+            f"the dynamics block of N = {spec.n_sites}, p = {spec.p_exponent} "
+            "has one state, so there is no gap"
         )
-    basis = build_basis(n)
-    diag = target_diagonal(spec, basis)
-    off = -spec.field * x_off_diagonal(basis)
-    d, e = reflection_even_tridiagonal(diag, off)
     w = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 1))
     return float(w[1] - w[0])
 
@@ -223,9 +234,7 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
     polarized states; the returned ground state is re-projected onto their
     symmetric combination, which is the state the circuit can actually reach.
     """
-    basis = build_basis(spec.n_sites)
-    diag = target_diagonal(spec, basis)
-    off = -spec.field * x_off_diagonal(basis)
+    diag, off = target_tridiagonal(spec)
     try:
         w, v = scipy.linalg.eigh_tridiagonal(diag, off)
     except scipy.linalg.LinAlgError as exc:
@@ -236,7 +245,7 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
 
     if spec.field == 0.0 and spec.p_exponent % 2 == 0:
         # degenerate ferromagnetic pair: use the symmetric cat combination
-        ground = np.zeros(basis.dimension)
+        ground = np.zeros(diag.size)
         ground[0] = ground[-1] = 1.0 / np.sqrt(2.0)
     else:
         ground = v[:, 0].copy()
@@ -245,12 +254,4 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
             ground = -ground
     ground = ground.astype(complex)
     ground.setflags(write=False)
-    w.setflags(write=False)
-    gap = float(w[1] - w[0]) if basis.dimension > 1 else 0.0
-    return TargetSpectrum(
-        e_min=float(w[0]),
-        e_max=float(w[-1]),
-        spectral_gap=gap,
-        ground_state=ground,
-        eigenvalues=w,
-    )
+    return TargetSpectrum(e_min=float(w[0]), e_max=float(w[-1]), ground_state=ground)

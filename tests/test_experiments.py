@@ -21,6 +21,8 @@ from pspin_qaoa.experiments import (
     p_star,
     run_experiment,
 )
+from pspin_qaoa.optimizer import RandomInit, multi_start
+from pspin_qaoa.sector import ProblemSpec
 
 
 def synthetic_rows(b, n_sites=20, p=2, depths=range(2, 11)):
@@ -206,6 +208,21 @@ class TestRunners:
         assert row.status.startswith("failed: ValueError: ")
         assert "one state" in row.status
         assert math.isnan(row.minimal_gap)
+
+    def test_single_site_flat_spectrum_sweep_is_exact(self):
+        # N = 1, even p, h = 0: the target is -1 times the identity, so every
+        # state is a ground state
+        cfg = ExperimentConfig(
+            kind="field-sweep", p_exponent=2, n_grid=(1,), depth_grid=(2,),
+            h_grid=(0.0,), n_restarts=2,
+        )
+        (row,) = run_experiment(cfg)
+        assert row.status == "ok"
+        assert row.mean_residual == 0.0 and row.max_residual == 0.0
+        stats = multi_start(ProblemSpec(1, 2, 0.0), 2, RandomInit(), 2)
+        for r in stats.results:
+            assert r.record.residual == 0.0
+            assert r.record.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_sweep_failure_keeps_exception_type(self, monkeypatch):
         def boom(args):

@@ -200,25 +200,21 @@ class TestDiagonalizeTarget:
         g = spectrum.ground_state.real
         assert np.linalg.norm(mat @ g - spectrum.e_min * g) < 1e-10
 
-    def test_dynamical_gap_matches_plain_gap_for_odd_p(self):
-        spec = ProblemSpec(10, 3, 1.1)
-        assert dynamical_gap(spec) == diagonalize_target(spec).spectral_gap
-
     def test_dynamical_gap_n2_exact(self):
         # parity-even block of the p=2, N=2, h=0 problem is diag(-2, 0)
         assert abs(dynamical_gap(ProblemSpec(2, 2, 0.0)) - 2.0) < 1e-12
 
 
 def gap_bound(spec: ProblemSpec) -> float:
-    """The stated absolute error bound of dynamical_gap for even p."""
+    """The stated absolute error bound of dynamical_gap."""
     basis = build_basis(spec.n_sites)
     mat = target_matrix(spec, basis, collective_x_matrix(basis))
     return 1e-13 * (np.max(np.abs(np.diag(mat))) + 2 * np.max(np.abs(np.diag(mat, 1))))
 
 
-def mp_even_gap(n: int, p: int, h: str) -> float:
-    """Gap of the reflection-even block at 40 digits: the dense sector
-    matrix and the projector built in mpmath, then mpmath.eigsy."""
+def mp_gap(n: int, p: int, h: str) -> float:
+    """Dynamical gap at 40 digits: the dense sector matrix built in mpmath,
+    projected onto the reflection-even block for even p, then mpmath.eigsy."""
     with mpmath.workdps(40):
         field = mpmath.mpf(h)
         mat = mpmath.zeros(n + 1, n + 1)
@@ -226,6 +222,9 @@ def mp_even_gap(n: int, p: int, h: str) -> float:
             mat[k, k] = -mpmath.mpf((n - 2 * k) ** p) / n ** (p - 1)
         for k in range(n):
             mat[k, k + 1] = mat[k + 1, k] = -field * mpmath.sqrt((k + 1) * (n - k))
+        if p % 2 == 1:
+            w = sorted(mpmath.eigsy(mat, eigvals_only=True))
+            return float(w[1] - w[0])
         half = (n + 1) // 2
         m = half + (1 if n % 2 == 0 else 0)
         proj = mpmath.zeros(n + 1, m)
@@ -240,20 +239,33 @@ def mp_even_gap(n: int, p: int, h: str) -> float:
 class TestDynamicalGap:
     @given(
         st.integers(min_value=2, max_value=80),
-        st.sampled_from([2, 4]),
+        st.sampled_from([2, 3, 4, 5]),
         st.floats(min_value=0.0, max_value=3.0),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_projected_block(self, n, p, h):
+        # even p: the dense projected even block; odd p: the dense sector
         spec = ProblemSpec(n, p, h)
-        expected = dense_even_gap(spec, build_basis(n))
+        basis = build_basis(n)
+        if p % 2 == 0:
+            expected = dense_even_gap(spec, basis)
+        else:
+            w = np.linalg.eigvalsh(target_matrix(spec, basis, collective_x_matrix(basis)))
+            expected = w[1] - w[0]
         assert abs(dynamical_gap(spec) - expected) <= gap_bound(spec)
 
     @pytest.mark.parametrize("n", [20, 21, 40, 41])
     @pytest.mark.parametrize("h", ["0.5", "2.0", "3.0"])
     def test_matches_mpmath(self, n, h):
         spec = ProblemSpec(n, 2, float(h))
-        assert abs(dynamical_gap(spec) - mp_even_gap(n, 2, h)) <= gap_bound(spec)
+        assert abs(dynamical_gap(spec) - mp_gap(n, 2, h)) <= gap_bound(spec)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("n", [20, 21, 40, 41])
+    @pytest.mark.parametrize("h", ["0.5", "2.0", "3.0"])
+    def test_odd_p_matches_mpmath(self, n, h, p):
+        spec = ProblemSpec(n, p, float(h))
+        assert abs(dynamical_gap(spec) - mp_gap(n, p, h)) <= gap_bound(spec)
 
     def test_n3_exact(self):
         # odd N: the middle pair |1>, |2> is coupled, so the even block's last
@@ -274,6 +286,13 @@ class TestDynamicalGap:
         w = sorted((proj.T * full * proj).eigenvals(multiple=True), key=float)
         exact = float(w[1] - w[0])
         assert abs(dynamical_gap(ProblemSpec(3, 2, 1.0)) - exact) < 1e-12
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("h", [0.0, 0.7, 3.0])
+    def test_single_site_odd_p_closed_form(self, p, h):
+        # N = 1: the sector is [[-1, -h], [-h, 1]], eigenvalues -+sqrt(1 + h^2)
+        spec = ProblemSpec(1, p, h)
+        assert abs(dynamical_gap(spec) - 2 * np.sqrt(1 + h * h)) <= gap_bound(spec)
 
     def test_single_site_even_p_rejected(self):
         with pytest.raises(ValueError, match="one state"):
