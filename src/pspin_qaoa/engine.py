@@ -5,7 +5,7 @@ mixer exp(-i beta Hx) with Hx = -sum_j sigma^x_j. For even p, Hz, Hx and the
 target commute with the spin flip k -> N - k and |+> is even under it, so
 the circuit runs in the reflection-even block of the sector: the
 floor(N/2)+1 states (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for even N
-(``sector.dynamics_block``, ``sector.reflection_even_lift``). For odd p it
+(``sector.dynamics_block``, ``sector.dynamics_lift``). For odd p it
 runs in the whole sector of N+1 states. Either way the context holds the
 same fields, m the dimension: the phases, the target and collective-X as
 tridiagonals, |+>, and the cached spectral decomposition V diag(lam) V^T of
@@ -32,11 +32,10 @@ from .sector import (
     build_basis,
     diagonalize_target,
     dynamics_block,
-    hz_diagonal,
+    dynamics_lift,
     plus_state,
-    reflection_even_lift,
+    sector_table,
     target_tridiagonal,
-    x_off_diagonal,
     x_spectral_decomposition,
 )
 
@@ -97,19 +96,16 @@ class CircuitContext:
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         n, p = spec.n_sites, spec.p_exponent
-        basis = build_basis(n)
-        self.x_diag, self.x_off = dynamics_block(p, np.zeros(n + 1), x_off_diagonal(basis))
+        table = sector_table(n, p)
+        self.x_diag, self.x_off = dynamics_block(p, np.zeros(n + 1), table.x_off)
         self.target_diag, self.target_off = dynamics_block(p, *target_tridiagonal(spec))
-        even_block = p % 2 == 0
-        self.lift_index, self.lift_weight = np.arange(n + 1), np.ones(n + 1)
-        if even_block:
-            self.lift_index, self.lift_weight = reflection_even_lift(n)
+        self.lift_index, self.lift_weight = dynamics_lift(p, n)
         dim = self.x_diag.size
-        self.hz: tuple[int, ...] = tuple(hz_diagonal(basis, p)[:dim])
-        self.max_abs_hz: int = max(abs(v) for v in self.hz)
-        self.hz_float = np.array([float(v) for v in self.hz])
-        self.xdec: XSpectralDecomposition = x_spectral_decomposition(n, even_parity=even_block)
-        self.plus = plus_state(basis)[:dim] / self.lift_weight[:dim]
+        self.hz: tuple[int, ...] = table.hz[:dim]
+        self.max_abs_hz: int = table.max_abs_hz
+        self.hz_float = table.hz_float[:dim]
+        self.xdec: XSpectralDecomposition = x_spectral_decomposition(n, even_parity=p % 2 == 0)
+        self.plus = plus_state(build_basis(n))[:dim] / self.lift_weight[:dim]
 
     def lift(self, state: np.ndarray) -> np.ndarray:
         """The N+1 sector amplitudes of a context-dimension state vector."""

@@ -6,18 +6,25 @@ lives in the (N+1)-dimensional Dicke subspace labeled by the magnetization
 M_k = N - 2k, with k the number of down spins. In that basis the target is
 the tridiagonal ``target_tridiagonal(spec)``.
 
+Everything that does not depend on the field h is built once per (N, p) per
+process by the cached ``sector_table``: the exact integers -(M_k)^p, their
+float image, the target diagonal and the collective-X off-diagonal, all
+read-only. The target, the circuit context, the energy, the gap and the
+spectrum read it instead of rebuilding it.
+
 For even p the target, the phase and the mixer also commute with the spin
 flip k -> N - k, and |+> is even under it, so the dynamics stays in the
 reflection-even block of floor(N/2)+1 states, again tridiagonal. For odd p
 it uses the whole sector. ``dynamics_block`` picks that block for any
-sector tridiagonal; the circuit and the dynamical gap both work in it.
+sector tridiagonal and ``dynamics_lift`` maps its states back to the sector;
+the circuit, the dynamical gap and the ground state all work in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma, log
+from math import isfinite, lgamma, log
 
 import numpy as np
 import scipy.linalg
@@ -40,6 +47,8 @@ class ProblemSpec:
             raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
         if self.p_exponent < 2:
             raise ValueError(f"p_exponent must be >= 2, got {self.p_exponent}")
+        if not isfinite(self.field):
+            raise ValueError(f"field must be finite, got {self.field}")
         if self.field < 0:
             raise ValueError(f"field must be >= 0, got {self.field}")
         if self.n_sites**self.p_exponent >= _MAX_PHASE_INT:
@@ -67,6 +76,22 @@ class XSpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+@dataclass(frozen=True)
+class SectorTable:
+    """The field-independent arrays of the (N, p) sector, all read-only.
+
+    ``hz`` holds the exact integers -(M_k)^p and ``hz_float`` their float
+    image; ``target_diag`` is hz / N^(p-1), the diagonal of the target, and
+    ``x_off`` the off-diagonal of the collective-X matrix.
+    """
+
+    hz: tuple[int, ...]
+    hz_float: np.ndarray
+    max_abs_hz: int
+    target_diag: np.ndarray
+    x_off: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,15 +144,27 @@ def hz_diagonal(basis: SymmetricBasis, p: int) -> list[int]:
     return [-(int(m) ** p) for m in basis.magnetizations]
 
 
+@lru_cache(maxsize=None)
+def sector_table(n_sites: int, p: int) -> SectorTable:
+    """The cached ``SectorTable`` of N sites and exponent p."""
+    basis = build_basis(n_sites)
+    hz = tuple(hz_diagonal(basis, p))
+    hz_float = np.array([float(v) for v in hz])
+    target_diag = hz_float / float(n_sites ** (p - 1))
+    x_off = x_off_diagonal(basis)
+    for arr in (hz_float, target_diag, x_off):
+        arr.setflags(write=False)
+    return SectorTable(hz, hz_float, max(abs(v) for v in hz), target_diag, x_off)
+
+
 def target_tridiagonal(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """The sector target Hamiltonian as a tridiagonal (diagonal, off-diagonal).
 
-    The diagonal is -(M_k)^p / N^(p-1), the off-diagonal -h x_off_diagonal.
+    The diagonal is -(M_k)^p / N^(p-1), the read-only array of
+    ``sector_table``; the off-diagonal is -h x_off_diagonal, a new array.
     """
-    basis = build_basis(spec.n_sites)
-    scale = float(spec.n_sites ** (spec.p_exponent - 1))
-    diag = np.array([float(v) for v in hz_diagonal(basis, spec.p_exponent)]) / scale
-    return diag, -spec.field * x_off_diagonal(basis)
+    table = sector_table(spec.n_sites, spec.p_exponent)
+    return table.target_diag, -spec.field * table.x_off
 
 
 def reflection_even_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,13 +203,16 @@ def dynamics_block(p: int, diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarra
     return (diag, off) if p % 2 == 1 else reflection_even_tridiagonal(diag, off)
 
 
-def reflection_even_lift(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index and weight that lift a reflection-even block state to the sector.
+def dynamics_lift(p: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index and weight that lift a ``dynamics_block`` state to the sector.
 
-    Sector amplitude k is block amplitude index[k] = min(k, N - k) times
-    weight[k]: 1/sqrt(2) from a pair state (|k> + |N-k>)/sqrt(2), 1 from |N/2>.
+    Sector amplitude k is block amplitude index[k] times weight[k]. For even
+    p, index[k] = min(k, N - k) and the weight is 1/sqrt(2) from a pair state
+    (|k> + |N-k>)/sqrt(2), 1 from |N/2>; for odd p the lift is the identity.
     """
     k = np.arange(n_sites + 1)
+    if p % 2 == 1:
+        return k, np.ones(n_sites + 1)
     return np.minimum(k, n_sites - k), np.where(2 * k == n_sites, 1.0, np.sqrt(0.5))
 
 
@@ -184,9 +224,8 @@ def x_spectral_decomposition(n_sites: int, even_parity: bool = False) -> XSpectr
     ``reflection_even_tridiagonal`` instead of the whole sector: floor(N/2)+1
     states, eigenvalues N - 2j for even j.
     """
-    basis = build_basis(n_sites)
     diag = np.zeros(n_sites + 1)
-    off = x_off_diagonal(basis)
+    off = sector_table(n_sites, 2).x_off  # x_off does not depend on p
     if even_parity:
         diag, off = reflection_even_tridiagonal(diag, off)
     try:
@@ -228,30 +267,42 @@ def dynamical_gap(spec: ProblemSpec) -> float:
 
 
 def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
-    """Full spectrum of the sector Hamiltonian, with a phase-fixed ground state.
+    """Extremal eigenvalues of the sector Hamiltonian and the ground state the
+    circuit can reach.
 
-    For h=0 and p even the ground space is the degenerate pair of fully
-    polarized states; the returned ground state is re-projected onto their
-    symmetric combination, which is the state the circuit can actually reach.
+    e_min and e_max are the ends of the full-sector spectrum (for odd N the
+    top state is reflection-odd, so the even block would miss e_max). The
+    ground state is the lowest eigenvector of ``dynamics_block``, lifted to
+    the sector and signed so that its largest amplitude is positive. For even
+    p it is the reflection-even ground state, exactly mirror-symmetric like
+    the circuit state: below the critical field the full sector's even and
+    odd ground states split by an exponentially small amount, so its lowest
+    eigenvector would be an arbitrary mix of the two. For h > 0 the block is
+    an irreducible tridiagonal with negative off-diagonal, so its ground
+    state is unique and positive (Perron-Frobenius); at h = 0 it is block
+    state 0, which for even p lifts to the cat state (|0> + |N>)/sqrt(2).
+
+    The ground state is accurate to about eps ||H|| / gap_block in norm, with
+    gap_block the ``dynamical_gap``. For odd p near the critical field that
+    gap is exponentially small, so the ground state, and any fidelity taken
+    against it, is ill-conditioned there.
     """
     diag, off = target_tridiagonal(spec)
+    d, e = dynamics_block(spec.p_exponent, diag, off)
     try:
-        w, v = scipy.linalg.eigh_tridiagonal(diag, off)
+        # with eigenvectors, unused: the eigenvalue-only LAPACK routines move e_min
+        # and e_max, and so every residual, in the last bits
+        w = scipy.linalg.eigh_tridiagonal(diag, off)[0]
+        v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
     except scipy.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"target eigensolver failed for N={spec.n_sites}, "
             f"p={spec.p_exponent}, h={spec.field}"
         ) from exc
-
-    if spec.field == 0.0 and spec.p_exponent % 2 == 0:
-        # degenerate ferromagnetic pair: use the symmetric cat combination
-        ground = np.zeros(diag.size)
-        ground[0] = ground[-1] = 1.0 / np.sqrt(2.0)
-    else:
-        ground = v[:, 0].copy()
-        idx = int(np.argmax(np.abs(ground)))
-        if ground[idx] < 0:
-            ground = -ground
+    index, weight = dynamics_lift(spec.p_exponent, spec.n_sites)
+    ground = v[index] * weight
+    if ground[np.argmax(np.abs(ground))] < 0:
+        ground = -ground
     ground = ground.astype(complex)
     ground.setflags(write=False)
     return TargetSpectrum(e_min=float(w[0]), e_max=float(w[-1]), ground_state=ground)

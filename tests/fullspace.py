@@ -3,13 +3,14 @@ matrices of the Dicke sector.
 
 The full-space functions work with explicit per-qubit tensor products and
 know nothing about the Dicke-sector code paths they are used to check. The
-dense sector matrices at the end are the plain constructions that the
-tridiagonal production code replaced; they are kept as references.
+dense sector matrices are the plain constructions that the tridiagonal
+production code replaced; they are kept as references, as is the sector
+tridiagonal written entry by entry from its formulas.
 """
 
 import numpy as np
 import scipy.linalg
-from math import comb
+from math import comb, sqrt
 
 
 def n_down(l: int) -> int:
@@ -94,3 +95,23 @@ def dense_even_gap(spec, basis) -> float:
         proj[n // 2, m - 1] = 1.0
     w = scipy.linalg.eigh(proj.T @ mat @ proj, eigvals_only=True)
     return float(w[1] - w[0])
+
+
+def full_target_matrix(n: int, p: int, h: float) -> np.ndarray:
+    """Dense 2^N target: -(sum_j sigma^z_j)^p / N^(p-1) - h sum_j sigma^x_j."""
+    dim = 2**n
+    mags = np.array([n - 2 * n_down(l) for l in range(dim)])
+    mat = np.diag(-np.array([float(int(m) ** p) for m in mags]) / n ** (p - 1))
+    rows = np.arange(dim)
+    for j in range(n):
+        mat[rows, rows ^ (1 << j)] -= h
+    return mat
+
+
+def sector_tridiagonal(n: int, p: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sector target as a tridiagonal, entry by entry from the formulas:
+    -(N - 2k)^p / N^(p-1) on the diagonal, -h sqrt((k+1)(N-k)) off it."""
+    scale = float(n ** (p - 1))
+    diag = np.array([-float((n - 2 * k) ** p) / scale for k in range(n + 1)])
+    off = np.array([-h * sqrt((k + 1) * (n - k)) for k in range(n)])
+    return diag, off

@@ -1,0 +1,44 @@
+"""The benchmark in bench/ patches and calls names of the package from
+outside it. These tests fail when such a name is renamed or removed, instead
+of a benchmark run failing later. They read bench/ and change nothing in it."""
+
+import contextlib
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+from pspin_qaoa import engine, experiments, optimizer, sector
+from pspin_qaoa.experiments import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_selftest_passes():
+    out = subprocess.run(
+        [sys.executable, str(BENCH / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_trace_wrappers_install_count_and_restore():
+    tracing = load_bench_module("tracing")
+    originals = (experiments.dynamical_gap, optimizer.energy_and_gradient, engine.CircuitContext.apply_mixer)
+    tracer, recorder = tracing.Tracer(), tracing.Recorder()
+    with contextlib.ExitStack() as stack:
+        tracer.instrument(stack)
+        recorder.install(stack)
+        experiments.run_experiment(ExperimentConfig(kind="gap-scaling", p_exponent=2, n_grid=(8, 16)))
+    assert tracer.stats["sector.dynamical_gap"].calls > 0
+    assert (experiments.dynamical_gap, optimizer.energy_and_gradient, engine.CircuitContext.apply_mixer) == originals
+    assert experiments.dynamical_gap is sector.dynamical_gap

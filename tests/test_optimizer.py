@@ -186,6 +186,17 @@ class TestOptimize:
         result = optimize(spec, 7, LinearInit(), seed=0)  # depth = N/2 + 2
         assert result.record.residual < 1e-10
 
+    @pytest.mark.parametrize("n,p,h", [(64, 2, 0.5), (28, 4, 0.5)])
+    def test_exact_optimum_below_critical_field_has_unit_fidelity(self, n, p, h):
+        # below h_c the even and odd ground states of the sector split by less
+        # than roundoff; the circuit state is reflection-even, so at an exact
+        # optimum its fidelity with the even ground state must be 1 (a mix of
+        # the two parities read 0.5 and 0.75 here)
+        spec = ProblemSpec(n, p, h)
+        result = optimize(spec, n // 2 + 2, RandomInit(), seed=0)  # depth = P*
+        assert result.record.residual < 1e-12
+        assert result.record.fidelity > 1 - 1e-10
+
 
 class TestMultiStart:
     def test_statistics_consistency(self):

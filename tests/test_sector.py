@@ -6,14 +6,26 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
-from fullspace import collective_x_matrix, dense_even_gap, target_matrix
+from fullspace import (
+    collective_x_matrix,
+    dense_even_gap,
+    embed_sector_state,
+    full_target_matrix,
+    sector_tridiagonal,
+    target_matrix,
+)
+from pspin_qaoa.engine import CircuitContext, energy, energy_and_gradient
+from pspin_qaoa.optimizer import r_init
 from pspin_qaoa.sector import (
     ProblemSpec,
     build_basis,
     diagonalize_target,
     dynamical_gap,
+    dynamics_block,
     hz_diagonal,
     plus_state,
+    sector_table,
+    target_tridiagonal,
     x_spectral_decomposition,
 )
 
@@ -30,6 +42,11 @@ class TestProblemSpec:
     def test_rejects_phase_overflow(self):
         with pytest.raises(OverflowError):
             ProblemSpec(1024, 13)
+
+    @pytest.mark.parametrize("field", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_field(self, field):
+        with pytest.raises(ValueError, match="field must be finite"):
+            ProblemSpec(16, 2, field)
 
 
 class TestBasis:
@@ -138,6 +155,60 @@ class TestHzDiagonal:
             hz_diagonal(build_basis(1000), 13)
 
 
+class TestSectorTable:
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=2, max_value=7),
+        st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_target_matches_entrywise_formula(self, n, p, h):
+        diag, off = target_tridiagonal(ProblemSpec(n, p, h))
+        ref_diag, ref_off = sector_tridiagonal(n, p, h)
+        assert np.array_equal(diag, ref_diag)
+        assert np.array_equal(off, ref_off)
+
+    def test_exact_integers_near_the_width_cap(self):
+        # 1000^12 = 1e36 is within a factor 200 of 2^127; 1000^13 is not
+        n, p = 1000, 12
+        table = sector_table(n, p)
+        exact = [-((n - 2 * k) ** p) for k in range(n + 1)]
+        assert table.hz == tuple(exact)
+        assert all(type(v) is int for v in table.hz)
+        assert table.max_abs_hz == n**p
+        assert np.array_equal(table.hz_float, [float(v) for v in exact])
+        assert np.array_equal(table.target_diag, sector_tridiagonal(n, p, 0.0)[0])
+        with pytest.raises(OverflowError):
+            ProblemSpec(n, p + 1)
+
+    def test_cached_arrays_are_read_only(self):
+        spec = ProblemSpec(9, 3, 0.5)
+        table = sector_table(9, 3)
+        ctx = CircuitContext(spec)
+        for arr in (
+            target_tridiagonal(spec)[0], table.hz_float, table.target_diag,
+            table.x_off, ctx.hz_float, ctx.target_diag, ctx.x_off,
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cached_arrays_unchanged_by_use(self, n, p):
+        table = sector_table(n, p)
+        arrays = (table.hz_float, table.target_diag, table.x_off)
+        before = [a.copy() for a in arrays]
+        spec = ProblemSpec(n, p, 0.7)
+        energy(spec, plus_state(build_basis(n)))
+        CircuitContext(spec)
+        energy_and_gradient(spec, r_init(3, seed=n))
+        dynamics_block(p, *target_tridiagonal(spec))
+        diagonalize_target(spec)
+        dynamical_gap(spec)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b)
+
+
 class TestTargetMatrix:
     def test_h_zero_is_diagonal(self):
         basis = build_basis(6)
@@ -204,36 +275,102 @@ class TestDiagonalizeTarget:
         # parity-even block of the p=2, N=2, h=0 problem is diag(-2, 0)
         assert abs(dynamical_gap(ProblemSpec(2, 2, 0.0)) - 2.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "n,p,h", [(33, 2, 0.5), (64, 2, 0.5), (128, 2, 1.0), (512, 2, 1.0), (512, 4, 1.0)]
+    )
+    def test_even_p_ground_state_is_mirror_symmetric(self, n, p, h):
+        # below h_c the sector's even and odd ground states split by less than
+        # roundoff; the returned state must still be the even one, exactly
+        g = diagonalize_target(ProblemSpec(n, p, h)).ground_state
+        assert np.array_equal(g, g[::-1])
+        assert abs(np.linalg.norm(g) - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 41, 256, 1001])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    @pytest.mark.parametrize("h", [1e-3, 0.5, 5.0])
+    def test_ground_state_positive(self, n, p, h):
+        # Perron-Frobenius: for h > 0 the ground state is positive. Tail
+        # entries far below roundoff (down to -7e-44 at N = 1001) come out
+        # with either sign, so the floor is a roundoff unit of the unit vector.
+        g = diagonalize_target(ProblemSpec(n, p, h)).ground_state
+        assert np.all(g.imag == 0)
+        assert g.real.max() > 0
+        assert g.real.min() >= -1e-15
+
+    @pytest.mark.parametrize("n,p,h", [
+        (40, 2, "0.5"), (41, 2, "0.5"), (40, 4, "0.5"), (41, 4, "1.0"),
+        (40, 2, "2.0"), (21, 3, "0.5"), (20, 3, "1.3"), (21, 5, "2.0"),
+    ])
+    def test_ground_state_matches_mpmath(self, n, p, h):
+        # within the stated eps ||H|| / gap_block, with the Gershgorin bound
+        # for ||H||; these cases use at most 21% of it
+        spec = ProblemSpec(n, p, float(h))
+        gap, expected = mp_ground_state(n, p, h)
+        g = diagonalize_target(spec).ground_state
+        assert np.linalg.norm(g - expected) <= np.finfo(float).eps * norm_bound(spec) / gap
+
+    @pytest.mark.parametrize("n", [6, 9, 10])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("h", [0.5, 1.5])
+    def test_ground_state_matches_full_space(self, n, p, h):
+        # the ground state of the 2^N Hamiltonian lies in the sector
+        w, v = np.linalg.eigh(full_target_matrix(n, p, h))
+        g = diagonalize_target(ProblemSpec(n, p, h)).ground_state
+        assert w[1] - w[0] > 1e-6
+        assert abs(np.vdot(v[:, 0], embed_sector_state(g, n))) ** 2 > 1 - 1e-12
+
+
+def norm_bound(spec: ProblemSpec) -> float:
+    """Gershgorin bound on the norm of the sector Hamiltonian, max|d| + 2 max|o|."""
+    basis = build_basis(spec.n_sites)
+    mat = target_matrix(spec, basis, collective_x_matrix(basis))
+    return np.max(np.abs(np.diag(mat))) + 2 * np.max(np.abs(np.diag(mat, 1)))
+
 
 def gap_bound(spec: ProblemSpec) -> float:
     """The stated absolute error bound of dynamical_gap."""
-    basis = build_basis(spec.n_sites)
-    mat = target_matrix(spec, basis, collective_x_matrix(basis))
-    return 1e-13 * (np.max(np.abs(np.diag(mat))) + 2 * np.max(np.abs(np.diag(mat, 1))))
+    return 1e-13 * norm_bound(spec)
+
+
+def mp_block(n: int, p: int, h: str):
+    """The dynamics block at 40 digits (call inside ``mpmath.workdps(40)``):
+    the dense sector matrix built in mpmath and, for even p, the projector
+    onto the reflection-even block. Returns (block matrix, projector)."""
+    field = mpmath.mpf(h)
+    mat = mpmath.zeros(n + 1, n + 1)
+    for k in range(n + 1):
+        mat[k, k] = -mpmath.mpf((n - 2 * k) ** p) / n ** (p - 1)
+    for k in range(n):
+        mat[k, k + 1] = mat[k + 1, k] = -field * mpmath.sqrt((k + 1) * (n - k))
+    if p % 2 == 1:
+        return mat, mpmath.eye(n + 1)
+    half = (n + 1) // 2
+    m = half + (1 if n % 2 == 0 else 0)
+    proj = mpmath.zeros(n + 1, m)
+    for j in range(half):
+        proj[j, j] = proj[n - j, j] = 1 / mpmath.sqrt(2)
+    if n % 2 == 0:
+        proj[n // 2, m - 1] = 1
+    return proj.T * mat * proj, proj
 
 
 def mp_gap(n: int, p: int, h: str) -> float:
-    """Dynamical gap at 40 digits: the dense sector matrix built in mpmath,
-    projected onto the reflection-even block for even p, then mpmath.eigsy."""
+    """Dynamical gap at 40 digits, by mpmath.eigsy of ``mp_block``."""
     with mpmath.workdps(40):
-        field = mpmath.mpf(h)
-        mat = mpmath.zeros(n + 1, n + 1)
-        for k in range(n + 1):
-            mat[k, k] = -mpmath.mpf((n - 2 * k) ** p) / n ** (p - 1)
-        for k in range(n):
-            mat[k, k + 1] = mat[k + 1, k] = -field * mpmath.sqrt((k + 1) * (n - k))
-        if p % 2 == 1:
-            w = sorted(mpmath.eigsy(mat, eigvals_only=True))
-            return float(w[1] - w[0])
-        half = (n + 1) // 2
-        m = half + (1 if n % 2 == 0 else 0)
-        proj = mpmath.zeros(n + 1, m)
-        for j in range(half):
-            proj[j, j] = proj[n - j, j] = 1 / mpmath.sqrt(2)
-        if n % 2 == 0:
-            proj[n // 2, m - 1] = 1
-        w = sorted(mpmath.eigsy(proj.T * mat * proj, eigvals_only=True))
+        w = sorted(mpmath.eigsy(mp_block(n, p, h)[0], eigvals_only=True))
         return float(w[1] - w[0])
+
+
+def mp_ground_state(n: int, p: int, h: str) -> tuple[float, np.ndarray]:
+    """(gap of the block, its ground state lifted to the sector and signed
+    positive), by mpmath.eigsy of ``mp_block`` at 40 digits."""
+    with mpmath.workdps(40):
+        block, proj = mp_block(n, p, h)
+        w, q = mpmath.eigsy(block)
+        order = sorted(range(len(w)), key=lambda i: w[i])
+        g = proj * q[:, order[0]]
+        g = np.array([float(g[k]) for k in range(n + 1)])
+        return float(w[order[1]] - w[order[0]]), g * np.sign(g[np.argmax(np.abs(g))])
 
 
 class TestDynamicalGap:
