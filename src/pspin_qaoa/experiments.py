@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from . import analytic
 from .engine import QaoaParams, evaluate
@@ -286,13 +285,88 @@ def minimal_gap(n_sites: int, p: int, h_center: float) -> tuple[float, float]:
     def gap_at(h):
         return dynamical_gap(ProblemSpec(n_sites, p, float(h)))
 
-    res = scipy.optimize.minimize_scalar(
-        gap_at,
-        bounds=(0.5 * h_center, 1.5 * h_center),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    return float(res.x), float(res.fun)
+    return _bounded_brent(gap_at, 0.5 * h_center, 1.5 * h_center, xatol=1e-8)
+
+
+def _bounded_brent(func, lo: float, hi: float, xatol: float, maxfun: int = 500) -> tuple[float, float]:
+    """Minimize func over [lo, hi] by Brent's bounded method (Brent 1973,
+    fminbound); returns (x, func(x)).
+
+    A port of scipy.optimize.minimize_scalar(method="bounded") with the same
+    float operations in the same order, so it makes the same calls and
+    returns the same numbers. Each step is parabolic through the three best
+    points when that parabola is acceptable, golden-section otherwise, and
+    moves at least tol1 = sqrt(2.2e-16) |x| + xatol / 3. It stops when x is
+    within 2 tol1 of the bracket's middle, less half its width, or after
+    maxfun calls.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return float(xf), float(fx)
+
+
+def _sign(v: float) -> float:
+    """+1 for v >= 0 (zero counts as positive), -1 below."""
+    return 1.0 if v >= 0 else -1.0
 
 
 def run_gap_scaling(config: ExperimentConfig) -> list[GapRow]:

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from pspin_qaoa import experiments
 from pspin_qaoa.cli import main as cli_main, parse_grid
@@ -22,7 +28,9 @@ from pspin_qaoa.experiments import (
     run_experiment,
 )
 from pspin_qaoa.optimizer import RandomInit, multi_start
-from pspin_qaoa.sector import ProblemSpec
+from pspin_qaoa.sector import ProblemSpec, dynamical_gap
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def synthetic_rows(b, n_sites=20, p=2, depths=range(2, 11)):
@@ -241,6 +249,84 @@ class TestRunners:
         h_min, gap = minimal_gap(64, 2, 2.0)
         assert abs(h_min - 2.0) < 0.3
         assert 0 < gap < 2.0
+
+
+def scipy_bounded(func, lo, hi, xatol, maxfun=500):
+    """The oracle of ``_bounded_brent``: scipy's bounded Brent, (x, f(x))."""
+    res = scipy.optimize.minimize_scalar(
+        func, bounds=(lo, hi), method="bounded", options={"xatol": xatol, "maxiter": maxfun}
+    )
+    return float(res.x), float(res.fun)
+
+
+def recording(func):
+    """func, plus the list of the points it is called at."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(float(x))
+        return func(x)
+
+    return wrapped, calls
+
+
+SHAPES = {
+    "quadratic": lambda c: lambda x: (x - c) ** 2,
+    "abs": lambda c: lambda x: abs(x - c),
+    "sin": lambda c: lambda x: math.sin(3.0 * x + c),
+    "step": lambda c: lambda x: float(x > c),
+}
+
+
+class TestBoundedBrent:
+    @given(
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.floats(min_value=0.0, max_value=10.0),
+        st.floats(min_value=-12.0, max_value=-2.0),
+        st.sampled_from(sorted(SHAPES)),
+        st.floats(min_value=-0.1, max_value=1.1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy(self, lo, width, log_xatol, shape, where):
+        # the same calls and the same (x, f) to the bit
+        hi, xatol = lo + width, 10.0**log_xatol
+        f, calls = recording(SHAPES[shape](lo + where * width))
+        g, oracle_calls = recording(SHAPES[shape](lo + where * width))
+        assert experiments._bounded_brent(f, lo, hi, xatol) == scipy_bounded(g, lo, hi, xatol)
+        assert calls == oracle_calls
+
+    @pytest.mark.parametrize("maxfun", [2, 3, 5])
+    def test_stops_at_maxfun(self, maxfun):
+        f, calls = recording(SHAPES["sin"](0.3))
+        expected = scipy_bounded(f, -4.0, 4.0, 1e-12, maxfun)
+        assert len(calls) == maxfun
+        calls.clear()
+        assert experiments._bounded_brent(f, -4.0, 4.0, 1e-12, maxfun) == expected
+        assert len(calls) == maxfun
+
+    @pytest.mark.parametrize("n,p", [(8, 2), (9, 2), (8, 3), (9, 3), (10, 4), (7, 5)])
+    def test_minimal_gap_matches_scipy(self, n, p):
+        h_center = experiments.CRITICAL_FIELDS.get(p, 1.0)
+        expected = scipy_bounded(
+            lambda h: dynamical_gap(ProblemSpec(n, p, float(h))),
+            0.5 * h_center, 1.5 * h_center, 1e-8,
+        )
+        assert minimal_gap(n, p, h_center) == expected
+
+
+def test_cold_import_skips_scipy_optimize_and_mpmath():
+    # a fresh interpreter: the import cost every CLI run pays
+    code = (
+        "import sys, pspin_qaoa, pspin_qaoa.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'mpmath') if m in sys.modules))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 class TestEmit:

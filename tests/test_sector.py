@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 from math import comb
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fullspace import (
     collective_x_matrix,
@@ -47,6 +47,18 @@ class TestProblemSpec:
     def test_rejects_non_finite_field(self, field):
         with pytest.raises(ValueError, match="field must be finite"):
             ProblemSpec(16, 2, field)
+
+    @pytest.mark.parametrize("n,p,name", [
+        (16.5, 2, "n_sites"), (16.0, 2, "n_sites"), (True, 2, "n_sites"), (16, 2.5, "p_exponent"),
+    ])
+    def test_rejects_non_integers(self, n, p, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ProblemSpec(n, p, 1.0)
+
+    def test_stores_numpy_integers_as_int(self):
+        spec = ProblemSpec(np.int64(16), np.int32(3), 1.0)
+        assert type(spec.n_sites) is int and type(spec.p_exponent) is int
+        assert spec == ProblemSpec(16, 3, 1.0)
 
 
 class TestBasis:
@@ -309,6 +321,25 @@ class TestDiagonalizeTarget:
         g = diagonalize_target(spec).ground_state
         assert np.linalg.norm(g - expected) <= np.finfo(float).eps * norm_bound(spec) / gap
 
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=2, max_value=7),
+        st.floats(min_value=0.0, max_value=5.0),
+    )
+    @example(1, 2, 0.0)
+    @example(1, 3, 5.0)
+    @example(2, 2, 1.0)
+    @example(2, 7, 0.0)
+    @settings(max_examples=20, deadline=None)
+    def test_spectrum_ends_match_mpmath(self, n, p, h):
+        # the stated bound is a few ulp of the Gershgorin norm; as for the gap,
+        # the test allows 1e-13 of that norm
+        spec = ProblemSpec(n, p, h)
+        spectrum = diagonalize_target(spec)
+        e_min, e_max = mp_spectrum_ends(n, p, h)
+        assert abs(spectrum.e_min - e_min) <= 1e-13 * norm_bound(spec)
+        assert abs(spectrum.e_max - e_max) <= 1e-13 * norm_bound(spec)
+
     @pytest.mark.parametrize("n", [6, 9, 10])
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("h", [0.5, 1.5])
@@ -332,16 +363,26 @@ def gap_bound(spec: ProblemSpec) -> float:
     return 1e-13 * norm_bound(spec)
 
 
+def mp_sector(n: int, p: int, h) -> tuple[list, list]:
+    """The sector tridiagonal in mpmath at the working precision: the lists
+    (diagonal, off-diagonal). ``h`` is a decimal string or a float, read
+    exactly."""
+    field = mpmath.mpf(h)
+    diag = [-mpmath.mpf((n - 2 * k) ** p) / n ** (p - 1) for k in range(n + 1)]
+    off = [-field * mpmath.sqrt((k + 1) * (n - k)) for k in range(n)]
+    return diag, off
+
+
 def mp_block(n: int, p: int, h: str):
     """The dynamics block at 40 digits (call inside ``mpmath.workdps(40)``):
     the dense sector matrix built in mpmath and, for even p, the projector
     onto the reflection-even block. Returns (block matrix, projector)."""
-    field = mpmath.mpf(h)
+    diag, off = mp_sector(n, p, h)
     mat = mpmath.zeros(n + 1, n + 1)
     for k in range(n + 1):
-        mat[k, k] = -mpmath.mpf((n - 2 * k) ** p) / n ** (p - 1)
+        mat[k, k] = diag[k]
     for k in range(n):
-        mat[k, k + 1] = mat[k + 1, k] = -field * mpmath.sqrt((k + 1) * (n - k))
+        mat[k, k + 1] = mat[k + 1, k] = off[k]
     if p % 2 == 1:
         return mat, mpmath.eye(n + 1)
     half = (n + 1) // 2
@@ -359,6 +400,56 @@ def mp_gap(n: int, p: int, h: str) -> float:
     with mpmath.workdps(40):
         w = sorted(mpmath.eigsy(mp_block(n, p, h)[0], eigvals_only=True))
         return float(w[1] - w[0])
+
+
+def mp_spectrum_ends(n: int, p: int, h) -> tuple[float, float]:
+    """Lowest and highest eigenvalue of the whole sector at 40 digits.
+
+    Sturm-count bisection of ``mp_sector``: the number of eigenvalues below
+    x is the number of negative pivots of the LDL^T factorization of T - x.
+    Each end is bracketed by the Gershgorin interval and halved until it is
+    1e-25 of the norm wide, far below the 1e-13 the tests allow. This is
+    O(N) per count, where ``mpmath.eigsy`` of the dense matrix is O(N^3).
+    """
+    with mpmath.workdps(40):
+        diag, off = mp_sector(n, p, h)
+        norm = max(abs(v) for v in diag) + 2 * max(abs(v) for v in off)
+        tiny = norm * mpmath.mpf(10) ** -35
+
+        def count_below(x):
+            count, pivot = 0, diag[0] - x
+            for k in range(n + 1):
+                if k > 0:
+                    pivot = diag[k] - x - off[k - 1] ** 2 / pivot
+                if pivot == 0:
+                    pivot = -tiny
+                count += pivot < 0
+            return count
+
+        def eigenvalue(index):
+            lo, hi = -norm - 1, norm + 1
+            while hi - lo > norm * mpmath.mpf(10) ** -25:
+                mid = (lo + hi) / 2
+                if count_below(mid) > index:
+                    hi = mid
+                else:
+                    lo = mid
+            return float((lo + hi) / 2)
+
+        return eigenvalue(0), eigenvalue(n)
+
+
+class TestMpSpectrumEnds:
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("h", ["0.0", "0.7"])
+    def test_matches_mpmath_eigsy(self, n, p, h):
+        # the bisection oracle against the dense 40-digit eigensolver of the
+        # whole sector, which is the odd-p dynamics block
+        with mpmath.workdps(40):
+            w = sorted(mpmath.eigsy(mp_block(n, p, h)[0], eigvals_only=True))
+            expected = (float(w[0]), float(w[-1]))
+        assert mp_spectrum_ends(n, p, h) == pytest.approx(expected, rel=1e-15, abs=1e-15)
 
 
 def mp_ground_state(n: int, p: int, h: str) -> tuple[float, np.ndarray]:
