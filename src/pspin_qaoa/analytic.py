@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .engine import QaoaParams
-from .sector import build_basis
 
 
 @dataclass(frozen=True)
@@ -131,18 +130,20 @@ def p1_fidelity_closed_form(p: int, n_sites: int, gamma: float) -> float:
     Evaluates the binomial-weighted phase sum directly (O(N) work), giving an
     oracle independent of the circuit simulation.
     """
-    basis = build_basis(n_sites)
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be >= 1, got {n_sites}")
     total = 0.0 + 0.0j
     norm = 2.0**n_sites
-    for k, m in enumerate(basis.magnetizations):
-        mp = int(m) ** p
+    for k in range(n_sites + 1):
+        m = n_sites - 2 * k
+        mp = m**p
         weight = comb(n_sites, k) / norm
         if p % 2 == 1:
             total += weight * np.exp(1j * (gamma * mp + 0.5 * pi * k))
         else:
             if n_sites % 2 == 0:
                 raise ValueError("even-p closed form requires odd N")
-            total += weight * np.exp(1j * (gamma * mp - pi * f_of_m(int(m))))
+            total += weight * np.exp(1j * (gamma * mp - pi * f_of_m(m)))
     return float(abs(total) ** 2)
 
 

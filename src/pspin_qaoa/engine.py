@@ -29,7 +29,6 @@ from .sector import (
     ProblemSpec,
     TargetSpectrum,
     XSpectralDecomposition,
-    build_basis,
     diagonalize_target,
     dynamics_block,
     dynamics_lift,
@@ -105,7 +104,7 @@ class CircuitContext:
         self.max_abs_hz: int = table.max_abs_hz
         self.hz_float = table.hz_float[:dim]
         self.xdec: XSpectralDecomposition = x_spectral_decomposition(n, even_parity=p % 2 == 0)
-        self.plus = plus_state(build_basis(n))[:dim] / self.lift_weight[:dim]
+        self.plus = plus_state(n)[:dim] / self.lift_weight[:dim]
 
     def lift(self, state: np.ndarray) -> np.ndarray:
         """The N+1 sector amplitudes of a context-dimension state vector."""

@@ -11,7 +11,10 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
+from functools import partial
+from numbers import Integral
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -63,19 +66,34 @@ class ExperimentConfig:
             raise ConfigError(f"format must be 'csv' or 'json', got {self.out_format!r}")
         if self.worker_count < 1:
             raise ConfigError("worker_count must be >= 1")
+        for depth in self.depth_grid:
+            if isinstance(depth, bool) or not isinstance(depth, Integral) or depth < 1:
+                raise ConfigError(f"depth_grid entries must be integers >= 1, got {depth!r}")
+        # every (n, p, h) must be a valid ProblemSpec, checked by its own rules
+        for n in self.n_grid:
+            for h in self.h_grid:
+                try:
+                    ProblemSpec(n, self.p_exponent, h)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ConfigError(f"grid point N={n!r}, h={h!r}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config of a JSON object: grids become tuples and h values floats;
+        nothing else is converted."""
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         data = dict(data)
-        for key in ("n_grid", "depth_grid"):
-            if key in data:
-                data[key] = tuple(int(v) for v in data[key])
-        if "h_grid" in data:
-            data["h_grid"] = tuple(float(v) for v in data["h_grid"])
+        try:
+            for key in ("n_grid", "depth_grid"):
+                if key in data:
+                    data[key] = tuple(data[key])
+            if "h_grid" in data:
+                data["h_grid"] = tuple(float(v) for v in data["h_grid"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"grids must be lists of numbers: {exc}") from exc
         return cls(**data)
 
 
@@ -150,107 +168,70 @@ def _sweep_task(args: tuple) -> dict:
     }
 
 
-def _run_sweep_tasks(points: list[tuple], config: ExperimentConfig) -> list[SweepRow]:
-    """Execute grid points (possibly in parallel) and assemble rows in order."""
-    args = []
-    for n, p, h, depth, tag in points:
-        seed = derive_seed(config.base_seed, n, depth, float(h))
-        args.append(
-            (n, p, h, depth, tag, config.dt, config.noise_amplitude, config.n_restarts, seed)
-        )
-    if config.worker_count > 1:
-        with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-            outcomes = []
-            for fut in [pool.submit(_sweep_task, a) for a in args]:
-                try:
-                    outcomes.append(fut.result())
-                except Exception as exc:  # partial failure: keep the row, flag it
-                    outcomes.append(exc)
+def _sweep_points(config: ExperimentConfig) -> list[tuple]:
+    """The (n, p, h, depth, scheme) grid points of a residual sweep, in row
+    order: per scheme, depth scans over N and P at the first h, field sweeps
+    over h at the first N and P, iteration scans over N at depth P*(N)."""
+    p = config.p_exponent
+    n0, depth0, h0 = config.n_grid[0], config.depth_grid[0], config.h_grid[0]
+    if config.kind == "scaling":
+        grid = [(n, h0, d) for n in sorted(config.n_grid) for d in sorted(config.depth_grid)]
+    elif config.kind == "field-sweep":
+        grid = [(n0, h, depth0) for h in sorted(config.h_grid)]
     else:
-        outcomes = []
-        for a in args:
-            try:
-                outcomes.append(_sweep_task(a))
-            except Exception as exc:
-                outcomes.append(exc)
+        grid = [(n, h0, p_star(p, n)) for n in sorted(config.n_grid)]
+    tags = ("r", "l") if config.scheme == "both" else (config.scheme,)
+    return [(n, p, h, depth, tag) for tag in tags for n, h, depth in grid]
 
+
+def _failure_status(exc: Exception) -> str:
+    return f"failed: {type(exc).__name__}: {exc}"
+
+
+def _run_sweep_tasks(points: list[tuple], config: ExperimentConfig) -> list[SweepRow]:
+    """Execute grid points (possibly in parallel) and assemble rows in order;
+    a point that raises keeps its row, flagged."""
+    args = [
+        (n, p, h, depth, tag, config.dt, config.noise_amplitude, config.n_restarts,
+         derive_seed(config.base_seed, n, depth, float(h)))
+        for n, p, h, depth, tag in points
+    ]
     rows = []
     nan = float("nan")
-    for (n, p, h, depth, tag), outcome in zip(points, outcomes):
-        if isinstance(outcome, Exception):
-            stats = dict(
-                mean_residual=nan, std_residual=nan, sem_residual=nan,
-                min_residual=nan, max_residual=nan, mean_iters=nan,
-                mean_annealing_time=nan, n_converged=0,
-            )
-            status = f"failed: {type(outcome).__name__}: {outcome}"
+    with ProcessPoolExecutor(config.worker_count) if config.worker_count > 1 else nullcontext() as pool:
+        if pool is None:
+            tasks = [partial(_sweep_task, a) for a in args]
         else:
-            stats, status = outcome, "ok"
-        rows.append(
-            SweepRow(
-                n_sites=n,
-                p_exponent=p,
-                field=h,
-                depth=depth,
-                scheme=tag,
-                n_restarts=config.n_restarts,
-                collapse_coordinate=collapse_coordinate(p, n, depth),
-                h_critical=CRITICAL_FIELDS.get(p, nan),
-                status=status,
-                **stats,
+            tasks = [pool.submit(_sweep_task, a).result for a in args]
+        for (n, p, h, depth, tag), task in zip(points, tasks):
+            try:
+                stats, status = task(), "ok"
+            except Exception as exc:  # partial failure: keep the row, flag it
+                stats = dict(
+                    mean_residual=nan, std_residual=nan, sem_residual=nan,
+                    min_residual=nan, max_residual=nan, mean_iters=nan,
+                    mean_annealing_time=nan, n_converged=0,
+                )
+                status = _failure_status(exc)
+            rows.append(
+                SweepRow(
+                    n_sites=n,
+                    p_exponent=p,
+                    field=h,
+                    depth=depth,
+                    scheme=tag,
+                    n_restarts=config.n_restarts,
+                    collapse_coordinate=collapse_coordinate(p, n, depth),
+                    h_critical=CRITICAL_FIELDS.get(p, nan),
+                    status=status,
+                    **stats,
+                )
             )
-        )
     return rows
-
-
-def run_scaling_experiment(config: ExperimentConfig) -> list[SweepRow]:
-    """Residual energy vs depth, multi-start r-init (or l-init), one h value."""
-    if config.kind != "scaling":
-        raise ConfigError("kind must be 'scaling'")
-    h = config.h_grid[0]
-    tags = ("r", "l") if config.scheme == "both" else (config.scheme,)
-    points = [
-        (n, config.p_exponent, h, depth, tag)
-        for tag in tags
-        for n in sorted(config.n_grid)
-        for depth in sorted(config.depth_grid)
-    ]
-    return _run_sweep_tasks(points, config)
-
-
-def run_field_sweep(config: ExperimentConfig) -> list[SweepRow]:
-    """Residual energy vs transverse field at fixed (N, p, P), per scheme."""
-    if config.kind != "field-sweep":
-        raise ConfigError("kind must be 'field-sweep'")
-    n = config.n_grid[0]
-    depth = config.depth_grid[0]
-    tags = ("r", "l") if config.scheme == "both" else (config.scheme,)
-    points = [
-        (n, config.p_exponent, h, depth, tag)
-        for tag in tags
-        for h in sorted(config.h_grid)
-    ]
-    return _run_sweep_tasks(points, config)
-
-
-def run_iteration_scaling(config: ExperimentConfig) -> list[SweepRow]:
-    """Mean BFGS iterations at the critical depth, per system size."""
-    if config.kind != "iteration-scaling":
-        raise ConfigError("kind must be 'iteration-scaling'")
-    h = config.h_grid[0]
-    tags = ("r", "l") if config.scheme == "both" else (config.scheme,)
-    points = [
-        (n, config.p_exponent, h, p_star(config.p_exponent, n), tag)
-        for tag in tags
-        for n in sorted(config.n_grid)
-    ]
-    return _run_sweep_tasks(points, config)
 
 
 def run_p1_table(config: ExperimentConfig) -> list[P1TableRow]:
     """Closed-form depth-1 angles pushed through the circuit, h = 0."""
-    if config.kind != "p1-table":
-        raise ConfigError("kind must be 'p1-table'")
     rows = []
     for n in sorted(config.n_grid):
         spec = ProblemSpec(n_sites=n, p_exponent=config.p_exponent, field=0.0)
@@ -371,8 +352,6 @@ def _sign(v: float) -> float:
 
 def run_gap_scaling(config: ExperimentConfig) -> list[GapRow]:
     """Minimal spectral gap near the critical field, per system size."""
-    if config.kind != "gap-scaling":
-        raise ConfigError("kind must be 'gap-scaling'")
     p = config.p_exponent
     h_center = CRITICAL_FIELDS.get(p, 1.0)
     rows = []
@@ -384,7 +363,7 @@ def run_gap_scaling(config: ExperimentConfig) -> list[GapRow]:
             rows.append(
                 GapRow(
                     n_sites=n, p_exponent=p, h_at_minimum=float("nan"),
-                    minimal_gap=float("nan"), status=f"failed: {type(exc).__name__}: {exc}",
+                    minimal_gap=float("nan"), status=_failure_status(exc),
                 )
             )
     return rows
@@ -447,14 +426,11 @@ def fit_iteration_slope(rows: Sequence[SweepRow]) -> tuple[float, float]:
 
 
 def run_experiment(config: ExperimentConfig):
-    runner = {
-        "scaling": run_scaling_experiment,
-        "field-sweep": run_field_sweep,
-        "iteration-scaling": run_iteration_scaling,
-        "p1-table": run_p1_table,
-        "gap-scaling": run_gap_scaling,
-    }[config.kind]
-    return runner(config)
+    if config.kind == "p1-table":
+        return run_p1_table(config)
+    if config.kind == "gap-scaling":
+        return run_gap_scaling(config)
+    return _run_sweep_tasks(_sweep_points(config), config)
 
 
 def _format_value(value) -> str:

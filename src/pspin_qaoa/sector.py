@@ -66,18 +66,6 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class SymmetricBasis:
-    """Magnetization labels of the maximum-spin sector, M_k = N - 2k."""
-
-    n_sites: int
-    magnetizations: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.n_sites + 1
-
-
-@dataclass(frozen=True)
 class XSpectralDecomposition:
     """Eigendecomposition of the collective-X operator, V diag(lam) V^T."""
 
@@ -110,55 +98,39 @@ class TargetSpectrum:
     ground_state: np.ndarray
 
 
-def build_basis(n_sites: int) -> SymmetricBasis:
-    if n_sites < 1:
-        raise ValueError(f"n_sites must be >= 1, got {n_sites}")
-    mags = n_sites - 2 * np.arange(n_sites + 1, dtype=np.int64)
-    mags.setflags(write=False)
-    return SymmetricBasis(n_sites=n_sites, magnetizations=mags)
-
-
-def plus_state(basis: SymmetricBasis) -> np.ndarray:
-    """Fully x-polarized state; amplitude_k = sqrt(C(N,k)/2^N).
+def plus_state(n_sites: int) -> np.ndarray:
+    """Fully x-polarized state of N sites; amplitude_k = sqrt(C(N,k)/2^N).
 
     Log-gamma accumulation keeps the binomial weights finite up to N ~ 1000.
     """
-    n = basis.n_sites
-    k = np.arange(n + 1)
+    k = np.arange(n_sites + 1)
     log_amp = 0.5 * (
-        lgamma(n + 1)
-        - np.array([lgamma(j + 1) + lgamma(n - j + 1) for j in k])
-        - n * log(2.0)
+        lgamma(n_sites + 1)
+        - np.array([lgamma(j + 1) + lgamma(n_sites - j + 1) for j in k])
+        - n_sites * log(2.0)
     )
     amp = np.exp(log_amp)
     return amp.astype(complex)
 
 
-def x_off_diagonal(basis: SymmetricBasis) -> np.ndarray:
+def _x_off_diagonal(n: int) -> np.ndarray:
     """Off-diagonal band of the collective-X matrix, entry k = sqrt((k+1)(N-k))."""
-    n = basis.n_sites
     k = np.arange(n)
     return np.sqrt((k + 1.0) * (n - k))
 
 
-def hz_diagonal(basis: SymmetricBasis, p: int) -> list[int]:
-    """Diagonal of -(sum_j sigma^z_j)^p: entry k is the exact integer -(M_k)^p."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    n = basis.n_sites
-    if n**p >= _MAX_PHASE_INT:
-        raise OverflowError(f"|M|^p up to {n}^{p} exceeds the supported integer width")
-    return [-(int(m) ** p) for m in basis.magnetizations]
-
-
 @lru_cache(maxsize=None)
 def sector_table(n_sites: int, p: int) -> SectorTable:
-    """The cached ``SectorTable`` of N sites and exponent p."""
-    basis = build_basis(n_sites)
-    hz = tuple(hz_diagonal(basis, p))
+    """The cached ``SectorTable`` of N sites and exponent p.
+
+    The diagonal of -(sum_j sigma^z_j)^p has entry k the exact integer
+    -(M_k)^p, M_k = N - 2k. ``ProblemSpec`` checks N and p, and that N^p
+    fits the phase accumulator, before any caller reaches this table.
+    """
+    hz = tuple(-((n_sites - 2 * k) ** p) for k in range(n_sites + 1))
     hz_float = np.array([float(v) for v in hz])
     target_diag = hz_float / float(n_sites ** (p - 1))
-    x_off = x_off_diagonal(basis)
+    x_off = _x_off_diagonal(n_sites)
     for arr in (hz_float, target_diag, x_off):
         arr.setflags(write=False)
     return SectorTable(hz, hz_float, max(abs(v) for v in hz), target_diag, x_off)
@@ -168,7 +140,8 @@ def target_tridiagonal(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """The sector target Hamiltonian as a tridiagonal (diagonal, off-diagonal).
 
     The diagonal is -(M_k)^p / N^(p-1), the read-only array of
-    ``sector_table``; the off-diagonal is -h x_off_diagonal, a new array.
+    ``sector_table``; the off-diagonal is -h times the collective-X
+    off-diagonal, a new array.
     """
     table = sector_table(spec.n_sites, spec.p_exponent)
     return table.target_diag, -spec.field * table.x_off
@@ -232,7 +205,7 @@ def x_spectral_decomposition(n_sites: int, even_parity: bool = False) -> XSpectr
     states, eigenvalues N - 2j for even j.
     """
     diag = np.zeros(n_sites + 1)
-    off = sector_table(n_sites, 2).x_off  # x_off does not depend on p
+    off = _x_off_diagonal(n_sites)
     if even_parity:
         diag, off = reflection_even_tridiagonal(diag, off)
     try:

@@ -60,9 +60,8 @@ def full_energy(n: int, p: int, h: float, psi: np.ndarray) -> float:
     return float(val.real)
 
 
-def collective_x_matrix(basis) -> np.ndarray:
-    """Matrix of sum_j sigma^x_j in the Dicke basis (symmetric tridiagonal)."""
-    n = basis.n_sites
+def collective_x_matrix(n: int) -> np.ndarray:
+    """Matrix of sum_j sigma^x_j in the Dicke basis of N sites (symmetric tridiagonal)."""
     k = np.arange(n)
     off = np.sqrt((k + 1.0) * (n - k))
     mat = np.zeros((n + 1, n + 1))
@@ -71,20 +70,19 @@ def collective_x_matrix(basis) -> np.ndarray:
     return mat
 
 
-def target_matrix(spec, basis, xmat: np.ndarray) -> np.ndarray:
-    """Dense sector Hamiltonian -(M_k)^p / N^(p-1) on the diagonal, -h X off it."""
-    if basis.n_sites != spec.n_sites or xmat.shape != (basis.dimension, basis.dimension):
-        raise ValueError("inconsistent system size across inputs")
-    p = spec.p_exponent
-    mat = -spec.field * xmat
-    diag = np.array([-float(int(m) ** p) for m in basis.magnetizations])
-    mat[np.diag_indices_from(mat)] = diag / float(spec.n_sites ** (p - 1))
+def target_matrix(spec) -> np.ndarray:
+    """Dense sector Hamiltonian -(M_k)^p / N^(p-1) on the diagonal, -h X off it,
+    with M_k = N - 2k."""
+    n, p = spec.n_sites, spec.p_exponent
+    mat = -spec.field * collective_x_matrix(n)
+    diag = np.array([-float((n - 2 * k) ** p) for k in range(n + 1)])
+    mat[np.diag_indices_from(mat)] = diag / float(n ** (p - 1))
     return mat
 
 
-def dense_even_gap(spec, basis) -> float:
+def dense_even_gap(spec) -> float:
     """Gap of the reflection-even block, by a dense projector and a full eigh."""
-    mat = target_matrix(spec, basis, collective_x_matrix(basis))
+    mat = target_matrix(spec)
     n = spec.n_sites
     half = (n + 1) // 2
     m = half + (1 if n % 2 == 0 else 0)

@@ -28,7 +28,6 @@ from pspin_qaoa.engine import (
 from pspin_qaoa.optimizer import l_init, r_init
 from pspin_qaoa.sector import (
     ProblemSpec,
-    build_basis,
     diagonalize_target,
     plus_state,
 )
@@ -118,7 +117,7 @@ class TestQaoaState:
     def test_zero_angles_give_plus(self):
         spec = ProblemSpec(7, 2, 0.3)
         psi = qaoa_state(spec, params_of([0.0, 0.0], [0.0, 0.0]))
-        np.testing.assert_allclose(psi, plus_state(build_basis(7)), atol=1e-12)
+        np.testing.assert_allclose(psi, plus_state(7), atol=1e-12)
 
     def test_exact_depth1_odd_p(self):
         spec = ProblemSpec(5, 3, 0.0)
@@ -183,9 +182,8 @@ class DenseSectorCircuit:
 
     def __init__(self, spec):
         n, p = spec.n_sites, spec.p_exponent
-        basis = build_basis(n)
-        self.xmat = collective_x_matrix(basis)
-        self.hmat = target_matrix(spec, basis, self.xmat)
+        self.xmat = collective_x_matrix(n)
+        self.hmat = target_matrix(spec)
         self.hz = [-((n - 2 * k) ** p) for k in range(n + 1)]
         self.plus = np.array([math.sqrt(math.comb(n, k) / 2**n) for k in range(n + 1)], complex)
         self._phases, self._mixers = {}, {}
@@ -284,7 +282,7 @@ class TestEnergy:
     def test_plus_state_odd_p(self):
         # odd moments of the symmetric magnetization distribution vanish
         spec = ProblemSpec(8, 3, 0.5)
-        assert abs(energy(spec, plus_state(build_basis(8))) + 4.0) < 1e-12
+        assert abs(energy(spec, plus_state(8)) + 4.0) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 6, 9, 12])
     def test_plus_state_p2_brute_force(self, n):
@@ -294,7 +292,7 @@ class TestEnergy:
         ) / 2**n
         assert moment == n
         spec = ProblemSpec(n, 2, 0.0)
-        assert abs(energy(spec, plus_state(build_basis(n))) + 1.0) < 1e-12
+        assert abs(energy(spec, plus_state(n)) + 1.0) < 1e-12
 
     def test_fully_polarized(self):
         spec = ProblemSpec(6, 3, 0.0)

@@ -1,6 +1,9 @@
+import inspect
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +13,9 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+import pspin_qaoa
 from pspin_qaoa import experiments
-from pspin_qaoa.cli import main as cli_main, parse_grid
+from pspin_qaoa.cli import build_parser, config_from_args, main as cli_main, parse_grid
 from pspin_qaoa.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -31,6 +35,7 @@ from pspin_qaoa.optimizer import RandomInit, multi_start
 from pspin_qaoa.sector import ProblemSpec, dynamical_gap
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def synthetic_rows(b, n_sites=20, p=2, depths=range(2, 11)):
@@ -78,10 +83,30 @@ class TestConfig:
 
     def test_from_dict_coerces_grids(self):
         cfg = ExperimentConfig.from_dict(
-            {"kind": "scaling", "n_grid": [4.0, 6.0], "h_grid": [0, 1]}
+            {"kind": "scaling", "n_grid": [4, 6], "depth_grid": [1, 2], "h_grid": [0, 1]}
         )
         assert cfg.n_grid == (4, 6)
+        assert cfg.depth_grid == (1, 2)
         assert cfg.h_grid == (0.0, 1.0)
+        assert all(type(h) is float for h in cfg.h_grid)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_grid", [8.5]), ("n_grid", [8.0]), ("depth_grid", [2.5]), ("n_grid", 8),
+        ("h_grid", ["x"]), ("h_grid", [None]),
+    ], ids=str)
+    def test_from_dict_does_not_truncate(self, field, value):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"kind": "scaling", field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("p_exponent", 2.5), ("p_exponent", 1), ("p_exponent", True),
+        ("n_grid", (8.0,)), ("n_grid", (0,)), ("n_grid", (True,)), ("n_grid", (2**64,)),
+        ("depth_grid", (0,)), ("depth_grid", (1.5,)), ("depth_grid", (True,)),
+        ("h_grid", (-0.5,)), ("h_grid", (float("nan"),)), ("h_grid", (float("inf"),)),
+    ], ids=str)
+    def test_rejects_bad_grid_entries(self, field, value):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(kind="gap-scaling", **{field: value})
 
 
 class TestDepthLaw:
@@ -441,6 +466,14 @@ class TestCli:
         assert cli_main(["scaling", "--n", "5", "--scheme", "r", "--restarts", "0"]) == 1
         assert "invalid config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--n", "0"], ["scaling", "--n", "8.5"], ["gap", "--p-exp", "1"],
+        ["field-sweep", "--depth", "0"], ["iters", "--h", "-1"],
+    ], ids="_".join)
+    def test_invalid_grid_exit_code(self, argv, capsys):
+        assert cli_main(argv) == 1
+        assert "invalid config" in capsys.readouterr().err
+
     def test_p1_table_command(self, capsys):
         code = cli_main(["p1-table", "--n", "5,7", "--p-exp", "2"])
         assert code == 0
@@ -448,3 +481,38 @@ class TestCli:
     def test_verify_command(self, capsys):
         assert cli_main(["verify"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+def readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(), re.S)
+
+
+class TestReadme:
+    """The commands and names the README shows must exist."""
+
+    def test_cli_lines_build_valid_configs(self):
+        lines = [
+            shlex.split(line, comments=True)
+            for block in readme_blocks("sh")
+            for line in block.splitlines()
+            if line.startswith("pspin-qaoa ")
+        ]
+        assert len(lines) >= 9
+        parser = build_parser()
+        for argv in lines:
+            args = parser.parse_args(argv[1:])
+            if args.command != "verify":
+                # builds the ExperimentConfig, which checks every grid point; runs nothing
+                assert config_from_args(args).kind
+
+    def test_library_sketch_imports_exactly_the_exports(self):
+        (sketch,) = readme_blocks("python")
+        statement = re.search(r"from pspin_qaoa import \(.*?\)", sketch, re.S).group(0)
+        namespace = {}
+        exec(statement, namespace)
+        shown = set(namespace) - {"__builtins__"}
+        exported = {
+            name for name, value in vars(pspin_qaoa).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        }
+        assert shown == exported

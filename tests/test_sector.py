@@ -18,11 +18,9 @@ from pspin_qaoa.engine import CircuitContext, energy, energy_and_gradient
 from pspin_qaoa.optimizer import r_init
 from pspin_qaoa.sector import (
     ProblemSpec,
-    build_basis,
     diagonalize_target,
     dynamical_gap,
     dynamics_block,
-    hz_diagonal,
     plus_state,
     sector_table,
     target_tridiagonal,
@@ -61,50 +59,55 @@ class TestProblemSpec:
         assert spec == ProblemSpec(16, 3, 1.0)
 
 
+def magnetizations(n: int) -> np.ndarray:
+    """The labels M_k of the sector, read back from the exact p = 3 diagonal
+    -(M_k)^3 of ``sector_table``; the cube roots are checked to be exact."""
+    hz = sector_table(n, 3).hz
+    mags = [-round(np.cbrt(float(v))) for v in hz]
+    assert all(-(m**3) == v for m, v in zip(mags, hz))
+    return np.array(mags)
+
+
 class TestBasis:
     def test_n2_magnetizations(self):
-        assert build_basis(2).magnetizations.tolist() == [2, 0, -2]
+        assert magnetizations(2).tolist() == [2, 0, -2]
 
     def test_n5_odd_parity(self):
-        basis = build_basis(5)
-        assert basis.dimension == 6
-        assert set(basis.magnetizations.tolist()) == {5, 3, 1, -1, -3, -5}
+        mags = magnetizations(5)
+        assert mags.size == 6 == plus_state(5).size
+        assert set(mags.tolist()) == {5, 3, 1, -1, -3, -5}
 
     def test_n64_endpoints(self):
-        basis = build_basis(64)
-        assert basis.dimension == 65
-        assert basis.magnetizations[0] == 64
-        assert basis.magnetizations[64] == -64
-
-    def test_rejects_zero_sites(self):
-        with pytest.raises(ValueError):
-            build_basis(0)
+        mags = magnetizations(64)
+        assert mags.size == 65 == plus_state(64).size
+        assert mags[0] == 64
+        assert mags[64] == -64
 
     @given(st.integers(min_value=1, max_value=300))
     @settings(max_examples=30, deadline=None)
     def test_magnetization_parity_and_step(self, n):
-        mags = build_basis(n).magnetizations
+        mags = magnetizations(n)
         assert np.all(np.diff(mags) == -2)
         assert np.all((mags % 2) == (n % 2))
 
 
 class TestPlusState:
     def test_single_spin(self):
-        np.testing.assert_allclose(plus_state(build_basis(1)), [1 / np.sqrt(2)] * 2)
+        np.testing.assert_allclose(plus_state(1), [1 / np.sqrt(2)] * 2)
 
     def test_two_spins(self):
         np.testing.assert_allclose(
-            plus_state(build_basis(2)), [0.5, 1 / np.sqrt(2), 0.5], atol=1e-15
+            plus_state(2), [0.5, 1 / np.sqrt(2), 0.5], atol=1e-15
         )
 
     @pytest.mark.parametrize("n", [7, 30, 200, 1024])
     def test_norm(self, n):
-        assert abs(np.linalg.norm(plus_state(build_basis(n))) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(plus_state(n)) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 11, 24, 30])
     def test_matches_exact_rational_binomials(self, n):
         # independent oracle: exact C(N,k)/2^N via Fraction
-        amp = plus_state(build_basis(n)).real
+        amp = plus_state(n).real
         for k in range(n + 1):
             exact = float(Fraction(comb(n, k), 2**n)) ** 0.5
             assert abs(amp[k] - exact) < 1e-14
@@ -112,59 +115,52 @@ class TestPlusState:
 
 class TestCollectiveX:
     def test_single_pauli(self):
-        np.testing.assert_allclose(collective_x_matrix(build_basis(1)), [[0, 1], [1, 0]])
+        np.testing.assert_allclose(collective_x_matrix(1), [[0, 1], [1, 0]])
 
     def test_n2_offdiagonals(self):
-        mat = collective_x_matrix(build_basis(2))
+        mat = collective_x_matrix(2)
         np.testing.assert_allclose(np.diag(mat, 1), [np.sqrt(2), np.sqrt(2)])
         np.testing.assert_allclose(np.diag(mat), 0)
 
     def test_n3_spectrum(self):
         # dense eigensolve of the 4x4 must reproduce the magnetization set
-        w = np.linalg.eigvalsh(collective_x_matrix(build_basis(3)))
+        w = np.linalg.eigvalsh(collective_x_matrix(3))
         np.testing.assert_allclose(sorted(w), [-3, -1, 1, 3], atol=1e-12)
 
     @given(st.integers(min_value=1, max_value=256))
     @settings(max_examples=25, deadline=None)
     def test_spectrum_equals_magnetizations(self, n):
         dec = x_spectral_decomposition(n)
-        mags = np.sort(build_basis(n).magnetizations)
+        mags = np.sort(magnetizations(n))
         np.testing.assert_allclose(np.sort(dec.eigenvalues), mags, atol=1e-10)
         # the reflection-even block keeps the eigenvalues N - 2j with j even
         even = x_spectral_decomposition(n, even_parity=True)
-        even_mags = np.sort(build_basis(n).magnetizations[::2])
+        even_mags = np.sort(magnetizations(n)[::2])
         np.testing.assert_allclose(np.sort(even.eigenvalues), even_mags, atol=1e-10)
 
     def test_decomposition_reconstructs(self):
         for n in (1, 5, 40):
             dec = x_spectral_decomposition(n)
             rebuilt = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
-            assert np.max(np.abs(rebuilt - collective_x_matrix(build_basis(n)))) < 1e-12
+            assert np.max(np.abs(rebuilt - collective_x_matrix(n))) < 1e-12
 
     def test_plus_state_is_top_eigenvector(self):
         for n in (2, 17, 100):
-            basis = build_basis(n)
-            plus = plus_state(basis).real
-            xmat = collective_x_matrix(basis)
+            plus = plus_state(n).real
+            xmat = collective_x_matrix(n)
             assert np.linalg.norm(xmat @ plus - n * plus) < 1e-10
 
 
 class TestHzDiagonal:
     def test_values(self):
-        assert hz_diagonal(build_basis(3), 3)[0] == -27
-        basis4 = build_basis(4)
-        assert hz_diagonal(basis4, 2)[basis4.magnetizations.tolist().index(-2)] == -4
-        basis5 = build_basis(5)
-        assert hz_diagonal(basis5, 3)[-1] == 125
+        assert sector_table(3, 3).hz[0] == -27
+        assert sector_table(4, 2).hz[magnetizations(4).tolist().index(-2)] == -4
+        assert sector_table(5, 3).hz[-1] == 125
 
     def test_exact_integers(self):
-        vals = hz_diagonal(build_basis(9), 7)
+        vals = sector_table(9, 7).hz
         assert all(isinstance(v, int) for v in vals)
         assert vals[0] == -(9**7)
-
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            hz_diagonal(build_basis(1000), 13)
 
 
 class TestSectorTable:
@@ -211,7 +207,7 @@ class TestSectorTable:
         arrays = (table.hz_float, table.target_diag, table.x_off)
         before = [a.copy() for a in arrays]
         spec = ProblemSpec(n, p, 0.7)
-        energy(spec, plus_state(build_basis(n)))
+        energy(spec, plus_state(n))
         CircuitContext(spec)
         energy_and_gradient(spec, r_init(3, seed=n))
         dynamics_block(p, *target_tridiagonal(spec))
@@ -223,21 +219,18 @@ class TestSectorTable:
 
 class TestTargetMatrix:
     def test_h_zero_is_diagonal(self):
-        basis = build_basis(6)
-        mat = target_matrix(ProblemSpec(6, 2, 0.0), basis, collective_x_matrix(basis))
+        mat = target_matrix(ProblemSpec(6, 2, 0.0))
         assert np.max(np.abs(mat - np.diag(np.diag(mat)))) == 0
         assert np.min(np.diag(mat)) == -6
 
     def test_single_spin(self):
-        basis = build_basis(1)
-        mat = target_matrix(ProblemSpec(1, 2, 1.0), basis, collective_x_matrix(basis))
+        mat = target_matrix(ProblemSpec(1, 2, 1.0))
         np.testing.assert_allclose(mat, [[-1, -1], [-1, -1]])
 
     def test_n2_eigenvalues_against_sympy(self):
         # exact symbolic roots as an oracle independent of the numeric solver
         sympy = pytest.importorskip("sympy")
-        basis = build_basis(2)
-        mat = target_matrix(ProblemSpec(2, 2, 1.0), basis, collective_x_matrix(basis))
+        mat = target_matrix(ProblemSpec(2, 2, 1.0))
         sym = sympy.Matrix(
             [
                 [-2, -sympy.sqrt(2), 0],
@@ -249,8 +242,7 @@ class TestTargetMatrix:
         np.testing.assert_allclose(np.linalg.eigvalsh(mat), exact, atol=1e-12)
 
     def test_symmetric(self):
-        basis = build_basis(9)
-        mat = target_matrix(ProblemSpec(9, 3, 1.7), basis, collective_x_matrix(basis))
+        mat = target_matrix(ProblemSpec(9, 3, 1.7))
         assert np.max(np.abs(mat - mat.T)) < 1e-15
 
 
@@ -278,8 +270,7 @@ class TestDiagonalizeTarget:
     def test_ground_state_residual(self):
         spec = ProblemSpec(12, 3, 0.9)
         spectrum = diagonalize_target(spec)
-        basis = build_basis(12)
-        mat = target_matrix(spec, basis, collective_x_matrix(basis))
+        mat = target_matrix(spec)
         g = spectrum.ground_state.real
         assert np.linalg.norm(mat @ g - spectrum.e_min * g) < 1e-10
 
@@ -353,8 +344,7 @@ class TestDiagonalizeTarget:
 
 def norm_bound(spec: ProblemSpec) -> float:
     """Gershgorin bound on the norm of the sector Hamiltonian, max|d| + 2 max|o|."""
-    basis = build_basis(spec.n_sites)
-    mat = target_matrix(spec, basis, collective_x_matrix(basis))
+    mat = target_matrix(spec)
     return np.max(np.abs(np.diag(mat))) + 2 * np.max(np.abs(np.diag(mat, 1)))
 
 
@@ -474,11 +464,10 @@ class TestDynamicalGap:
     def test_matches_dense_projected_block(self, n, p, h):
         # even p: the dense projected even block; odd p: the dense sector
         spec = ProblemSpec(n, p, h)
-        basis = build_basis(n)
         if p % 2 == 0:
-            expected = dense_even_gap(spec, basis)
+            expected = dense_even_gap(spec)
         else:
-            w = np.linalg.eigvalsh(target_matrix(spec, basis, collective_x_matrix(basis)))
+            w = np.linalg.eigvalsh(target_matrix(spec))
             expected = w[1] - w[0]
         assert abs(dynamical_gap(spec) - expected) <= gap_bound(spec)
 
