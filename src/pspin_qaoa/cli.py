@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -38,22 +39,25 @@ _KIND_BY_COMMAND = {
 
 
 def parse_grid(text: str, cast=float) -> tuple:
-    """Parse "a,b,c" or "start:stop:step" (stop inclusive) into a tuple."""
+    """Parse "a,b,c" or "start:stop:step" (stop inclusive) into a tuple.
+
+    A range is computed in decimal from the flag's text, so each value is the
+    one its decimal spelling gives in a comma list ("0:1:0.1" holds 0.3).
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (cast(p) for p in parts)
+        for part in parts:
+            cast(part)  # refuses what a comma list refuses, such as "8.5" for N
+        start, stop, step = (Decimal(p.strip()) for p in parts)
+        if not all(v.is_finite() for v in (start, stop, step)):
+            raise ValueError(f"range bounds must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("range step must be positive")
-        values = []
-        v = start
-        eps = 1e-9 * max(1.0, abs(step))
-        while v <= stop + eps:
-            values.append(cast(v))
-            v += step
-        return tuple(values)
+        count = int((stop - start) / step) + 1 if stop >= start else 0
+        return tuple(cast(start + i * step) for i in range(count))
     return tuple(cast(p) for p in text.split(",") if p.strip())
 
 

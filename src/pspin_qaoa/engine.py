@@ -154,12 +154,13 @@ def cached_spectrum(spec: ProblemSpec) -> TargetSpectrum:
 
 
 def _phase_factors(gamma, hz_ints, hz_float, max_abs_hz) -> np.ndarray:
-    """exp(-i gamma hz_k) with an exact-integer fallback for huge phases."""
+    """exp(-i gamma hz_k); a phase beyond 2^53 is reduced mod 2 pi from the
+    exact integer hz_k, with 64 bits to spare over the exact product."""
     if abs(gamma) * max_abs_hz <= _SAFE_DOUBLE:
         return np.exp(-1j * gamma * hz_float)
     import mpmath
 
-    with mpmath.workdps(40):
+    with mpmath.workprec(max_abs_hz.bit_length() + 53 + 64):
         two_pi = 2 * mpmath.pi
         g = mpmath.mpf(gamma)
         angles = np.array([float(mpmath.fmod(g * v, two_pi)) for v in hz_ints])

@@ -12,17 +12,17 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from numbers import Integral
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import analytic
 from .engine import QaoaParams, evaluate
-from .optimizer import LinearInit, OptimizerConfig, RandomInit, derive_seed, multi_start
+from .optimizer import LinearInit, RandomInit, derive_seed, multi_start
 from .sector import ProblemSpec, dynamical_gap
 
 EXPERIMENT_KINDS = ("scaling", "field-sweep", "iteration-scaling", "p1-table", "gap-scaling")
@@ -35,6 +35,10 @@ CRITICAL_FIELDS = {2: 2.0, 3: 1.2956}
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -58,41 +62,48 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not self.n_grid or not self.depth_grid or not self.h_grid:
             raise ConfigError("grids must be non-empty")
-        if self.n_restarts < 1:
-            raise ConfigError("n_restarts must be >= 1")
         if self.scheme not in ("r", "l", "both"):
             raise ConfigError(f"scheme must be 'r', 'l' or 'both', got {self.scheme!r}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.out_format!r}")
-        if self.worker_count < 1:
-            raise ConfigError("worker_count must be >= 1")
+        for name in ("n_restarts", "worker_count"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not _is_int(self.base_seed):
+            raise ConfigError(f"base_seed must be an integer, got {self.base_seed!r}")
         for depth in self.depth_grid:
-            if isinstance(depth, bool) or not isinstance(depth, Integral) or depth < 1:
+            if not _is_int(depth) or depth < 1:
                 raise ConfigError(f"depth_grid entries must be integers >= 1, got {depth!r}")
-        # every (n, p, h) must be a valid ProblemSpec, checked by its own rules
+        # dt and the noise, and every (n, p, h), checked by the rules of the
+        # objects they build
+        try:
+            LinearInit(self.dt, self.noise_amplitude)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
         for n in self.n_grid:
             for h in self.h_grid:
                 try:
                     ProblemSpec(n, self.p_exponent, h)
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"grid point N={n!r}, h={h!r}: {exc}") from exc
+        # floats, so that a row's field and seed do not depend on how h was written
+        object.__setattr__(self, "h_grid", tuple(float(h) for h in self.h_grid))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The config of a JSON object: grids become tuples and h values floats;
-        nothing else is converted."""
+        """The config of a JSON object: grids become tuples; nothing else is
+        converted."""
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         data = dict(data)
         try:
-            for key in ("n_grid", "depth_grid"):
+            for key in ("n_grid", "depth_grid", "h_grid"):
                 if key in data:
                     data[key] = tuple(data[key])
-            if "h_grid" in data:
-                data["h_grid"] = tuple(float(v) for v in data["h_grid"])
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise ConfigError(f"grids must be lists of numbers: {exc}") from exc
         return cls(**data)
 
@@ -168,11 +179,46 @@ def _sweep_task(args: tuple) -> dict:
     }
 
 
-def _sweep_points(config: ExperimentConfig) -> list[tuple]:
-    """The (n, p, h, depth, scheme) grid points of a residual sweep, in row
-    order: per scheme, depth scans over N and P at the first h, field sweeps
-    over h at the first N and P, iteration scans over N at depth P*(N)."""
+def _p1_task(args: tuple) -> dict:
+    """Closed-form depth-1 angles pushed through the circuit, h = 0."""
+    p, n = args
+    pair = analytic.exact_p1_params(p, n)
+    if pair is None:
+        return {"status": "no closed form (N even)"}
+    gamma, beta = pair
+    params = QaoaParams(gammas=np.array([gamma]), betas=np.array([beta]))
+    record = evaluate(ProblemSpec(n_sites=n, p_exponent=p, field=0.0), params)
+    return {
+        "gamma": gamma,
+        "beta": beta,
+        "fidelity": record.fidelity,
+        "residual": record.residual,
+        "annealing_time": record.annealing_time,
+    }
+
+
+def _gap_task(args: tuple) -> dict:
+    """Minimal spectral gap near the critical field, for one system size."""
+    n, p, h_center = args
+    h_min, gap = minimal_gap(n, p, h_center)
+    return {"h_at_minimum": h_min, "minimal_gap": gap}
+
+
+def _plan(config: ExperimentConfig) -> tuple[type, Callable[[tuple], dict], list]:
+    """The row type, the task and the (row keys, task arguments) of every grid
+    point, in row order. Tables run over N. Residual sweeps run, per scheme,
+    depth scans over N and P at the first h, field sweeps over h at the first
+    N and P, iteration scans over N at depth P*(N)."""
     p = config.p_exponent
+    if config.kind == "p1-table":
+        return P1TableRow, _p1_task, [
+            ({"p_exponent": p, "n_sites": n}, (p, n)) for n in sorted(config.n_grid)
+        ]
+    if config.kind == "gap-scaling":
+        h_center = CRITICAL_FIELDS.get(p, 1.0)
+        return GapRow, _gap_task, [
+            ({"n_sites": n, "p_exponent": p}, (n, p, h_center)) for n in sorted(config.n_grid)
+        ]
     n0, depth0, h0 = config.n_grid[0], config.depth_grid[0], config.h_grid[0]
     if config.kind == "scaling":
         grid = [(n, h0, d) for n in sorted(config.n_grid) for d in sorted(config.depth_grid)]
@@ -181,82 +227,14 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple]:
     else:
         grid = [(n, h0, p_star(p, n)) for n in sorted(config.n_grid)]
     tags = ("r", "l") if config.scheme == "both" else (config.scheme,)
-    return [(n, p, h, depth, tag) for tag in tags for n, h, depth in grid]
-
-
-def _failure_status(exc: Exception) -> str:
-    return f"failed: {type(exc).__name__}: {exc}"
-
-
-def _run_sweep_tasks(points: list[tuple], config: ExperimentConfig) -> list[SweepRow]:
-    """Execute grid points (possibly in parallel) and assemble rows in order;
-    a point that raises keeps its row, flagged."""
-    args = [
-        (n, p, h, depth, tag, config.dt, config.noise_amplitude, config.n_restarts,
-         derive_seed(config.base_seed, n, depth, float(h)))
-        for n, p, h, depth, tag in points
+    return SweepRow, _sweep_task, [
+        ({"n_sites": n, "p_exponent": p, "field": h, "depth": depth, "scheme": tag,
+          "n_restarts": config.n_restarts, "collapse_coordinate": collapse_coordinate(p, n, depth),
+          "h_critical": CRITICAL_FIELDS.get(p, math.nan)},
+         (n, p, h, depth, tag, config.dt, config.noise_amplitude, config.n_restarts,
+          derive_seed(config.base_seed, n, depth, h)))
+        for tag in tags for n, h, depth in grid
     ]
-    rows = []
-    nan = float("nan")
-    with ProcessPoolExecutor(config.worker_count) if config.worker_count > 1 else nullcontext() as pool:
-        if pool is None:
-            tasks = [partial(_sweep_task, a) for a in args]
-        else:
-            tasks = [pool.submit(_sweep_task, a).result for a in args]
-        for (n, p, h, depth, tag), task in zip(points, tasks):
-            try:
-                stats, status = task(), "ok"
-            except Exception as exc:  # partial failure: keep the row, flag it
-                stats = dict(
-                    mean_residual=nan, std_residual=nan, sem_residual=nan,
-                    min_residual=nan, max_residual=nan, mean_iters=nan,
-                    mean_annealing_time=nan, n_converged=0,
-                )
-                status = _failure_status(exc)
-            rows.append(
-                SweepRow(
-                    n_sites=n,
-                    p_exponent=p,
-                    field=h,
-                    depth=depth,
-                    scheme=tag,
-                    n_restarts=config.n_restarts,
-                    collapse_coordinate=collapse_coordinate(p, n, depth),
-                    h_critical=CRITICAL_FIELDS.get(p, nan),
-                    status=status,
-                    **stats,
-                )
-            )
-    return rows
-
-
-def run_p1_table(config: ExperimentConfig) -> list[P1TableRow]:
-    """Closed-form depth-1 angles pushed through the circuit, h = 0."""
-    rows = []
-    for n in sorted(config.n_grid):
-        spec = ProblemSpec(n_sites=n, p_exponent=config.p_exponent, field=0.0)
-        pair = analytic.exact_p1_params(config.p_exponent, n)
-        if pair is None:
-            rows.append(
-                P1TableRow(
-                    p_exponent=config.p_exponent, n_sites=n,
-                    gamma=float("nan"), beta=float("nan"),
-                    fidelity=float("nan"), residual=float("nan"),
-                    annealing_time=float("nan"), status="no closed form (N even)",
-                )
-            )
-            continue
-        gamma, beta = pair
-        params = QaoaParams(gammas=np.array([gamma]), betas=np.array([beta]))
-        record = evaluate(spec, params)
-        rows.append(
-            P1TableRow(
-                p_exponent=config.p_exponent, n_sites=n, gamma=gamma, beta=beta,
-                fidelity=record.fidelity, residual=record.residual,
-                annealing_time=record.annealing_time,
-            )
-        )
-    return rows
 
 
 def minimal_gap(n_sites: int, p: int, h_center: float) -> tuple[float, float]:
@@ -350,25 +328,6 @@ def _sign(v: float) -> float:
     return 1.0 if v >= 0 else -1.0
 
 
-def run_gap_scaling(config: ExperimentConfig) -> list[GapRow]:
-    """Minimal spectral gap near the critical field, per system size."""
-    p = config.p_exponent
-    h_center = CRITICAL_FIELDS.get(p, 1.0)
-    rows = []
-    for n in sorted(config.n_grid):
-        try:
-            h_min, gap = minimal_gap(n, p, h_center)
-            rows.append(GapRow(n_sites=n, p_exponent=p, h_at_minimum=h_min, minimal_gap=gap))
-        except Exception as exc:
-            rows.append(
-                GapRow(
-                    n_sites=n, p_exponent=p, h_at_minimum=float("nan"),
-                    minimal_gap=float("nan"), status=_failure_status(exc),
-                )
-            )
-    return rows
-
-
 def fit_scaling_exponent(rows: Sequence[SweepRow]) -> tuple[float, float]:
     """Least-squares slope of log(mean residual) vs log(1 - P/P*).
 
@@ -425,12 +384,28 @@ def fit_iteration_slope(rows: Sequence[SweepRow]) -> tuple[float, float]:
     return _line_fit(x, y)
 
 
-def run_experiment(config: ExperimentConfig):
-    if config.kind == "p1-table":
-        return run_p1_table(config)
-    if config.kind == "gap-scaling":
-        return run_gap_scaling(config)
-    return _run_sweep_tasks(_sweep_points(config), config)
+def run_experiment(config: ExperimentConfig) -> list:
+    """Run every grid point of the config (possibly in parallel) and return
+    its rows in order. A point that raises keeps its row, flagged, with nan
+    for each number it lacks (0 for a count)."""
+    row_type, task, points = _plan(config)
+    missing = {
+        f.name: math.nan if f.type == "float" else 0
+        for f in fields(row_type) if f.default is MISSING
+    }
+    rows = []
+    with ProcessPoolExecutor(config.worker_count) if config.worker_count > 1 else nullcontext() as pool:
+        if pool is None:
+            calls = [partial(task, args) for _, args in points]
+        else:
+            calls = [pool.submit(task, args).result for _, args in points]
+        for (keys, _), call in zip(points, calls):
+            try:
+                values = call()
+            except Exception as exc:  # partial failure: keep the row, flag it
+                values = {"status": f"failed: {type(exc).__name__}: {exc}"}
+            rows.append(row_type(**{**missing, **keys, **values}))
+    return rows
 
 
 def _format_value(value) -> str:

@@ -7,6 +7,7 @@ iteration counts and determinism are fully under our control.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -18,31 +19,21 @@ from .sector import ProblemSpec
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    grad_tol: float = 1e-9
-    max_iters: int = 10000
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    stagnation_tol: float = 1e-15
-
-    def __post_init__(self):
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError("need 0 < c1 < c2 < 1")
-        if self.grad_tol <= 0 or self.max_iters < 1:
-            raise ValueError("grad_tol must be positive and max_iters >= 1")
+# BFGS termination: gradient infinity-norm, iteration cap, relative energy
+# change counted as stagnant; strong-Wolfe sufficient-decrease and curvature
+GRAD_TOL = 1e-9
+MAX_ITERS = 10000
+STAGNATION_TOL = 1e-15
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
 
 
 @dataclass(frozen=True)
 class RandomInit:
-    """Independent uniform angles in [low, high] for every component."""
-
-    low: float = 0.0
-    high: float = np.pi
+    """Independent uniform angles in [0, pi] for every component."""
 
     def sample(self, depth: int, spec: ProblemSpec, seed: int) -> QaoaParams:
-        return r_init(depth, seed, low=self.low, high=self.high)
+        return r_init(depth, seed)
 
     def tag(self) -> str:
         return "r"
@@ -56,8 +47,7 @@ class LinearInit:
     noise_amplitude: float = 0.05
 
     def __post_init__(self):
-        if self.dt <= 0 or self.noise_amplitude < 0:
-            raise ValueError("dt must be positive and noise_amplitude >= 0")
+        _check_schedule(self.dt, self.noise_amplitude)
 
     def sample(self, depth: int, spec: ProblemSpec, seed: int) -> QaoaParams:
         return l_init(depth, spec, self.dt, self.noise_amplitude, seed)
@@ -111,12 +101,12 @@ def derive_seed(*keys) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def r_init(depth: int, seed: int, low: float = 0.0, high: float = np.pi) -> QaoaParams:
-    """2P independent uniform draws in [low, high]."""
+def r_init(depth: int, seed: int) -> QaoaParams:
+    """2P independent uniform draws in [0, pi]."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     rng = np.random.default_rng(seed)
-    x = rng.uniform(low, high, size=2 * depth)
+    x = rng.uniform(0.0, np.pi, size=2 * depth)
     return QaoaParams(gammas=x[:depth], betas=x[depth:])
 
 
@@ -132,8 +122,7 @@ def l_init(
     r uniform in [-noise_amplitude, +noise_amplitude]."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_schedule(dt, noise_amplitude)
     m = np.arange(1, depth + 1) / depth
     gammas = dt * m / spec.n_sites ** (spec.p_exponent - 1)
     betas = dt * (1.0 - m * (1.0 - spec.field))
@@ -145,14 +134,19 @@ def l_init(
     return QaoaParams(gammas=gammas, betas=betas)
 
 
+def _check_schedule(dt: float, noise_amplitude: float) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (math.isfinite(noise_amplitude) and noise_amplitude >= 0):
+        raise ValueError(f"noise_amplitude must be finite and >= 0, got {noise_amplitude!r}")
+
+
 def _strong_wolfe(
     objective: Objective,
     x: np.ndarray,
     f0: float,
     g0: np.ndarray,
     direction: np.ndarray,
-    c1: float,
-    c2: float,
     max_bracket: int = 30,
     max_zoom: int = 40,
 ):
@@ -180,10 +174,10 @@ def _strong_wolfe(
             if span <= 1e-16 * max(1.0, abs(a_lo)):
                 return None
             f, g, der = eval_at(a)
-            if f > f0 + c1 * a * der0 or f >= f_lo:
+            if f > f0 + WOLFE_C1 * a * der0 or f >= f_lo:
                 a_hi, f_hi = a, f
             else:
-                if abs(der) <= -c2 * der0:
+                if abs(der) <= -WOLFE_C2 * der0:
                     return a, f, g
                 if der * (a_hi - a_lo) >= 0:
                     a_hi, f_hi = a_lo, f_lo
@@ -194,9 +188,9 @@ def _strong_wolfe(
     a = 1.0
     for i in range(max_bracket):
         f, g, der = eval_at(a)
-        if f > f0 + c1 * a * der0 or (i > 0 and f >= f_prev):
+        if f > f0 + WOLFE_C1 * a * der0 or (i > 0 and f >= f_prev):
             return zoom(a_prev, f_prev, der_prev, a, f)
-        if abs(der) <= -c2 * der0:
+        if abs(der) <= -WOLFE_C2 * der0:
             return a, f, g
         if der >= 0:
             return zoom(a, f, der, a_prev, f_prev)
@@ -205,51 +199,48 @@ def _strong_wolfe(
     return None
 
 
-def bfgs_minimize(
-    objective: Objective, x0: Sequence[float], config: OptimizerConfig | None = None
-) -> BfgsResult:
+def bfgs_minimize(objective: Objective, x0: Sequence[float]) -> BfgsResult:
     """Minimize a smooth objective returning (value, gradient).
 
     Terminates on gradient infinity-norm, relative stagnation, line-search
-    failure, or max_iters; deterministic for a deterministic objective.
+    failure, or MAX_ITERS; deterministic for a deterministic objective.
     """
-    cfg = config or OptimizerConfig()
     x = np.array(x0, dtype=float)
     dim = x.size
     f, g = objective(x)
     hinv = np.eye(dim)
     n_iters = 0
-    converged = bool(np.max(np.abs(g)) <= cfg.grad_tol)
+    converged = bool(np.max(np.abs(g)) <= GRAD_TOL)
     first_update = True
     stagnant_streak = 0
 
-    while not converged and n_iters < cfg.max_iters:
+    while not converged and n_iters < MAX_ITERS:
         direction = -hinv @ g
         if float(direction @ g) >= 0.0:
             # numerical breakdown of the inverse-Hessian estimate: reset
             hinv = np.eye(dim)
             first_update = True
             direction = -g
-        ls = _strong_wolfe(objective, x, f, g, direction, cfg.wolfe_c1, cfg.wolfe_c2)
+        ls = _strong_wolfe(objective, x, f, g, direction)
         if ls is None and not np.allclose(direction, -g):
             # retry once along steepest descent before giving up
             hinv = np.eye(dim)
             first_update = True
             direction = -g
-            ls = _strong_wolfe(objective, x, f, g, direction, cfg.wolfe_c1, cfg.wolfe_c2)
+            ls = _strong_wolfe(objective, x, f, g, direction)
         if ls is None:
             break
         alpha, f_new, g_new = ls
         s = alpha * direction
         y = g_new - g
-        if abs(f - f_new) <= cfg.stagnation_tol * max(1.0, abs(f)):
+        if abs(f - f_new) <= STAGNATION_TOL * max(1.0, abs(f)):
             stagnant_streak += 1
         else:
             stagnant_streak = 0
         x = x + s
         f, g = f_new, g_new
         n_iters += 1
-        if np.max(np.abs(g)) <= cfg.grad_tol or stagnant_streak >= 2:
+        if np.max(np.abs(g)) <= GRAD_TOL or stagnant_streak >= 2:
             converged = True
             break
         sy = float(s @ y)
@@ -271,7 +262,6 @@ def optimize(
     spec: ProblemSpec,
     depth: int,
     scheme: InitScheme,
-    config: OptimizerConfig | None = None,
     seed: int = 0,
 ) -> OptimizationResult:
     """Run BFGS on the analytic energy/gradient from the scheme's start point.
@@ -281,7 +271,6 @@ def optimize(
     wildly anisotropic between gamma and beta directions. The rescaling acts
     as a diagonal preconditioner and does not change the reported optimum.
     """
-    cfg = config or OptimizerConfig()
     params0 = scheme.sample(depth, spec, seed)
     scale = float(spec.n_sites ** (spec.p_exponent - 1))
 
@@ -294,7 +283,7 @@ def optimize(
 
     z0 = params0.to_vector()
     z0[:depth] *= scale
-    res = bfgs_minimize(objective, z0, cfg)
+    res = bfgs_minimize(objective, z0)
     params_star = QaoaParams(gammas=res.x[:depth] / scale, betas=res.x[depth:])
     return OptimizationResult(
         params_star=params_star,
@@ -312,13 +301,12 @@ def multi_start(
     scheme: InitScheme,
     n_restarts: int,
     base_seed: int = 0,
-    config: OptimizerConfig | None = None,
 ) -> MultiStartStats:
     """Independent seeded restarts; statistics are order-independent."""
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
     results = tuple(
-        optimize(spec, depth, scheme, config, seed=derive_seed(base_seed, i))
+        optimize(spec, depth, scheme, seed=derive_seed(base_seed, i))
         for i in range(n_restarts)
     )
     residuals = np.array([r.record.residual for r in results])

@@ -33,12 +33,32 @@ def test_selftest_passes():
 
 def test_trace_wrappers_install_count_and_restore():
     tracing = load_bench_module("tracing")
-    originals = (experiments.dynamical_gap, optimizer.energy_and_gradient, engine.CircuitContext.apply_mixer)
+
+    def patched_names():
+        return (
+            experiments.dynamical_gap, experiments.minimal_gap, experiments.multi_start,
+            optimizer.optimize, optimizer.bfgs_minimize, optimizer.energy_and_gradient,
+            engine.CircuitContext.apply_mixer,
+        )
+
+    originals = patched_names()
     tracer, recorder = tracing.Tracer(), tracing.Recorder()
     with contextlib.ExitStack() as stack:
         tracer.instrument(stack)
         recorder.install(stack)
         experiments.run_experiment(ExperimentConfig(kind="gap-scaling", p_exponent=2, n_grid=(8, 16)))
+        # the optimizer wrappers pass their arguments through to the package
+        (row,) = experiments.run_experiment(ExperimentConfig(
+            kind="field-sweep", p_exponent=2, n_grid=(4,), depth_grid=(1,),
+            h_grid=(0.5,), n_restarts=1,
+        ))
     assert tracer.stats["sector.dynamical_gap"].calls > 0
-    assert (experiments.dynamical_gap, optimizer.energy_and_gradient, engine.CircuitContext.apply_mixer) == originals
+    assert row.status == "ok"
+    assert recorder.evals > 0
+    for name in ("optimizer.optimize", "optimizer.bfgs_minimize", "optimizer.objective",
+                 "engine.energy_and_gradient"):
+        assert tracer.stats[name].calls > 0, name
+    assert tracer.stats["engine.energy_and_gradient"].calls == recorder.evals
+    assert [key for key, _ in recorder.starts] == [(4, 2, 0.5, 1, "r")]
+    assert patched_names() == originals
     assert experiments.dynamical_gap is sector.dynamical_gap

@@ -68,6 +68,18 @@ class TestPhaseLayer:
         out = context(9, 3).apply_phase(psi, 0.3)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("n,p,gamma", [(200, 16, 2.9), (300, 15, 1.234567), (1000, 12, 0.7)])
+    def test_huge_phases_match_high_precision_reference(self, n, p, gamma):
+        # |gamma hz| far beyond 2^53 takes the mpmath fallback; a product of
+        # 53 + bit_length(N^p) bits must be reduced mod 2 pi without rounding
+        ctx = context(n, p)
+        assert abs(gamma) * ctx.max_abs_hz > 2.0**53
+        out = ctx.apply_phase(np.ones(ctx.plus.size, dtype=complex), gamma)
+        with mpmath.workprec(512):
+            g, two_pi = mpmath.mpf(gamma), 2 * mpmath.pi
+            expected = np.array([complex(mpmath.expj(-mpmath.fmod(g * v, two_pi))) for v in ctx.hz])
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
+
 
 class TestMixerLayer:
     def test_zero_angle_is_identity(self):

@@ -108,6 +108,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="gap-scaling", **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("dt", -1.0), ("dt", float("nan")), ("dt", float("inf")), ("dt", "1"),
+        ("noise_amplitude", -0.1), ("noise_amplitude", float("nan")),
+        ("n_restarts", 2.5), ("n_restarts", True), ("worker_count", True),
+        ("worker_count", 0), ("base_seed", 1.5), ("base_seed", True),
+    ], ids=str)
+    def test_rejects_bad_scalar_fields(self, field, value):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(kind="field-sweep", **{field: value})
+
+    def test_h_entries_are_stored_as_floats(self):
+        cfg = ExperimentConfig(kind="field-sweep", h_grid=(0, 1), n_restarts=1)
+        assert cfg.h_grid == (0.0, 1.0)
+        assert all(type(h) is float for h in cfg.h_grid)
+        assert cfg == ExperimentConfig(kind="field-sweep", h_grid=(0.0, 1.0), n_restarts=1)
+
 
 class TestDepthLaw:
     def test_p_star(self):
@@ -184,14 +200,17 @@ class TestRunners:
         # deeper circuits cannot do worse at the best restart
         assert rows1[2].min_residual <= rows1[0].min_residual + 1e-12
 
-    def test_worker_count_does_not_change_results(self):
-        base = dict(
-            kind="scaling", p_exponent=2, n_grid=(5, 6), depth_grid=(2,),
-            h_grid=(0.0,), n_restarts=2, base_seed=3,
-        )
+    @pytest.mark.parametrize("base", [
+        dict(kind="scaling", p_exponent=2, n_grid=(5, 6), depth_grid=(2,),
+             h_grid=(0.0,), n_restarts=2, base_seed=3),
+        dict(kind="gap-scaling", p_exponent=2, n_grid=(16, 8)),
+        dict(kind="p1-table", p_exponent=2, n_grid=(7, 5, 6)),
+    ], ids=lambda base: base["kind"])
+    def test_worker_count_does_not_change_results(self, base):
         serial = run_experiment(ExperimentConfig(**base, worker_count=1))
         parallel = run_experiment(ExperimentConfig(**base, worker_count=2))
         assert serial == parallel
+        assert not any(row.status.startswith("failed") for row in serial)
 
     def test_field_sweep_orders_by_h(self):
         cfg = ExperimentConfig(
@@ -269,6 +288,17 @@ class TestRunners:
         (row,) = run_experiment(cfg)
         assert row.status == "failed: ZeroDivisionError: boom"
         assert row.n_converged == 0
+
+    def test_p1_table_failure_keeps_row(self, monkeypatch):
+        def boom(args):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(experiments, "_p1_task", boom)
+        (row,) = run_experiment(ExperimentConfig(kind="p1-table", p_exponent=3, n_grid=(7,)))
+        assert (row.p_exponent, row.n_sites) == (3, 7)
+        assert row.status == "failed: ZeroDivisionError: boom"
+        for value in (row.gamma, row.beta, row.fidelity, row.residual, row.annealing_time):
+            assert math.isnan(value)
 
     def test_minimal_gap_converges_to_critical_field(self):
         h_min, gap = minimal_gap(64, 2, 2.0)
@@ -431,6 +461,20 @@ class TestCli:
         assert parse_grid("0.0:1.0:0.5") == (0.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             parse_grid("1:2:3:4", int)
+        with pytest.raises(ValueError):
+            parse_grid("2:8.5:2", int)
+        with pytest.raises(ValueError):
+            parse_grid("0:inf:1")
+
+    @pytest.mark.parametrize("text,listed", [
+        ("0:1:0.1", "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"),
+        ("0.7:1.3:0.3", "0.7,1,1.3"),
+        ("1.1:1.5:0.1", "1.1,1.2,1.3,1.4,1.5"),
+        ("0:2.5:0.25", "0,0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25,2.5"),
+    ])
+    def test_range_equals_comma_list(self, text, listed):
+        # each range value is the float its decimal spelling gives
+        assert parse_grid(text) == parse_grid(listed)
 
     def test_scaling_command_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
@@ -469,6 +513,8 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["scaling", "--n", "0"], ["scaling", "--n", "8.5"], ["gap", "--p-exp", "1"],
         ["field-sweep", "--depth", "0"], ["iters", "--h", "-1"],
+        ["field-sweep", "--dt", "nan"], ["field-sweep", "--noise", "-0.1"],
+        ["gap", "--workers", "0"],
     ], ids="_".join)
     def test_invalid_grid_exit_code(self, argv, capsys):
         assert cli_main(argv) == 1

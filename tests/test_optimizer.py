@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pspin_qaoa.engine import QaoaParams, energy_and_gradient, fidelity, qaoa_state
+from pspin_qaoa import optimizer
 from pspin_qaoa.optimizer import (
     LinearInit,
-    OptimizerConfig,
     RandomInit,
     bfgs_minimize,
     derive_seed,
@@ -94,6 +94,16 @@ class TestInits:
         with pytest.raises(ValueError):
             LinearInit(dt=0.0)
 
+    @pytest.mark.parametrize("dt,noise", [
+        (0.0, 0.05), (-1.0, 0.05), (float("nan"), 0.05), (float("inf"), 0.05),
+        (1.0, -0.5), (1.0, float("nan")), (1.0, float("inf")),
+    ], ids=str)
+    def test_schedule_rejects_bad_values(self, dt, noise):
+        with pytest.raises(ValueError):
+            LinearInit(dt=dt, noise_amplitude=noise)
+        with pytest.raises(ValueError):
+            l_init(2, ProblemSpec(4, 2), dt=dt, noise_amplitude=noise)
+
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             r_init(0, 0)
@@ -125,9 +135,9 @@ class TestBfgs:
         psi = qaoa_state(spec, QaoaParams.from_vector(res.x))
         assert fidelity(psi, diagonalize_target(spec).ground_state) > 1 - 1e-10
 
-    def test_respects_max_iters(self):
-        cfg = OptimizerConfig(max_iters=3)
-        res = bfgs_minimize(rosenbrock, [-1.2, 1.0], cfg)
+    def test_respects_max_iters(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 3)
+        res = bfgs_minimize(rosenbrock, [-1.2, 1.0])
         assert res.n_iters == 3
         assert not res.converged
 
@@ -135,12 +145,6 @@ class TestBfgs:
         res = bfgs_minimize(quadratic([1.0, 1.0]), [0.0, 0.0])
         assert res.converged
         assert res.n_iters == 0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(wolfe_c1=0.95)
-        with pytest.raises(ValueError):
-            OptimizerConfig(grad_tol=0.0)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=15, deadline=None)
