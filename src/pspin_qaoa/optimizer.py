@@ -2,7 +2,9 @@
 
 Dense inverse-Hessian BFGS with a strong-Wolfe line search (bracketing plus
 zoom, Nocedal-Wright style), written from scratch so that termination,
-iteration counts and determinism are fully under our control.
+iteration counts and determinism are fully under our control. Each run is a
+generator of trial points, so the restarts of a multi-start step in
+lock-step and share one batched energy/gradient call per round.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -64,6 +67,7 @@ class OptimizationResult:
     params_star: QaoaParams
     record: EvaluationRecord
     n_iters: int
+    n_evals: int  # energy/gradient evaluations its own line searches asked for
     converged: bool
     scheme: InitScheme
     seed: int
@@ -87,6 +91,7 @@ class BfgsResult:
     grad: np.ndarray
     n_iters: int
     converged: bool
+    n_evals: int  # objective evaluations this run asked for
 
 
 def derive_seed(*keys) -> int:
@@ -135,14 +140,15 @@ def l_init(
 
 
 def _check_schedule(dt: float, noise_amplitude: float) -> None:
-    if not (math.isfinite(dt) and dt > 0):
+    if isinstance(dt, bool) or not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if not (math.isfinite(noise_amplitude) and noise_amplitude >= 0):
+    if isinstance(noise_amplitude, bool) or not (
+        math.isfinite(noise_amplitude) and noise_amplitude >= 0
+    ):
         raise ValueError(f"noise_amplitude must be finite and >= 0, got {noise_amplitude!r}")
 
 
 def _strong_wolfe(
-    objective: Objective,
     x: np.ndarray,
     f0: float,
     g0: np.ndarray,
@@ -150,13 +156,14 @@ def _strong_wolfe(
     max_bracket: int = 30,
     max_zoom: int = 40,
 ):
-    """Bracketing + zoom line search; returns (alpha, f, g) or None on failure."""
+    """Bracketing + zoom line search, a generator that yields trial points
+    and receives (f, g) for each; returns (alpha, f, g) or None on failure."""
     der0 = float(g0 @ direction)
     if der0 >= 0.0:
         return None
 
     def eval_at(alpha):
-        f, g = objective(x + alpha * direction)
+        f, g = yield x + alpha * direction
         return f, g, float(g @ direction)
 
     def zoom(a_lo, f_lo, der_lo, a_hi, f_hi):
@@ -173,7 +180,7 @@ def _strong_wolfe(
                 a = 0.5 * (a_lo + a_hi)
             if span <= 1e-16 * max(1.0, abs(a_lo)):
                 return None
-            f, g, der = eval_at(a)
+            f, g, der = yield from eval_at(a)
             if f > f0 + WOLFE_C1 * a * der0 or f >= f_lo:
                 a_hi, f_hi = a, f
             else:
@@ -187,27 +194,68 @@ def _strong_wolfe(
     a_prev, f_prev, der_prev = 0.0, f0, der0
     a = 1.0
     for i in range(max_bracket):
-        f, g, der = eval_at(a)
+        f, g, der = yield from eval_at(a)
         if f > f0 + WOLFE_C1 * a * der0 or (i > 0 and f >= f_prev):
-            return zoom(a_prev, f_prev, der_prev, a, f)
+            return (yield from zoom(a_prev, f_prev, der_prev, a, f))
         if abs(der) <= -WOLFE_C2 * der0:
             return a, f, g
         if der >= 0:
-            return zoom(a, f, der, a_prev, f_prev)
+            return (yield from zoom(a, f, der, a_prev, f_prev))
         a_prev, f_prev, der_prev = a, f, der
         a *= 2.0
     return None
 
 
-def bfgs_minimize(objective: Objective, x0: Sequence[float]) -> BfgsResult:
+def bfgs_minimize(objective: Objective, x0):
     """Minimize a smooth objective returning (value, gradient).
 
-    Terminates on gradient infinity-norm, relative stagnation, line-search
-    failure, or MAX_ITERS; deterministic for a deterministic objective.
+    ``x0`` is one start point, giving a ``BfgsResult``, or an (R, dim) array
+    of R start points, giving a list of R results. For R starts the
+    objective takes a (k, dim) array of k trial points and returns their k
+    values and (k, dim) gradients: the R runs step in lock-step, each
+    round evaluating the next trial point of every run still going in one
+    call, and a run leaves the batch when it stops. A run's path depends
+    only on the values it receives. Each run terminates on gradient
+    infinity-norm, relative stagnation, line-search failure, or MAX_ITERS;
+    deterministic for a deterministic objective.
     """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim == 2:
+        return _lockstep(objective, x0)
+
+    def batch_of_one(points):
+        f, g = objective(points[0])
+        return [f], [g]
+
+    return _lockstep(batch_of_one, x0[None])[0]
+
+
+def _lockstep(objective, x0: np.ndarray) -> list[BfgsResult]:
+    runs = [_bfgs(x) for x in x0]
+    points = [next(run) for run in runs]
+    n_evals = [0] * len(runs)
+    results = [None] * len(runs)
+    pending = list(range(len(runs)))
+    while pending:
+        values, grads = objective(np.array([points[i] for i in pending]))
+        going = []
+        for i, f, g in zip(pending, values, grads):
+            n_evals[i] += 1
+            try:
+                points[i] = runs[i].send((float(f), np.asarray(g, dtype=float)))
+                going.append(i)
+            except StopIteration as stop:
+                results[i] = BfgsResult(*stop.value, n_evals=n_evals[i])
+        pending = going
+    return results
+
+
+def _bfgs(x0: np.ndarray):
+    """One BFGS run as a generator: it yields trial points, receives (f, g)
+    for each, and returns (x, f, g, n_iters, converged)."""
     x = np.array(x0, dtype=float)
     dim = x.size
-    f, g = objective(x)
+    f, g = yield x
     hinv = np.eye(dim)
     n_iters = 0
     converged = bool(np.max(np.abs(g)) <= GRAD_TOL)
@@ -221,13 +269,13 @@ def bfgs_minimize(objective: Objective, x0: Sequence[float]) -> BfgsResult:
             hinv = np.eye(dim)
             first_update = True
             direction = -g
-        ls = _strong_wolfe(objective, x, f, g, direction)
+        ls = yield from _strong_wolfe(x, f, g, direction)
         if ls is None and not np.allclose(direction, -g):
             # retry once along steepest descent before giving up
             hinv = np.eye(dim)
             first_update = True
             direction = -g
-            ls = _strong_wolfe(objective, x, f, g, direction)
+            ls = yield from _strong_wolfe(x, f, g, direction)
         if ls is None:
             break
         alpha, f_new, g_new = ls
@@ -255,44 +303,51 @@ def bfgs_minimize(objective: Objective, x0: Sequence[float]) -> BfgsResult:
                 - rho * (np.outer(s, hy) + np.outer(hy, s))
                 + rho * (1.0 + rho * float(y @ hy)) * np.outer(s, s)
             )
-    return BfgsResult(x=x, value=f, grad=g, n_iters=n_iters, converged=converged)
+    return x, f, g, n_iters, converged
 
 
 def optimize(
     spec: ProblemSpec,
     depth: int,
     scheme: InitScheme,
-    seed: int = 0,
-) -> OptimizationResult:
+    seed: Union[int, Sequence[int]] = 0,
+):
     """Run BFGS on the analytic energy/gradient from the scheme's start point.
+
+    ``seed`` is one seed, giving an ``OptimizationResult``, or a sequence of
+    seeds, giving a tuple of results: one restart per seed, all run in
+    lock-step through one batched ``energy_and_gradient`` call per round.
 
     Internally the gamma coordinates are rescaled by N^(p-1): the phase layer
     winds as gamma M^p with |M^p| up to N^p, so the raw landscape curvature is
     wildly anisotropic between gamma and beta directions. The rescaling acts
     as a diagonal preconditioner and does not change the reported optimum.
     """
-    params0 = scheme.sample(depth, spec, seed)
+    seeds = (seed,) if isinstance(seed, Integral) else tuple(seed)
     scale = float(spec.n_sites ** (spec.p_exponent - 1))
 
     def objective(z):
-        params = QaoaParams(gammas=z[:depth] / scale, betas=z[depth:])
-        value, grad = energy_and_gradient(spec, params)
-        grad = grad.copy()
-        grad[:depth] /= scale
-        return value, grad
+        x = z.copy()
+        x[:, :depth] /= scale
+        values, grads = energy_and_gradient(spec, x)
+        grads[:, :depth] /= scale
+        return values, grads
 
-    z0 = params0.to_vector()
-    z0[:depth] *= scale
-    res = bfgs_minimize(objective, z0)
-    params_star = QaoaParams(gammas=res.x[:depth] / scale, betas=res.x[depth:])
-    return OptimizationResult(
-        params_star=params_star,
-        record=evaluate(spec, params_star),
-        n_iters=res.n_iters,
-        converged=res.converged,
-        scheme=scheme,
-        seed=seed,
-    )
+    z0 = np.array([scheme.sample(depth, spec, s).to_vector() for s in seeds])
+    z0[:, :depth] *= scale
+    results = []
+    for s, res in zip(seeds, bfgs_minimize(objective, z0)):
+        params_star = QaoaParams(gammas=res.x[:depth] / scale, betas=res.x[depth:])
+        results.append(OptimizationResult(
+            params_star=params_star,
+            record=evaluate(spec, params_star),
+            n_iters=res.n_iters,
+            n_evals=res.n_evals,
+            converged=res.converged,
+            scheme=scheme,
+            seed=s,
+        ))
+    return results[0] if isinstance(seed, Integral) else tuple(results)
 
 
 def multi_start(
@@ -302,13 +357,12 @@ def multi_start(
     n_restarts: int,
     base_seed: int = 0,
 ) -> MultiStartStats:
-    """Independent seeded restarts; statistics are order-independent."""
+    """Independent seeded restarts, run in lock-step by one ``optimize``
+    call; statistics are order-independent."""
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    results = tuple(
-        optimize(spec, depth, scheme, seed=derive_seed(base_seed, i))
-        for i in range(n_restarts)
-    )
+    seeds = [derive_seed(base_seed, i) for i in range(n_restarts)]
+    results = optimize(spec, depth, scheme, seed=seeds)
     residuals = np.array([r.record.residual for r in results])
     iters = np.array([r.n_iters for r in results], dtype=float)
     return MultiStartStats(

@@ -54,8 +54,8 @@ class ProblemSpec:
             raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
         if self.p_exponent < 2:
             raise ValueError(f"p_exponent must be >= 2, got {self.p_exponent}")
-        if not isfinite(self.field):
-            raise ValueError(f"field must be finite, got {self.field}")
+        if isinstance(self.field, bool) or not isfinite(self.field):
+            raise ValueError(f"field must be finite and not a bool, got {self.field!r}")
         if self.field < 0:
             raise ValueError(f"field must be >= 0, got {self.field}")
         if self.n_sites**self.p_exponent >= _MAX_PHASE_INT:

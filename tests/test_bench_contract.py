@@ -62,3 +62,24 @@ def test_trace_wrappers_install_count_and_restore():
     assert [key for key, _ in recorder.starts] == [(4, 2, 0.5, 1, "r")]
     assert patched_names() == originals
     assert experiments.dynamical_gap is sector.dynamical_gap
+
+
+def test_recorded_evals_count_lockstep_rounds():
+    # the restarts of a grid point share each energy/gradient call, so the
+    # benchmark's evaluation count is the number of lock-step rounds: the
+    # largest count any one restart asked for
+    tracing = load_bench_module("tracing")
+    tracer, recorder = tracing.Tracer(), tracing.Recorder()
+    with contextlib.ExitStack() as stack:
+        tracer.instrument(stack)
+        recorder.install(stack)
+        (row,) = experiments.run_experiment(ExperimentConfig(
+            kind="field-sweep", p_exponent=2, n_grid=(8,), depth_grid=(2,),
+            h_grid=(0.5,), n_restarts=3,
+        ))
+    assert row.status == "ok"
+    ((_, stats),) = recorder.starts
+    assert len(stats.results) == 3
+    assert tracer.stats["optimizer.optimize"].calls == 1
+    assert recorder.evals == tracer.stats["engine.energy_and_gradient"].calls
+    assert recorder.evals == max(r.n_evals for r in stats.results)

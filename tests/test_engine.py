@@ -14,6 +14,7 @@ from fullspace import (
     full_qaoa_state,
     target_matrix,
 )
+from pspin_qaoa import engine
 from pspin_qaoa.engine import (
     QaoaParams,
     circuit_context,
@@ -123,6 +124,70 @@ class TestBlockKernel:
         out = ctx.apply_phase(block, 0.23)
         for j in range(3):
             np.testing.assert_array_equal(out[:, j], ctx.apply_phase(block[:, j], 0.23))
+
+
+class TestBatchedEvaluation:
+    """R parameter vectors evaluate as one stack; every row's numbers are
+    exactly those of its own single call."""
+
+    @pytest.mark.parametrize("n,p", [(13, 3), (32, 3), (512, 2), (512, 3)])
+    def test_rows_match_single_calls(self, n, p):
+        spec = ProblemSpec(n, p, 0.7)
+        rows = np.array([random_angles(spec, 3, seed) for seed in range(5)])
+        energies, grads = energy_and_gradient(spec, rows)
+        assert energies.shape == (5,) and grads.shape == (5, 6)
+        for row, e_val, grad in zip(rows, energies, grads):
+            e_one, grad_one = energy_and_gradient(spec, QaoaParams.from_vector(row))
+            assert e_val == e_one
+            np.testing.assert_array_equal(grad, grad_one)
+
+    def test_exact_phase_fallback_per_row(self, monkeypatch):
+        # max|hz| = 500^7: gamma = 1e-3 keeps the phase below 2^53 (float
+        # product), gamma = 0.5 takes it beyond (mpmath). In one batch each
+        # row must get exactly what it gets alone, and only the large row
+        # may go through mpmath
+        spec = ProblemSpec(500, 7, 0.3)
+        ctx = circuit_context(spec)
+        rows = np.array([[1e-3, 0.4], [0.5, 0.4]])
+        assert 1e-3 * ctx.max_abs_hz <= 2.0**53 < 0.5 * ctx.max_abs_hz
+        exact_calls = []
+        exact_angles = engine._exact_angles
+
+        def counted(gamma, *args):
+            exact_calls.append(gamma)
+            return exact_angles(gamma, *args)
+
+        monkeypatch.setattr(engine, "_exact_angles", counted)
+        energies, grads = energy_and_gradient(spec, rows)
+        assert exact_calls == [0.5]
+        for row, e_val, grad in zip(rows, energies, grads):
+            e_one, grad_one = energy_and_gradient(spec, QaoaParams.from_vector(row))
+            assert e_val == e_one
+            np.testing.assert_array_equal(grad, grad_one)
+
+    def test_deep_odd_p_gradient_against_central_differences(self):
+        # P = P* = N + 1 = 129 layers on all m = 129 states of N = 128, p = 3,
+        # so the reverse sweep un-computes the state through every layer.
+        # Five-point central differences along three seeded unit directions
+        # in natural units, step 3e-5: truncation about 1e-9 relative,
+        # roundoff about 1e-15 |E| / step
+        spec = ProblemSpec(128, 3, 0.7)
+        depth = 129
+        unit = natural_units(spec, depth)
+        x = random_angles(spec, depth, 11)
+        _, grad = energy_and_gradient(spec, QaoaParams.from_vector(x))
+
+        def energy_at(y):
+            return energy_and_gradient(spec, QaoaParams.from_vector(y))[0]
+
+        rng = np.random.default_rng(12)
+        step = 3e-5
+        for _ in range(3):
+            d = rng.normal(size=2 * depth)
+            d *= unit / np.linalg.norm(d)
+            fd = (8 * (energy_at(x + step * d) - energy_at(x - step * d))
+                  - (energy_at(x + 2 * step * d) - energy_at(x - 2 * step * d))) / (12 * step)
+            assert abs(grad @ d - fd) <= 1e-7 * max(1.0, abs(fd))
 
 
 class TestQaoaState:

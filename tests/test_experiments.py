@@ -103,13 +103,14 @@ class TestConfig:
         ("n_grid", (8.0,)), ("n_grid", (0,)), ("n_grid", (True,)), ("n_grid", (2**64,)),
         ("depth_grid", (0,)), ("depth_grid", (1.5,)), ("depth_grid", (True,)),
         ("h_grid", (-0.5,)), ("h_grid", (float("nan"),)), ("h_grid", (float("inf"),)),
+        ("h_grid", (True,)),
     ], ids=str)
     def test_rejects_bad_grid_entries(self, field, value):
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="gap-scaling", **{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("dt", -1.0), ("dt", float("nan")), ("dt", float("inf")), ("dt", "1"),
+        ("dt", -1.0), ("dt", float("nan")), ("dt", float("inf")), ("dt", "1"), ("dt", True),
         ("noise_amplitude", -0.1), ("noise_amplitude", float("nan")),
         ("n_restarts", 2.5), ("n_restarts", True), ("worker_count", True),
         ("worker_count", 0), ("base_seed", 1.5), ("base_seed", True),

@@ -96,7 +96,7 @@ class TestInits:
 
     @pytest.mark.parametrize("dt,noise", [
         (0.0, 0.05), (-1.0, 0.05), (float("nan"), 0.05), (float("inf"), 0.05),
-        (1.0, -0.5), (1.0, float("nan")), (1.0, float("inf")),
+        (1.0, -0.5), (1.0, float("nan")), (1.0, float("inf")), (True, 0.05), (1.0, False),
     ], ids=str)
     def test_schedule_rejects_bad_values(self, dt, noise):
         with pytest.raises(ValueError):
@@ -140,6 +140,38 @@ class TestBfgs:
         res = bfgs_minimize(rosenbrock, [-1.2, 1.0])
         assert res.n_iters == 3
         assert not res.converged
+
+    def test_counts_its_own_evaluations(self):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return rosenbrock(x)
+
+        res = bfgs_minimize(counted, [-1.2, 1.0])
+        assert res.n_evals == len(calls)
+
+    def test_lockstep_runs_match_lone_runs(self):
+        # R starts in one call: each run ends where it ends alone, and one
+        # round evaluates every run still going, so the rounds number as
+        # many as the longest run's own evaluations
+        starts = np.array([[-1.2, 1.0], [0.5, 0.5], [2.0, -1.0], [1.0, 1.0]])
+        rounds = []
+
+        def batched(points):
+            rounds.append(len(points))
+            values, grads = zip(*(rosenbrock(x) for x in points))
+            return np.array(values), np.array(grads)
+
+        results = bfgs_minimize(batched, starts)
+        assert len(rounds) == max(r.n_evals for r in results)
+        assert sum(rounds) == sum(r.n_evals for r in results)
+        assert rounds == sorted(rounds, reverse=True)
+        for start, res in zip(starts, results):
+            alone = bfgs_minimize(rosenbrock, start)
+            np.testing.assert_array_equal(res.x, alone.x)
+            assert (res.n_iters, res.n_evals, res.converged) == (
+                alone.n_iters, alone.n_evals, alone.converged)
 
     def test_already_at_minimum(self):
         res = bfgs_minimize(quadratic([1.0, 1.0]), [0.0, 0.0])
@@ -226,6 +258,39 @@ class TestMultiStart:
         starts = {tuple(r.params_star.to_vector().round(12)) for r in stats.results}
         seeds = {r.seed for r in stats.results}
         assert len(seeds) == 6
+
+    def test_restart_alone_matches_restart_in_batch(self):
+        # lock-step restarts share every kernel call, yet each one takes the
+        # path it takes alone, bit for bit
+        spec = ProblemSpec(32, 3, 0.8)  # m = 33: a wide GEMM would round differently
+        stats = multi_start(spec, 2, RandomInit(), n_restarts=20, base_seed=3)
+        for i, res in enumerate(stats.results):
+            alone = optimize(spec, 2, RandomInit(), seed=derive_seed(3, i))
+            assert (alone.n_iters, alone.n_evals) == (res.n_iters, res.n_evals)
+            assert abs(alone.record.residual - res.record.residual) <= 1e-12
+            np.testing.assert_array_equal(
+                alone.params_star.to_vector(), res.params_star.to_vector())
+
+    def test_one_kernel_call_per_round(self, monkeypatch):
+        calls = []
+        original = optimizer.energy_and_gradient
+
+        def counted(spec, params):
+            calls.append(len(params))
+            return original(spec, params)
+
+        monkeypatch.setattr(optimizer, "energy_and_gradient", counted)
+        stats = multi_start(ProblemSpec(8, 2, 0.5), 3, LinearInit(), n_restarts=5, base_seed=1)
+        assert len(calls) == max(r.n_evals for r in stats.results)
+        assert sum(calls) == sum(r.n_evals for r in stats.results)
+
+    def test_seed_sequence_gives_one_result_per_seed(self):
+        spec = ProblemSpec(6, 2, 0.5)
+        results = optimize(spec, 2, RandomInit(), seed=[4, 5])
+        assert isinstance(results, tuple)
+        assert [r.seed for r in results] == [4, 5]
+        alone = optimize(spec, 2, RandomInit(), seed=5)
+        assert (alone.n_evals, alone.record) == (results[1].n_evals, results[1].record)
 
     def test_rejects_zero_restarts(self):
         with pytest.raises(ValueError):

@@ -41,7 +41,7 @@ class TestProblemSpec:
         with pytest.raises(OverflowError):
             ProblemSpec(1024, 13)
 
-    @pytest.mark.parametrize("field", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", [float("nan"), float("inf"), float("-inf"), True])
     def test_rejects_non_finite_field(self, field):
         with pytest.raises(ValueError, match="field must be finite"):
             ProblemSpec(16, 2, field)
