@@ -1,6 +1,6 @@
 """Command-line front end for the experiment harness.
 
-Subcommands: scaling, field-sweep, iters, p1-table, gap, verify.
+Subcommands: scaling, field-sweep, iters, p1-table, gap.
 Grid flags accept comma lists ("4,6,8") or ranges ("2:12:2", inclusive).
 A JSON config can be supplied with --config; explicit flags win over it.
 Exit codes: 0 success, 1 invalid config, 2 partial task failures.
@@ -13,10 +13,6 @@ import json
 import sys
 from decimal import Decimal
 
-import numpy as np
-
-from . import analytic
-from .engine import QaoaParams, energy_and_gradient
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -26,8 +22,6 @@ from .experiments import (
     fit_scaling_exponent,
     run_experiment,
 )
-from .optimizer import r_init
-from .sector import ProblemSpec
 
 _KIND_BY_COMMAND = {
     "scaling": "scaling",
@@ -86,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     for command in _KIND_BY_COMMAND:
         sub = subs.add_parser(command)
         _add_common_flags(sub)
-    subs.add_parser("verify", help="run the analytic/symmetry/identity check suites")
     return parser
 
 
@@ -130,57 +123,9 @@ def _print_fit(config: ExperimentConfig, rows) -> None:
         print(f"fit skipped: {exc}")
 
 
-def run_verify() -> int:
-    """Quick self-checks of the closed-form machinery; returns an exit code."""
-    ok = True
-
-    passed = all(
-        analytic.verify_power_identity(k, n, m)
-        for k in range(7)
-        for n in range(0, 9, 4)
-        for m in range(1, 2 ** (k + 4), 2)
-    )
-    print(f"power identity (k<=6, 4|n<=8, all odd m): {'PASS' if passed else 'FAIL'}")
-    ok &= passed
-
-    passed = all(
-        dec.reconstruct() == p
-        for p in range(2, 65, 2)
-        for dec in analytic.all_even_p_decompositions(p)
-    )
-    print(f"even-p decompositions reconstruct (p<=64): {'PASS' if passed else 'FAIL'}")
-    ok &= passed
-
-    passed = True
-    for p, n in [(3, 5), (5, 7), (2, 5), (4, 7)]:
-        gamma, beta = analytic.exact_p1_params(p, n)
-        fid = analytic.p1_fidelity_closed_form(p, n, gamma)
-        passed &= fid > 1.0 - 1e-12
-    print(f"depth-1 closed-form fidelities: {'PASS' if passed else 'FAIL'}")
-    ok &= passed
-
-    passed = True
-    rng = np.random.default_rng(12345)
-    for p, n in [(2, 6), (2, 5), (3, 6), (3, 5)]:
-        spec = ProblemSpec(n_sites=n, p_exponent=p, field=0.7)
-        for _ in range(10):
-            params = r_init(3, int(rng.integers(2**63)))
-            e0, _ = energy_and_gradient(spec, params)
-            for transform in analytic.symmetry_group(p, n):
-                shifted = transform.apply(params, component=1)
-                e1, _ = energy_and_gradient(spec, shifted)
-                passed &= abs(e1 - e0) < 1e-12
-    print(f"symmetry-table energy invariance: {'PASS' if passed else 'FAIL'}")
-    ok &= passed
-
-    return 0 if ok else 1
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return run_verify()
     try:
         config = config_from_args(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -25,7 +25,15 @@ from .engine import QaoaParams, evaluate
 from .optimizer import LinearInit, RandomInit, derive_seed, multi_start
 from .sector import ProblemSpec, dynamical_gap
 
-EXPERIMENT_KINDS = ("scaling", "field-sweep", "iteration-scaling", "p1-table", "gap-scaling")
+# every experiment kind and the grids it runs over; of every other grid it
+# reads one entry at most
+EXPERIMENT_KINDS = {
+    "scaling": ("n_grid", "depth_grid"),
+    "field-sweep": ("h_grid",),
+    "iteration-scaling": ("n_grid",),
+    "p1-table": ("n_grid",),
+    "gap-scaling": ("n_grid",),
+}
 
 # residuals below this are treated as exact zeros and never enter log-log fits
 ZERO_RESIDUAL = 1e-10
@@ -62,6 +70,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not self.n_grid or not self.depth_grid or not self.h_grid:
             raise ConfigError("grids must be non-empty")
+        for name in ("n_grid", "depth_grid", "h_grid"):
+            grid = getattr(self, name)
+            if name not in EXPERIMENT_KINDS[self.kind] and len(grid) > 1:
+                raise ConfigError(f"{self.kind} does not sweep {name}; give one entry, got {grid!r}")
         if self.scheme not in ("r", "l", "both"):
             raise ConfigError(f"scheme must be 'r', 'l' or 'both', got {self.scheme!r}")
         if self.out_format not in ("csv", "json"):

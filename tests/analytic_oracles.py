@@ -1,0 +1,145 @@
+"""Test oracles for the depth-1 derivation and the parameter-space symmetries.
+
+The package ships only the angles (`pspin_qaoa.analytic.exact_p1_params`);
+the decompositions p = 2^(k+1) + n 2^k, the modular power identity behind
+them, the closed-form depth-1 fidelity sum and the symmetry table live here,
+where the tests check the paper's derivation against the circuit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import comb, pi
+
+import numpy as np
+
+from pspin_qaoa.engine import QaoaParams
+
+
+@dataclass(frozen=True)
+class EvenPDecomposition:
+    k: int
+    n: int
+
+    def reconstruct(self) -> int:
+        return 2 ** (self.k + 1) + self.n * 2**self.k
+
+    @property
+    def gamma(self) -> float:
+        return 2.0 * pi / 2 ** (self.k + 4)
+
+
+@dataclass(frozen=True)
+class SymmetryTransform:
+    """One row of the symmetry table: negate everything, or shift one angle."""
+
+    kind: str  # "negate_all" | "beta_shift" | "gamma_shift"
+    shift: float = 0.0
+
+    def apply(self, params: QaoaParams, component: int = 0) -> QaoaParams:
+        if self.kind == "negate_all":
+            return QaoaParams(gammas=-params.gammas, betas=-params.betas)
+        if self.kind == "beta_shift":
+            betas = params.betas.copy()
+            betas[component] += self.shift
+            return QaoaParams(gammas=params.gammas, betas=betas)
+        if self.kind == "gamma_shift":
+            gammas = params.gammas.copy()
+            gammas[component] += self.shift
+            return QaoaParams(gammas=gammas, betas=params.betas)
+        raise ValueError(f"unknown transform kind {self.kind!r}")
+
+
+def f_of_m(m: int) -> int:
+    """0 if M = +-1 mod 8, 1 if M = +-3 mod 8; defined for odd M only."""
+    if m % 2 == 0:
+        raise ValueError(f"M must be odd, got {m}")
+    r = m % 8
+    return 0 if r in (1, 7) else 1
+
+
+def even_p_decomposition(p: int) -> EvenPDecomposition:
+    """The unique decomposition p = 2^(k+1) + n 2^k with n a multiple of 4,
+    found by the search the derivation describes (k = j - 1 for p = 2^j q)."""
+    if p % 2 != 0 or p < 2:
+        raise ValueError(f"p must be even and >= 2, got {p}")
+    k = 0
+    while p % 2 ** (k + 2) == 0:
+        k += 1
+    n = p // 2**k - 2
+    assert n % 4 == 0 and 2 ** (k + 1) + n * 2**k == p
+    return EvenPDecomposition(k=k, n=n)
+
+
+def all_even_p_decompositions(p: int) -> list[EvenPDecomposition]:
+    """Every integer representation p = 2^(k+1) + n 2^k, valid or not; only
+    the one with 4 | n gives an exact depth-1 angle."""
+    if p % 2 != 0 or p < 2:
+        raise ValueError(f"p must be even and >= 2, got {p}")
+    out = []
+    k = 0
+    while 2 ** (k + 1) <= p:
+        rem = p - 2 ** (k + 1)
+        if rem % 2**k == 0:
+            out.append(EvenPDecomposition(k=k, n=rem // 2**k))
+        k += 1
+    return out
+
+
+def verify_power_identity(k: int, n: int, m: int) -> bool:
+    """Check m^(2^(k+1)+n 2^k) mod 2^(k+4) == f(m) 2^(k+3) + 1 for odd m.
+
+    Holds for every odd m exactly when n is a multiple of 4 (n = 0 included);
+    for other n the left side picks up an extra power of m and the claim fails.
+    """
+    if m % 2 == 0:
+        raise ValueError(f"m must be odd, got {m}")
+    if k < 0 or n < 0:
+        raise ValueError("k and n must be natural numbers")
+    exponent = 2 ** (k + 1) + n * 2**k
+    modulus = 2 ** (k + 4)
+    return pow(m, exponent, modulus) == f_of_m(m) * 2 ** (k + 3) + 1
+
+
+def p1_fidelity_closed_form(p: int, n_sites: int, gamma: float) -> float:
+    """Magnetization-resolved depth-1 fidelity at beta = pi/4: the
+    binomial-weighted phase sum, independent of the circuit simulation."""
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be >= 1, got {n_sites}")
+    total = 0.0 + 0.0j
+    norm = 2.0**n_sites
+    for k in range(n_sites + 1):
+        m = n_sites - 2 * k
+        mp = m**p
+        weight = comb(n_sites, k) / norm
+        if p % 2 == 1:
+            total += weight * np.exp(1j * (gamma * mp + 0.5 * pi * k))
+        else:
+            if n_sites % 2 == 0:
+                raise ValueError("even-p closed form requires odd N")
+            total += weight * np.exp(1j * (gamma * mp - pi * f_of_m(m)))
+    return float(abs(total) ** 2)
+
+
+def _periods(p: int, n_sites: int) -> tuple[float, float]:
+    """(beta period, gamma period) of the energy for these parities."""
+    return (pi if p % 2 == 1 else pi / 2.0, pi if n_sites % 2 == 1 else pi / 2 ** (p - 1))
+
+
+def symmetry_group(p: int, n_sites: int) -> list[SymmetryTransform]:
+    """The energy-preserving transforms for given parities of p and N."""
+    beta_shift, gamma_shift = _periods(p, n_sites)
+    return [
+        SymmetryTransform(kind="negate_all"),
+        SymmetryTransform(kind="beta_shift", shift=beta_shift),
+        SymmetryTransform(kind="gamma_shift", shift=gamma_shift),
+    ]
+
+
+def canonicalize(params: QaoaParams, p: int, n_sites: int) -> QaoaParams:
+    """Fold every angle into [0, period) for its symmetry-table period."""
+    beta_period, gamma_period = _periods(p, n_sites)
+    return QaoaParams(
+        gammas=np.mod(params.gammas, gamma_period),
+        betas=np.mod(params.betas, beta_period),
+    )

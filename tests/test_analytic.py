@@ -3,18 +3,18 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from pspin_qaoa.analytic import (
+from analytic_oracles import (
     EvenPDecomposition,
     SymmetryTransform,
     all_even_p_decompositions,
     canonicalize,
     even_p_decomposition,
-    exact_p1_params,
     f_of_m,
     p1_fidelity_closed_form,
     symmetry_group,
     verify_power_identity,
 )
+from pspin_qaoa.analytic import exact_p1_params
 from pspin_qaoa.engine import QaoaParams, energy, fidelity, qaoa_state
 from pspin_qaoa.optimizer import r_init
 from pspin_qaoa.sector import ProblemSpec, diagonalize_target
@@ -127,6 +127,21 @@ class TestExactDepth1Params:
         gamma6, _ = exact_p1_params(6, 9)
         assert gamma6 == pytest.approx(np.pi / 8)
 
+    def test_even_p_closed_form_is_the_decomposition_angle(self):
+        for p in range(2, 65, 2):
+            assert exact_p1_params(p, 3)[0] == even_p_decomposition(p).gamma, p
+
+    @pytest.mark.parametrize("p,n,field", [
+        (3, 5.0, "n_sites"), (4.0, 5, "p_exponent"), (True, 5, "p_exponent"), (2, 0, "n_sites"),
+    ])
+    def test_rejects_what_problem_spec_rejects(self, p, n, field):
+        with pytest.raises(ValueError, match=field):
+            exact_p1_params(p, n)
+
+    def test_rejects_overflowing_sizes(self):
+        with pytest.raises(OverflowError):
+            exact_p1_params(2, 10**40 + 1)
+
     @pytest.mark.parametrize("p,n", [(2, 5), (2, 13), (3, 9), (4, 7), (5, 7), (6, 11)])
     def test_circuit_reaches_ground_state(self, p, n):
         gamma, beta = exact_p1_params(p, n)
@@ -158,9 +173,13 @@ class TestClosedFormFidelity:
             via_sum = p1_fidelity_closed_form(p, n, gamma)
             assert abs(via_circuit - via_sum) < 1e-10, (p, n, gamma)
 
-    def test_unity_at_exact_angles(self):
-        assert p1_fidelity_closed_form(3, 13, np.pi / 4) == pytest.approx(1.0, abs=1e-12)
-        assert p1_fidelity_closed_form(2, 13, np.pi / 8) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("p,n,gamma", [
+        (3, 13, np.pi / 4), (2, 13, np.pi / 8),
+        (3, 5, np.pi / 4), (5, 7, np.pi / 4), (2, 5, np.pi / 8), (4, 7, np.pi / 16),
+    ], ids=["3-13", "2-13", "3-5", "5-7", "2-5", "4-7"])
+    def test_unity_at_exact_angles(self, p, n, gamma):
+        assert exact_p1_params(p, n) == (gamma, np.pi / 4)
+        assert p1_fidelity_closed_form(p, n, gamma) == pytest.approx(1.0, abs=1e-12)
 
     def test_even_p_requires_odd_sites(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import math
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import pspin_qaoa
 from pspin_qaoa import experiments
-from pspin_qaoa.cli import build_parser, config_from_args, main as cli_main, parse_grid
+from pspin_qaoa.cli import (
+    _KIND_BY_COMMAND, build_parser, config_from_args, main as cli_main, parse_grid,
+)
 from pspin_qaoa.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -82,11 +85,10 @@ class TestConfig:
             ExperimentConfig.from_dict({"kind": "scaling", "typo_field": 1})
 
     def test_from_dict_coerces_grids(self):
-        cfg = ExperimentConfig.from_dict(
-            {"kind": "scaling", "n_grid": [4, 6], "depth_grid": [1, 2], "h_grid": [0, 1]}
-        )
+        cfg = ExperimentConfig.from_dict({"kind": "scaling", "n_grid": [4, 6], "depth_grid": [1, 2]})
         assert cfg.n_grid == (4, 6)
         assert cfg.depth_grid == (1, 2)
+        cfg = ExperimentConfig.from_dict({"kind": "field-sweep", "h_grid": [0, 1]})
         assert cfg.h_grid == (0.0, 1.0)
         assert all(type(h) is float for h in cfg.h_grid)
 
@@ -104,10 +106,21 @@ class TestConfig:
         ("depth_grid", (0,)), ("depth_grid", (1.5,)), ("depth_grid", (True,)),
         ("h_grid", (-0.5,)), ("h_grid", (float("nan"),)), ("h_grid", (float("inf"),)),
         ("h_grid", (True,)),
+        # a gap scan runs over N alone, so a second h or depth would be dropped
+        ("h_grid", (0.5, 1.0)), ("depth_grid", (2, 3)),
     ], ids=str)
     def test_rejects_bad_grid_entries(self, field, value):
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="gap-scaling", **{field: value})
+
+    @pytest.mark.parametrize("kind,field", [
+        ("scaling", "h_grid"), ("field-sweep", "n_grid"), ("field-sweep", "depth_grid"),
+        ("iteration-scaling", "h_grid"), ("iteration-scaling", "depth_grid"),
+        ("p1-table", "h_grid"), ("p1-table", "depth_grid"),
+    ], ids="-".join)
+    def test_rejects_grids_the_kind_does_not_sweep(self, kind, field):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(kind=kind, **{field: (8, 12)})
 
     @pytest.mark.parametrize("field,value", [
         ("dt", -1.0), ("dt", float("nan")), ("dt", float("inf")), ("dt", "1"), ("dt", True),
@@ -516,6 +529,8 @@ class TestCli:
         ["field-sweep", "--depth", "0"], ["iters", "--h", "-1"],
         ["field-sweep", "--dt", "nan"], ["field-sweep", "--noise", "-0.1"],
         ["gap", "--workers", "0"],
+        ["field-sweep", "--n", "8,12"], ["field-sweep", "--depth", "2,3"],
+        ["scaling", "--h", "0,1"], ["iters", "--depth", "2,3"], ["p1-table", "--h", "0,1"],
     ], ids="_".join)
     def test_invalid_grid_exit_code(self, argv, capsys):
         assert cli_main(argv) == 1
@@ -525,9 +540,12 @@ class TestCli:
         code = cli_main(["p1-table", "--n", "5,7", "--p-exp", "2"])
         assert code == 0
 
-    def test_verify_command(self, capsys):
-        assert cli_main(["verify"]) == 0
-        assert "PASS" in capsys.readouterr().out
+    def test_every_subcommand_runs_an_experiment_kind(self):
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(subparsers.choices) == set(_KIND_BY_COMMAND)
 
 
 def readme_blocks(lang):
@@ -548,9 +566,8 @@ class TestReadme:
         parser = build_parser()
         for argv in lines:
             args = parser.parse_args(argv[1:])
-            if args.command != "verify":
-                # builds the ExperimentConfig, which checks every grid point; runs nothing
-                assert config_from_args(args).kind
+            # builds the ExperimentConfig, which checks every grid point; runs nothing
+            assert config_from_args(args).kind
 
     def test_library_sketch_imports_exactly_the_exports(self):
         (sketch,) = readme_blocks("python")
