@@ -8,8 +8,8 @@ floor(N/2)+1 states (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for even N
 (``sector.dynamics_block``, ``sector.dynamics_lift``). For odd p it
 runs in the whole sector of N+1 states. Either way the context holds the
 same fields, m the dimension: the phases, the target and collective-X as
-tridiagonals, |+>, and the cached spectral decomposition V diag(lam) V^T of
-collective-X.
+tridiagonals, |+>, the target spectrum and ground state, and the cached
+spectral decomposition V diag(lam) V^T of collective-X.
 
 One kernel serves the state, the energy and the adjoint gradient, for R
 parameter vectors at once: R circuits run as an (R, m, k) stack, row r
@@ -21,8 +21,9 @@ numbers never depend on the other rows. The forward sweep keeps the factors
 of every layer; the reverse sweep carries each row's state and adjoint
 vector as one (m, 2) block and undoes each layer on it with the conjugated
 forward factors, so each reverse layer is one mixer call and one multiply
-for the whole stack. ``qaoa_state`` lifts its result back to the N+1
-sector amplitudes.
+for the whole stack. ``evaluate`` takes its energy and fidelity from the
+same forward sweep, in the block; only ``qaoa_state`` lifts a state back to
+the N+1 sector amplitudes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .sector import (
     diagonalize_target,
     dynamics_block,
     dynamics_lift,
+    gershgorin_bound,
     plus_state,
     sector_table,
     target_tridiagonal,
@@ -46,6 +48,8 @@ from .sector import (
 )
 
 _SAFE_DOUBLE = 2.0**53
+# Slack of every energy check, relative to the Gershgorin bound on ||H||
+_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,7 @@ class CircuitContext:
     For even p every field describes the reflection-even block, for odd p the
     whole sector; the kernels do not tell the two apart. Sector amplitude k
     is block amplitude ``lift_index[k]`` times ``lift_weight[k]``.
+    ``spectrum`` is the spec's ``diagonalize_target``, ``ground`` its ground state.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -112,6 +117,9 @@ class CircuitContext:
         self.hz_float = table.hz_float[:dim]
         self.xdec: XSpectralDecomposition = x_spectral_decomposition(n, even_parity=p % 2 == 0)
         self.plus = plus_state(n)[:dim] / self.lift_weight[:dim]
+        self.spectrum: TargetSpectrum = diagonalize_target(spec)
+        self.ground = self.spectrum.ground_state[:dim] / self.lift_weight[:dim]
+        self.ground.setflags(write=False)
 
     def lift(self, state: np.ndarray) -> np.ndarray:
         """The N+1 sector amplitudes of a context-dimension state vector."""
@@ -191,9 +199,10 @@ def circuit_context(spec: ProblemSpec) -> CircuitContext:
     return CircuitContext(spec)
 
 
+# kept only because bench/workloads.py clears it by name; goes with ROADMAP item 2
 @lru_cache(maxsize=None)
 def cached_spectrum(spec: ProblemSpec) -> TargetSpectrum:
-    return diagonalize_target(spec)
+    return circuit_context(spec).spectrum
 
 
 def _exact_angles(gamma: float, hz_ints, max_abs_hz: int) -> np.ndarray:
@@ -237,26 +246,42 @@ def energy(spec: ProblemSpec, state: np.ndarray) -> float:
             f"energy needs the N + 1 = {n + 1} amplitudes of the sector, "
             f"got a state of shape {state.shape}"
         )
-    h_state = _tridiagonal_product(*target_tridiagonal(spec), state)
-    return float(_real_energy(np.vdot(state, h_state)))
+    diag, off = target_tridiagonal(spec)
+    val = np.vdot(state, _tridiagonal_product(diag, off, state))
+    return float(_real_energy(val, gershgorin_bound(diag, off)))
 
 
-def _real_energy(val):
+def _real_energy(val, norm_bound: float):
     """The real part of an energy, or of each of an array of energies,
-    after checking that the imaginary part is roundoff."""
+    after checking that the imaginary part is roundoff.
+
+    For a normalized state of m amplitudes the imaginary part of <s|H|s> is
+    at most about m eps ||H||, and ``norm_bound`` bounds ||H||; an imaginary
+    part of 1e-12 times the bound or more is refused.
+    """
     val = np.asarray(val)
-    if np.any(abs(val.imag) >= 1e-12 * np.maximum(1.0, abs(val.real))):
+    if np.any(abs(val.imag) >= _ROUNDOFF * norm_bound):
         raise ValueError(f"energy has non-negligible imaginary part {val.imag}")
     return val.real
+
+
+def _block_energy(ctx: CircuitContext, phi: np.ndarray):
+    """<phi|H|phi> of each state of an (R, m, 1) stack, and H|phi>."""
+    h_phi = ctx.apply_target(phi)
+    return _real_energy(np.vecdot(phi[..., 0], h_phi[..., 0]), ctx.spectrum.norm_bound), h_phi
 
 
 def residual_energy(spectrum: TargetSpectrum, energy_value: float) -> float:
     """(E - E_min) / (E_max - E_min), clamped only within roundoff of [0, 1].
 
-    A flat spectrum (E_max = E_min) has every state as a ground state, so its
+    An energy more than 1e-12 times ``spectrum.norm_bound`` (the Gershgorin
+    bound on ||H||) outside [E_min, E_max] is refused: both ends and the
+    energy carry roundoff of that scale, not of E's own size. A flat
+    spectrum (E_max = E_min) has every state as a ground state, so its
     residual is 0.
     """
-    if not (spectrum.e_min - 1e-9 <= energy_value <= spectrum.e_max + 1e-9):
+    slack = _ROUNDOFF * spectrum.norm_bound
+    if not (spectrum.e_min - slack <= energy_value <= spectrum.e_max + slack):
         raise ValueError(
             f"energy {energy_value} outside spectrum [{spectrum.e_min}, {spectrum.e_max}]"
         )
@@ -285,7 +310,8 @@ def energy_and_gradient(spec: ProblemSpec, params):
     parameter vectors, giving ``(energies (R,), gradients (R, 2P))``. The R
     circuits run as one stack through every kernel call, and each row's
     numbers are bit-identical to its own single call: the mixer makes one
-    GEMM per row, and each sum over the sector is one BLAS dot per row.
+    GEMM per row, and each sum over the sector is one BLAS dot per row. An
+    array that is not 2-d with an even width of at least 2 is refused.
 
     The forward sweep keeps the 2P factor arrays of its layers, 32 P m R
     bytes (66 kB at m = 257, P = 4, R = 2; 8.4 MB at m = 513, P = 513,
@@ -302,13 +328,14 @@ def energy_and_gradient(spec: ProblemSpec, params):
     ctx = circuit_context(spec)
     single = isinstance(params, QaoaParams)
     x = params.to_vector()[None] if single else np.asarray(params, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] % 2:
+        raise ValueError(f"parameter rows must form an (R, 2P) array, P >= 1; got shape {x.shape}")
     depth = x.shape[1] // 2
     # d/dgamma of the phase layer brings down +i M^p = -i hz
     i_d_diag = 1j * -ctx.hz_float
 
     phi, phases, mixers = _forward(ctx, x[:, :depth], x[:, depth:])
-    adj = ctx.apply_target(phi)
-    e_val = _real_energy(np.vecdot(phi[..., 0], adj[..., 0]))
+    e_val, adj = _block_energy(ctx, phi)
 
     # row r: <adj|i d/dgamma_l phi>, then <adj|i d/dbeta_l phi>, l = 1..P
     overlaps = np.empty(x.shape, dtype=complex)
@@ -327,13 +354,19 @@ def energy_and_gradient(spec: ProblemSpec, params):
 
 
 def evaluate(spec: ProblemSpec, params: QaoaParams) -> EvaluationRecord:
-    """Energy, residual, fidelity and equivalent annealing time in one record."""
-    spectrum = cached_spectrum(spec)
-    state = qaoa_state(spec, params)
-    e_val = energy(spec, state)
+    """Energy, residual, fidelity and equivalent annealing time in one record.
+
+    The energy is ``energy_and_gradient``'s, bit for bit, and the fidelity the
+    block overlap with ``ctx.ground``. ``energy`` and ``fidelity`` of the
+    lifted state sum the same terms in another order; the tests hold the gaps
+    to 1e-14 (for the energy, times the Gershgorin bound ``norm_bound``).
+    """
+    ctx = circuit_context(spec)
+    phi = _forward(ctx, params.gammas[None], params.betas[None])[0]
+    e_val = float(_block_energy(ctx, phi)[0][0])
     return EvaluationRecord(
         energy=e_val,
-        residual=residual_energy(spectrum, e_val),
-        fidelity=fidelity(state, spectrum.ground_state),
+        residual=residual_energy(ctx.spectrum, e_val),
+        fidelity=fidelity(phi[0, :, 0], ctx.ground),
         annealing_time=equivalent_annealing_time(spec, params),
     )

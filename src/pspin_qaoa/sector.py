@@ -32,7 +32,8 @@ import scipy.linalg
 
 # M^p is carried as an exact Python integer; reject anything that would not
 # fit a 128-bit signed phase accumulator.
-_MAX_PHASE_INT = 2**127
+_MAX_PHASE_BITS = 127
+_MAX_PHASE_INT = 2**_MAX_PHASE_BITS
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,10 @@ class ProblemSpec:
             raise ValueError(f"field must be finite and not a bool, got {self.field!r}")
         if self.field < 0:
             raise ValueError(f"field must be >= 0, got {self.field}")
-        if self.n_sites**self.p_exponent >= _MAX_PHASE_INT:
+        # N >= 2^(bit_length - 1), so a large p is refused before the exact power
+        if (self.n_sites.bit_length() - 1) * self.p_exponent >= _MAX_PHASE_BITS or (
+            self.n_sites**self.p_exponent >= _MAX_PHASE_INT
+        ):
             raise OverflowError(
                 f"N^p = {self.n_sites}^{self.p_exponent} exceeds the supported "
                 "128-bit integer width for phase arithmetic"
@@ -91,11 +95,13 @@ class SectorTable:
 
 @dataclass(frozen=True)
 class TargetSpectrum:
-    """Extremal eigenvalues and ground state of the sector Hamiltonian."""
+    """Extremal eigenvalues and ground state of the sector Hamiltonian, and
+    the ``gershgorin_bound`` on its norm that their accuracy is stated in."""
 
     e_min: float
     e_max: float
     ground_state: np.ndarray
+    norm_bound: float
 
 
 def plus_state(n_sites: int) -> np.ndarray:
@@ -145,6 +151,15 @@ def target_tridiagonal(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     table = sector_table(spec.n_sites, spec.p_exponent)
     return table.target_diag, -spec.field * table.x_off
+
+
+def gershgorin_bound(diag: np.ndarray, off: np.ndarray) -> float:
+    """max|d| + 2 max|o|, a bound on the norm of the symmetric tridiagonal
+    (d, o), and so on every energy of a normalized state.
+
+    For the sector target it is about N (1 + h), at least N.
+    """
+    return float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
 
 
 def reflection_even_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,9 +268,9 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
     e_min and e_max are the ends of the full-sector spectrum (for odd N the
     top state is reflection-odd, so the even block would miss e_max), each
     one LAPACK bisection (stebz) in O(N), without eigenvectors. Each is
-    accurate to a few ulp of max|d| + 2 max|o|, the Gershgorin norm bound of
-    ``dynamical_gap``, with d and o the sector diagonal and off-diagonal; the
-    tests hold them to 1e-13 times that bound against 40-digit mpmath.
+    accurate to a few ulp of ``norm_bound``, the ``gershgorin_bound`` of the
+    sector diagonal and off-diagonal; the tests hold them to 1e-13 times that
+    bound against 40-digit mpmath.
 
     The ground state is the lowest eigenvector of ``dynamics_block``, lifted to
     the sector and signed so that its largest amplitude is positive. For even
@@ -291,4 +306,6 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
         ground = -ground
     ground = ground.astype(complex)
     ground.setflags(write=False)
-    return TargetSpectrum(e_min=e_min, e_max=e_max, ground_state=ground)
+    return TargetSpectrum(
+        e_min=e_min, e_max=e_max, ground_state=ground, norm_bound=gershgorin_bound(diag, off)
+    )

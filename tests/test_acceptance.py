@@ -13,7 +13,6 @@ from fullspace import embed_sector_state, full_qaoa_state
 from pspin_qaoa.analytic import exact_p1_params
 from pspin_qaoa.engine import (
     QaoaParams,
-    cached_spectrum,
     circuit_context,
     energy,
     energy_and_gradient,
@@ -77,10 +76,9 @@ def test_criterion_03_even_sites_need_depth_2():
     for n in (4, 6):
         spec = ProblemSpec(n, 2, 0.0)
         ctx = circuit_context(spec)
-        # the cat ground state lies in the reflection-even block the even-p
-        # context works in; restrict it to that block's coordinates
-        dim = ctx.plus.size
-        targ = diagonalize_target(spec).ground_state[:dim] / ctx.lift_weight[:dim]
+        # the cat ground state, in the reflection-even block the even-p
+        # context works in
+        targ = ctx.ground
         lam, vec = ctx.xdec.eigenvalues, ctx.xdec.eigenvectors
         grid = np.linspace(0.0, np.pi, 256)
         # overlap(gamma, beta) = sum_j conj(t)V_j e^{i beta lam_j} (V^T phi)_j

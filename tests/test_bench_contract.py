@@ -64,6 +64,19 @@ def test_trace_wrappers_install_count_and_restore():
     assert experiments.dynamical_gap is sector.dynamical_gap
 
 
+def test_workload_caches_fill_and_clear():
+    # a cache that bench/workloads.py names but cannot clear would crash
+    # only a traced benchmark run
+    workloads = load_bench_module("workloads")
+    for name in workloads.WORKLOADS:
+        workloads.build_caches(workloads.configs(name, 0))
+    assert engine.circuit_context.cache_info().currsize > 0
+    assert engine.cached_spectrum.cache_info().currsize > 0
+    workloads.clear_caches()
+    assert engine.circuit_context.cache_info().currsize == 0
+    assert engine.cached_spectrum.cache_info().currsize == 0
+
+
 def test_recorded_evals_count_lockstep_rounds():
     # the restarts of a grid point share each energy/gradient call, so the
     # benchmark's evaluation count is the number of lock-step rounds: the

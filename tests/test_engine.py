@@ -26,7 +26,7 @@ from pspin_qaoa.engine import (
     qaoa_state,
     residual_energy,
 )
-from pspin_qaoa.optimizer import l_init, r_init
+from pspin_qaoa.optimizer import RandomInit, l_init, optimize, r_init
 from pspin_qaoa.sector import (
     ProblemSpec,
     diagonalize_target,
@@ -164,6 +164,12 @@ class TestBatchedEvaluation:
             e_one, grad_one = energy_and_gradient(spec, QaoaParams.from_vector(row))
             assert e_val == e_one
             np.testing.assert_array_equal(grad, grad_one)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 3), (4,), (1, 0)])
+    def test_refuses_malformed_parameter_arrays(self, shape):
+        # an odd width would drop a beta, a 1-d row would index past its end
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
+            energy_and_gradient(ProblemSpec(6, 2, 0.5), np.full(shape, 0.3))
 
     def test_deep_odd_p_gradient_against_central_differences(self):
         # P = P* = N + 1 = 129 layers on all m = 129 states of N = 128, p = 3,
@@ -398,6 +404,25 @@ class TestResidualEnergy:
         with pytest.raises(ValueError):
             residual_energy(spectrum, spectrum.e_min - 1.0)
 
+    def test_slack_scales_with_the_norm_bound(self):
+        spectrum = diagonalize_target(ProblemSpec(64, 2, 1e6))
+        slack = 1e-12 * spectrum.norm_bound
+        assert residual_energy(spectrum, spectrum.e_min - 0.5 * slack) == 0.0
+        assert residual_energy(spectrum, spectrum.e_max + 0.5 * slack) == 1.0
+        with pytest.raises(ValueError, match="outside spectrum"):
+            residual_energy(spectrum, spectrum.e_min - 2.0 * slack)
+
+    @pytest.mark.parametrize("n,h", [(64, 1e6), (64, 1e8), (65, 1e8), (64, 1e12), (65, 1e12)])
+    def test_near_ground_state_at_large_field(self, n, h):
+        # |+> is nearly the ground state of -h X; its full-sector energy lands
+        # below e_min by roundoff of the size of h N (1.5e-6 at h = 1e6), which
+        # an absolute slack refused
+        spec = ProblemSpec(n, 2, h)
+        params = params_of(1e-9, 0.0)
+        spectrum = diagonalize_target(spec)
+        assert residual_energy(spectrum, energy(spec, qaoa_state(spec, params))) < 1e-12
+        assert evaluate(spec, params).residual < 1e-12
+
 
 class TestFidelity:
     def test_self_and_orthogonal(self):
@@ -507,6 +532,12 @@ class TestAnnealingTime:
         assert taus[9] / taus[3] == pytest.approx(8.2, abs=0.2)
 
 
+# odd p, even p with odd and even N, N = 1 (a one-state block for even p)
+EVALUATE_SPECS = [
+    (9, 3, 0.8), (13, 5, 0.3), (9, 2, 0.8), (15, 4, 1.7), (8, 2, 0.5), (1, 2, 0.5), (1, 3, 0.5),
+]
+
+
 class TestEvaluate:
     def test_record_consistency(self):
         spec = ProblemSpec(8, 2, 0.8)
@@ -515,3 +546,56 @@ class TestEvaluate:
         recomputed = (rec.energy - spectrum.e_min) / (spectrum.e_max - spectrum.e_min)
         assert abs(rec.residual - recomputed) < 1e-14
         assert 0.0 <= rec.fidelity <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("n,p,h", EVALUATE_SPECS)
+    def test_energy_is_the_minimized_energy(self, n, p, h):
+        spec = ProblemSpec(n, p, h)
+        for seed in range(4):
+            params = QaoaParams.from_vector(random_angles(spec, 3, seed))
+            assert evaluate(spec, params).energy == energy_and_gradient(spec, params)[0]
+
+    def test_optimized_record_reports_the_minimized_energy(self):
+        spec = ProblemSpec(11, 2, 0.6)
+        for res in optimize(spec, 3, RandomInit(), seed=[0, 1]):
+            assert res.record.energy == energy_and_gradient(spec, res.params_star)[0]
+
+    @pytest.mark.parametrize("n,p,h", EVALUATE_SPECS + [(512, 2, 1.0), (128, 3, 0.7)])
+    def test_matches_the_full_sector(self, n, p, h):
+        # the block sums the terms of the lifted energy and overlap in another
+        # order; over 400 random points the gaps were at most 2.3e-16 of the
+        # norm bound and 4.5e-16
+        spec = ProblemSpec(n, p, h)
+        spectrum = diagonalize_target(spec)
+        for seed in range(4):
+            params = QaoaParams.from_vector(random_angles(spec, 3, seed))
+            rec = evaluate(spec, params)
+            state = qaoa_state(spec, params)
+            assert abs(rec.energy - energy(spec, state)) <= 1e-14 * spectrum.norm_bound
+            assert abs(rec.fidelity - fidelity(state, spectrum.ground_state)) <= 1e-14
+
+    def test_reaches_no_full_sector_path(self, monkeypatch):
+        spec = ProblemSpec(10, 2, 0.9)
+        circuit_context(spec)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate left the block")
+
+        for name in ("energy", "qaoa_state", "target_tridiagonal", "cached_spectrum",
+                     "diagonalize_target"):
+            monkeypatch.setattr(engine, name, refuse)
+        assert 0.0 <= evaluate(spec, r_init(2, 3)).residual <= 1.0
+
+    def test_context_diagonalizes_the_target_once(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return diagonalize_target(spec)
+
+        monkeypatch.setattr(engine, "diagonalize_target", counted)
+        spec = ProblemSpec(10, 3, 0.123456789)  # a spec no other test builds
+        for seed in range(3):
+            evaluate(spec, r_init(2, seed))
+            energy_and_gradient(spec, r_init(2, seed))
+        assert engine.cached_spectrum(spec) is circuit_context(spec).spectrum
+        assert calls == [spec]

@@ -290,6 +290,16 @@ class TestRunners:
             assert r.record.residual == 0.0
             assert r.record.fidelity == pytest.approx(1.0, abs=1e-12)
 
+    def test_large_field_sweep_point(self):
+        # mid-spectrum energies near 0 carry imaginary roundoff of the size
+        # of ||H|| ~ h N, which a check relative to |E| refused
+        cfg = ExperimentConfig(
+            kind="field-sweep", p_exponent=2, n_grid=(64,), depth_grid=(1,),
+            h_grid=(1e6,), n_restarts=2,
+        )
+        (row,) = run_experiment(cfg)
+        assert row.status == "ok"
+
     def test_sweep_failure_keeps_exception_type(self, monkeypatch):
         def boom(args):
             raise ZeroDivisionError("boom")

@@ -41,6 +41,16 @@ class TestProblemSpec:
         with pytest.raises(OverflowError):
             ProblemSpec(1024, 13)
 
+    @pytest.mark.parametrize("n,p", [(2, 126), (3, 80), (1, 10**9)])
+    def test_accepts_powers_below_the_phase_width(self, n, p):
+        assert ProblemSpec(n, p).p_exponent == p
+
+    @pytest.mark.parametrize("n,p", [(2, 127), (3, 81), (3, 10**18)])
+    def test_refuses_powers_at_the_phase_width(self, n, p):
+        # (3, 10**18) would never finish if the exact power came first
+        with pytest.raises(OverflowError, match="128-bit"):
+            ProblemSpec(n, p)
+
     @pytest.mark.parametrize("field", [float("nan"), float("inf"), float("-inf"), True])
     def test_rejects_non_finite_field(self, field):
         with pytest.raises(ValueError, match="field must be finite"):
@@ -195,7 +205,7 @@ class TestSectorTable:
         ctx = CircuitContext(spec)
         for arr in (
             target_tridiagonal(spec)[0], table.hz_float, table.target_diag,
-            table.x_off, ctx.hz_float, ctx.target_diag, ctx.x_off,
+            table.x_off, ctx.hz_float, ctx.target_diag, ctx.x_off, ctx.ground,
         ):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
@@ -330,6 +340,7 @@ class TestDiagonalizeTarget:
         e_min, e_max = mp_spectrum_ends(n, p, h)
         assert abs(spectrum.e_min - e_min) <= 1e-13 * norm_bound(spec)
         assert abs(spectrum.e_max - e_max) <= 1e-13 * norm_bound(spec)
+        assert spectrum.norm_bound == norm_bound(spec)
 
     @pytest.mark.parametrize("n", [6, 9, 10])
     @pytest.mark.parametrize("p", [2, 3, 4])
