@@ -13,17 +13,18 @@ spectral decomposition V diag(lam) V^T of collective-X.
 
 One kernel serves the state, the energy and the adjoint gradient, for R
 parameter vectors at once: R circuits run as an (R, m, k) stack, row r
-with its own angles. The phase layer multiplies row r by the factors
-exp(-i gamma_r hz), the mixer by exp(i beta_r lam) between two real GEMMs
-(V^T, then V) on the (m, 2k) float64 view of each row, as V is real. Each
-row's GEMMs and sums are the BLAS calls a lone circuit makes, so a row's
-numbers never depend on the other rows. The forward sweep keeps the factors
-of every layer; the reverse sweep carries each row's state and adjoint
-vector as one (m, 2) block and undoes each layer on it with the conjugated
-forward factors, so each reverse layer is one mixer call and one multiply
-for the whole stack. ``evaluate`` takes its energy and fidelity from the
-same forward sweep, in the block; only ``qaoa_state`` lifts a state back to
-the N+1 sector amplitudes.
+with its own angles, and a lone circuit is the stack of one. The phase
+layer multiplies row r by the factors exp(-i gamma_r hz), the mixer by
+exp(i beta_r lam) between two real GEMMs (V^T, then V) on the (m, 2k)
+float64 view of each row, as V is real; the kernels take those factors,
+computed once per sweep, never the angles. Each row's GEMMs and sums are
+the BLAS calls its batch of one makes, so a row's numbers never depend on
+the other rows. The forward sweep keeps the factors of every layer; the
+reverse sweep carries each row's state and adjoint vector as one (m, 2)
+block and undoes each layer on it with the conjugated forward factors, so
+each reverse layer is one mixer call and one multiply for the whole stack.
+``evaluate`` takes its energy and fidelity from the same forward sweep, in
+the block; only ``qaoa_state`` lifts a state back to the N+1 sector amplitudes.
 """
 
 from __future__ import annotations
@@ -64,14 +65,13 @@ class QaoaParams:
         b = np.atleast_1d(np.asarray(self.betas, dtype=float))
         if g.shape != b.shape or g.ndim != 1 or g.size < 1:
             raise ValueError("gammas and betas must be equal-length 1-d sequences, P >= 1")
+        for name, angles in (("gammas", g), ("betas", b)):
+            if not np.all(np.isfinite(angles)):
+                raise ValueError(f"{name} must be finite, got {angles}")
         g.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "gammas", g)
         object.__setattr__(self, "betas", b)
-
-    @property
-    def depth(self) -> int:
-        return self.gammas.size
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.gammas, self.betas])
@@ -107,6 +107,8 @@ class CircuitContext:
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         n, p = spec.n_sites, spec.p_exponent
+        # first, so that a V too large to hold is refused before anything is built
+        self.xdec: XSpectralDecomposition = x_spectral_decomposition(n, even_parity=p % 2 == 0)
         table = sector_table(n, p)
         self.x_diag, self.x_off = dynamics_block(p, np.zeros(n + 1), table.x_off)
         self.target_diag, self.target_off = dynamics_block(p, *target_tridiagonal(spec))
@@ -115,7 +117,6 @@ class CircuitContext:
         self.hz: tuple[int, ...] = table.hz[:dim]
         self.max_abs_hz: int = table.max_abs_hz
         self.hz_float = table.hz_float[:dim]
-        self.xdec: XSpectralDecomposition = x_spectral_decomposition(n, even_parity=p % 2 == 0)
         self.plus = plus_state(n)[:dim] / self.lift_weight[:dim]
         self.spectrum: TargetSpectrum = diagonalize_target(spec)
         self.ground = self.spectrum.ground_state[:dim] / self.lift_weight[:dim]
@@ -146,35 +147,27 @@ class CircuitContext:
         """exp(i beta lam) in the collective-X eigenbasis, shape beta.shape + (m,)."""
         return np.exp(1j * np.multiply.outer(beta, self.xdec.eigenvalues))
 
-    def apply_phase(self, state: np.ndarray, gamma) -> np.ndarray:
-        """exp(-i gamma Hz) on a vector, on each column of an (m, k) block,
-        or on an (R, m, k) stack of R such blocks with angle gamma[r] for
-        block r.
+    def apply_phase(self, state: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """exp(-i gamma Hz) on each column of an (m, k) block, given the (m,)
+        ``phase_factors`` of gamma, or on an (R, m, k) stack, given the (R, m)
+        factors of R angles, row r for block r."""
+        return state * factors[..., None]
 
-        ``gamma`` is one angle, R angles, or the complex factors
-        ``phase_factors`` returned for them.
+    def apply_mixer(self, state: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """exp(-i beta Hx) on each column of an (m, k) block, given the (m,)
+        ``mixer_factors`` of beta, or on an (R, m, k) stack, given the (R, m)
+        factors of R angles, row r for block r. Conjugated, the factors undo
+        the layer.
+
+        V is real, so both products are real GEMMs on the (m, 2k) float64
+        view of each complex block. A stack makes one GEMM per block, each
+        rounded exactly as if that block came alone.
         """
-        factors = gamma if np.iscomplexobj(gamma) else self.phase_factors(gamma)
-        return state * (factors if state.ndim == 1 else factors[..., None])
-
-    def apply_mixer(self, state: np.ndarray, beta) -> np.ndarray:
-        """exp(-i beta Hx) on a vector, on each column of an (m, k) block,
-        or on an (R, m, k) stack of R such blocks with angle beta[r] for
-        block r.
-
-        ``beta`` is one angle, R angles, or the complex factors
-        ``mixer_factors`` returned for them (conjugated, they undo the
-        layer). V is real, so both products are real GEMMs on the (m, 2k)
-        float64 view of each complex block. A stack makes one GEMM per
-        block, each rounded exactly as if that block came alone.
-        """
-        factors = beta if np.iscomplexobj(beta) else self.mixer_factors(beta)
         v = self.xdec.eigenvectors
         state = np.ascontiguousarray(state, dtype=complex)
-        blocks = state[:, None] if state.ndim == 1 else state
-        rotated = (v.T @ blocks.view(np.float64)).view(complex)
+        rotated = (v.T @ state.view(np.float64)).view(complex)
         rotated *= factors[..., None]
-        return (v @ rotated.view(np.float64)).view(complex).reshape(state.shape)
+        return (v @ rotated.view(np.float64)).view(complex)
 
     def apply_x(self, state: np.ndarray) -> np.ndarray:
         return _tridiagonal_product(self.x_diag, self.x_off, state)
@@ -184,14 +177,13 @@ class CircuitContext:
 
 
 def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """The symmetric tridiagonal (diag, off) times a state vector, or times
-    each column of an (m, k) block or an (R, m, k) stack."""
-    blocks = state[:, None] if state.ndim == 1 else state
+    """The symmetric tridiagonal (diag, off) times each column of an (m, k)
+    block or of an (R, m, k) stack."""
     diag, off = diag[:, None], off[:, None]
-    out = diag * blocks
-    out[..., :-1, :] += off * blocks[..., 1:, :]
-    out[..., 1:, :] += off * blocks[..., :-1, :]
-    return out.reshape(state.shape)
+    out = diag * state
+    out[..., :-1, :] += off * state[..., 1:, :]
+    out[..., 1:, :] += off * state[..., :-1, :]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +208,8 @@ def _exact_angles(gamma: float, hz_ints, max_abs_hz: int) -> np.ndarray:
 
 
 def qaoa_state(spec: ProblemSpec, params: QaoaParams) -> np.ndarray:
-    """Run the full circuit on |+>, phase layer first within each step.
+    """Run the full circuit on |+>, phase layer first within each step, as
+    a batch of one.
 
     Returns the N+1 amplitudes of the sector, also for even p.
     """
@@ -247,7 +240,7 @@ def energy(spec: ProblemSpec, state: np.ndarray) -> float:
             f"got a state of shape {state.shape}"
         )
     diag, off = target_tridiagonal(spec)
-    val = np.vdot(state, _tridiagonal_product(diag, off, state))
+    val = np.vdot(state, _tridiagonal_product(diag, off, state[:, None]))
     return float(_real_energy(val, gershgorin_bound(diag, off)))
 
 
@@ -302,16 +295,17 @@ def equivalent_annealing_time(spec: ProblemSpec, params: QaoaParams) -> float:
     return float(np.sum(params.betas) + scale * np.sum(params.gammas))
 
 
-def energy_and_gradient(spec: ProblemSpec, params):
+def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     """Exact analytic gradient of the energy via one forward and one adjoint sweep.
 
-    ``params`` is a ``QaoaParams``, giving ``(energy, gradient)`` with the
-    gradient ordered like ``to_vector``, or an (R, 2P) array of R such
-    parameter vectors, giving ``(energies (R,), gradients (R, 2P))``. The R
-    circuits run as one stack through every kernel call, and each row's
-    numbers are bit-identical to its own single call: the mixer makes one
-    GEMM per row, and each sum over the sector is one BLAS dot per row. An
-    array that is not 2-d with an even width of at least 2 is refused.
+    ``x`` is an (R, 2P) array of R parameter vectors, each ordered like
+    ``QaoaParams.to_vector``; returns ``(energies (R,), gradients (R, 2P))``.
+    A single vector is the batch of one, ``x[None]``. The R circuits run as
+    one stack through every kernel call, and each row's numbers are
+    bit-identical to its own batch of one: the mixer makes one GEMM per row,
+    and each sum over the sector is one BLAS dot per row. Anything that is
+    not a 2-d array with an even width of at least 2, a ``QaoaParams``
+    included, is refused.
 
     The forward sweep keeps the 2P factor arrays of its layers, 32 P m R
     bytes (66 kB at m = 257, P = 4, R = 2; 8.4 MB at m = 513, P = 513,
@@ -326,10 +320,10 @@ def energy_and_gradient(spec: ProblemSpec, params):
     within 1.3e-14; at N = 1024, p = 2 (P* = 514) the drift was 1.3e-13.
     """
     ctx = circuit_context(spec)
-    single = isinstance(params, QaoaParams)
-    x = params.to_vector()[None] if single else np.asarray(params, dtype=float)
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] % 2:
         raise ValueError(f"parameter rows must form an (R, 2P) array, P >= 1; got shape {x.shape}")
+    x = x.astype(float, copy=False)
     depth = x.shape[1] // 2
     # d/dgamma of the phase layer brings down +i M^p = -i hz
     i_d_diag = 1j * -ctx.hz_float
@@ -347,10 +341,7 @@ def energy_and_gradient(spec: ProblemSpec, params):
         block = ctx.apply_mixer(block, undo_mixer[:, m])
         overlaps[:, m] = np.vecdot(block[..., 1], i_d_diag * block[..., 0])
         block *= undo_phase[:, m]
-    grad = 2.0 * overlaps.real
-    if single:
-        return float(e_val[0]), grad[0]
-    return e_val, grad
+    return e_val, 2.0 * overlaps.real
 
 
 def evaluate(spec: ProblemSpec, params: QaoaParams) -> EvaluationRecord:

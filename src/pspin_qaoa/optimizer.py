@@ -4,23 +4,26 @@ Dense inverse-Hessian BFGS with a strong-Wolfe line search (bracketing plus
 zoom, Nocedal-Wright style), written from scratch so that termination,
 iteration counts and determinism are fully under our control. Each run is a
 generator of trial points, so the restarts of a multi-start step in
-lock-step and share one batched energy/gradient call per round.
+lock-step and share one batched energy/gradient call per round; a single
+run is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .engine import QaoaParams, EvaluationRecord, energy_and_gradient, evaluate
 from .sector import ProblemSpec
 
-Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# (k, dim) trial points -> their k values and (k, dim) gradients
+Objective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 # BFGS termination: gradient infinity-norm, iteration cap, relative energy
 # change counted as stagnant; strong-Wolfe sufficient-decrease and curvature
@@ -108,8 +111,7 @@ def derive_seed(*keys) -> int:
 
 def r_init(depth: int, seed: int) -> QaoaParams:
     """2P independent uniform draws in [0, pi]."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_count("depth", depth)
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, np.pi, size=2 * depth)
     return QaoaParams(gammas=x[:depth], betas=x[depth:])
@@ -125,8 +127,7 @@ def l_init(
     """Linear-schedule start: gamma_m = dt (m/P) / N^(p-1),
     beta_m = dt (1 - (m/P)(1-h)), each entry scaled by (1 + r) with
     r uniform in [-noise_amplitude, +noise_amplitude]."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_count("depth", depth)
     _check_schedule(dt, noise_amplitude)
     m = np.arange(1, depth + 1) / depth
     gammas = dt * m / spec.n_sites ** (spec.p_exponent - 1)
@@ -137,6 +138,11 @@ def l_init(
         gammas = gammas * noise[:depth]
         betas = betas * noise[depth:]
     return QaoaParams(gammas=gammas, betas=betas)
+
+
+def _check_count(name: str, value: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_schedule(dt: float, noise_amplitude: float) -> None:
@@ -206,31 +212,22 @@ def _strong_wolfe(
     return None
 
 
-def bfgs_minimize(objective: Objective, x0):
-    """Minimize a smooth objective returning (value, gradient).
+def bfgs_minimize(objective: Objective, x0: np.ndarray) -> list[BfgsResult]:
+    """Minimize a smooth objective from each of R start points.
 
-    ``x0`` is one start point, giving a ``BfgsResult``, or an (R, dim) array
-    of R start points, giving a list of R results. For R starts the
-    objective takes a (k, dim) array of k trial points and returns their k
-    values and (k, dim) gradients: the R runs step in lock-step, each
-    round evaluating the next trial point of every run still going in one
-    call, and a run leaves the batch when it stops. A run's path depends
-    only on the values it receives. Each run terminates on gradient
-    infinity-norm, relative stagnation, line-search failure, or MAX_ITERS;
-    deterministic for a deterministic objective.
+    ``x0`` is an (R, dim) array, one start point per row, and a single start
+    is the batch of one; returns a list of R results. The objective takes a
+    (k, dim) array of k trial points and returns their k values and (k, dim)
+    gradients: the R runs step in lock-step, each round evaluating the next
+    trial point of every run still going in one call, and a run leaves the
+    batch when it stops. A run's path depends only on the values it
+    receives. Each run terminates on gradient infinity-norm, relative
+    stagnation, line-search failure, or MAX_ITERS; deterministic for a
+    deterministic objective.
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 2:
-        return _lockstep(objective, x0)
-
-    def batch_of_one(points):
-        f, g = objective(points[0])
-        return [f], [g]
-
-    return _lockstep(batch_of_one, x0[None])[0]
-
-
-def _lockstep(objective, x0: np.ndarray) -> list[BfgsResult]:
+    if x0.ndim != 2 or 0 in x0.shape:
+        raise ValueError(f"start points must form an (R, dim) array, R, dim >= 1; got shape {x0.shape}")
     runs = [_bfgs(x) for x in x0]
     points = [next(run) for run in runs]
     n_evals = [0] * len(runs)
@@ -310,20 +307,21 @@ def optimize(
     spec: ProblemSpec,
     depth: int,
     scheme: InitScheme,
-    seed: Union[int, Sequence[int]] = 0,
+    seeds: Sequence[int],
 ):
-    """Run BFGS on the analytic energy/gradient from the scheme's start point.
+    """Run BFGS on the analytic energy/gradient from the scheme's start points.
 
-    ``seed`` is one seed, giving an ``OptimizationResult``, or a sequence of
-    seeds, giving a tuple of results: one restart per seed, all run in
-    lock-step through one batched ``energy_and_gradient`` call per round.
+    One restart per seed, a single one being the batch of one, all run in
+    lock-step through one batched ``energy_and_gradient`` call per round;
+    returns a tuple of results in the order of ``seeds``.
 
     Internally the gamma coordinates are rescaled by N^(p-1): the phase layer
     winds as gamma M^p with |M^p| up to N^p, so the raw landscape curvature is
     wildly anisotropic between gamma and beta directions. The rescaling acts
     as a diagonal preconditioner and does not change the reported optimum.
     """
-    seeds = (seed,) if isinstance(seed, Integral) else tuple(seed)
+    if not isinstance(seeds, Sequence) or not seeds:
+        raise ValueError(f"seeds must be a non-empty sequence, got {type(seeds).__name__} {seeds!r}")
     scale = float(spec.n_sites ** (spec.p_exponent - 1))
 
     def objective(z):
@@ -347,7 +345,7 @@ def optimize(
             scheme=scheme,
             seed=s,
         ))
-    return results[0] if isinstance(seed, Integral) else tuple(results)
+    return tuple(results)
 
 
 def multi_start(
@@ -359,10 +357,9 @@ def multi_start(
 ) -> MultiStartStats:
     """Independent seeded restarts, run in lock-step by one ``optimize``
     call; statistics are order-independent."""
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be >= 1")
+    _check_count("n_restarts", n_restarts)
     seeds = [derive_seed(base_seed, i) for i in range(n_restarts)]
-    results = optimize(spec, depth, scheme, seed=seeds)
+    results = optimize(spec, depth, scheme, seeds)
     residuals = np.array([r.record.residual for r in results])
     iters = np.array([r.n_iters for r in results], dtype=float)
     return MultiStartStats(

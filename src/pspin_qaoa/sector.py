@@ -34,6 +34,8 @@ import scipy.linalg
 # fit a 128-bit signed phase accumulator.
 _MAX_PHASE_BITS = 127
 _MAX_PHASE_INT = 2**_MAX_PHASE_BITS
+# the largest collective-X eigenvector matrix V (m^2 float64): m <= 11585
+_MAX_MIXER_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -217,8 +219,15 @@ def x_spectral_decomposition(n_sites: int, even_parity: bool = False) -> XSpectr
 
     With ``even_parity`` it decomposes the reflection-even block of
     ``reflection_even_tridiagonal`` instead of the whole sector: floor(N/2)+1
-    states, eigenvalues N - 2j for even j.
+    states, eigenvalues N - 2j for even j. Refused with a ValueError, before
+    anything is allocated, when V would exceed ``_MAX_MIXER_BYTES``.
     """
+    dim = n_sites // 2 + 1 if even_parity else n_sites + 1
+    if 8 * dim**2 > _MAX_MIXER_BYTES:
+        raise ValueError(
+            f"the collective-X eigenvectors of N = {n_sites} (m = {dim} states) "
+            f"would take {8 * dim**2} bytes, over the limit of {_MAX_MIXER_BYTES}"
+        )
     diag = np.zeros(n_sites + 1)
     off = _x_off_diagonal(n_sites)
     if even_parity:

@@ -86,7 +86,7 @@ def test_criterion_03_even_sites_need_depth_2():
         mixers = np.exp(1j * np.outer(grid, lam))  # (n_beta, N+1)
         best = 0.0
         for gamma in grid:
-            phi = ctx.apply_phase(ctx.plus, gamma)
+            phi = ctx.apply_phase(ctx.plus[:, None], ctx.phase_factors(gamma))[:, 0]
             weights = t_side * (vec.T @ phi)
             best = max(best, float(np.max(np.abs(mixers @ weights) ** 2)))
         stats = multi_start(spec, 2, RandomInit(), n_restarts=10, base_seed=0)
@@ -160,7 +160,7 @@ def test_criterion_07_gradient_vs_finite_differences():
         depth = int(rng.integers(1, 9))
         spec = ProblemSpec(n, p, h)
         x = r_init(depth, int(rng.integers(2**63))).to_vector()
-        _, grad = energy_and_gradient(spec, QaoaParams.from_vector(x))
+        _, (grad,) = energy_and_gradient(spec, x[None])
         for i in range(x.size):
             if abs(grad[i]) <= 1e-8:
                 continue

@@ -52,21 +52,37 @@ def context(n, p=2):
     return circuit_context(ProblemSpec(n, p))
 
 
+def phase(ctx, psi, gamma):
+    """One phase layer on a single state, run as a block of one column."""
+    return ctx.apply_phase(psi[:, None], ctx.phase_factors(gamma))[:, 0]
+
+
+def mix(ctx, psi, beta):
+    """One mixer layer on a single state, run as a block of one column."""
+    return ctx.apply_mixer(psi[:, None], ctx.mixer_factors(beta))[:, 0]
+
+
+def energy_grad(spec, params):
+    """``energy_and_gradient`` of one ``QaoaParams``, run as a batch of one."""
+    energies, grads = energy_and_gradient(spec, params.to_vector()[None])
+    return energies[0], grads[0]
+
+
 class TestPhaseLayer:
     def test_zero_angle_is_identity(self):
         ctx = context(6, 2)
         psi = random_vector(ctx.plus.size, 1)
-        np.testing.assert_allclose(ctx.apply_phase(psi, 0.0), psi)
+        np.testing.assert_allclose(phase(ctx, psi, 0.0), psi)
 
     def test_single_spin_global_phase(self):
         # N=1, p=3, gamma=pi: phases exp(+-i pi) are a common factor of -1
         psi = random_state(1, 2)
-        out = context(1, 3).apply_phase(psi, np.pi)
+        out = phase(context(1, 3), psi, np.pi)
         np.testing.assert_allclose(out, -psi, atol=1e-14)
 
     def test_norm_preserved(self):
         psi = random_state(9, 3)
-        out = context(9, 3).apply_phase(psi, 0.3)
+        out = phase(context(9, 3), psi, 0.3)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("n,p,gamma", [(200, 16, 2.9), (300, 15, 1.234567), (1000, 12, 0.7)])
@@ -75,7 +91,7 @@ class TestPhaseLayer:
         # 53 + bit_length(N^p) bits must be reduced mod 2 pi without rounding
         ctx = context(n, p)
         assert abs(gamma) * ctx.max_abs_hz > 2.0**53
-        out = ctx.apply_phase(np.ones(ctx.plus.size, dtype=complex), gamma)
+        out = phase(ctx, np.ones(ctx.plus.size, dtype=complex), gamma)
         with mpmath.workprec(512):
             g, two_pi = mpmath.mpf(gamma), 2 * mpmath.pi
             expected = np.array([complex(mpmath.expj(-mpmath.fmod(g * v, two_pi))) for v in ctx.hz])
@@ -86,20 +102,20 @@ class TestMixerLayer:
     def test_zero_angle_is_identity(self):
         ctx = context(5)
         psi = random_vector(ctx.plus.size, 4)
-        out = ctx.apply_mixer(psi, 0.0)
+        out = mix(ctx, psi, 0.0)
         np.testing.assert_allclose(out, psi, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_pi_shift_is_global_phase(self, n):
         ctx = context(n)
         psi = random_vector(ctx.plus.size, 5)
-        out = ctx.apply_mixer(psi, np.pi)
+        out = mix(ctx, psi, np.pi)
         assert abs(abs(np.vdot(psi, out)) - 1.0) < 1e-12
 
     def test_plus_state_is_eigenstate(self):
         ctx = context(8)
         plus = ctx.plus
-        out = ctx.apply_mixer(plus, 0.77)
+        out = mix(ctx, plus, 0.77)
         assert abs(fidelity(out, plus) - 1.0) < 1e-12
         np.testing.assert_allclose(out, np.exp(1j * 0.77 * 8) * plus, atol=1e-12)
 
@@ -111,24 +127,24 @@ class TestBlockKernel:
     def test_mixer_block_matches_columns(self, n):
         ctx = context(n)
         block = np.stack([random_vector(ctx.plus.size, seed) for seed in (6, 7, 8)], axis=1)
-        out = ctx.apply_mixer(block, 0.41)
+        out = ctx.apply_mixer(block, ctx.mixer_factors(0.41))
         assert out.shape == block.shape
         for j in range(3):
-            column = ctx.apply_mixer(block[:, j], 0.41)
+            column = mix(ctx, block[:, j], 0.41)
             np.testing.assert_allclose(out[:, j], column, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 8, 129])
     def test_phase_block_matches_columns(self, n):
         ctx = context(n, 3)
         block = np.stack([random_state(n, seed) for seed in (9, 10, 11)], axis=1)
-        out = ctx.apply_phase(block, 0.23)
+        out = ctx.apply_phase(block, ctx.phase_factors(0.23))
         for j in range(3):
-            np.testing.assert_array_equal(out[:, j], ctx.apply_phase(block[:, j], 0.23))
+            np.testing.assert_array_equal(out[:, j], phase(ctx, block[:, j], 0.23))
 
 
 class TestBatchedEvaluation:
     """R parameter vectors evaluate as one stack; every row's numbers are
-    exactly those of its own single call."""
+    exactly those of the same row run as a batch of one."""
 
     @pytest.mark.parametrize("n,p", [(13, 3), (32, 3), (512, 2), (512, 3)])
     def test_rows_match_single_calls(self, n, p):
@@ -137,7 +153,7 @@ class TestBatchedEvaluation:
         energies, grads = energy_and_gradient(spec, rows)
         assert energies.shape == (5,) and grads.shape == (5, 6)
         for row, e_val, grad in zip(rows, energies, grads):
-            e_one, grad_one = energy_and_gradient(spec, QaoaParams.from_vector(row))
+            (e_one,), (grad_one,) = energy_and_gradient(spec, row[None])
             assert e_val == e_one
             np.testing.assert_array_equal(grad, grad_one)
 
@@ -161,7 +177,7 @@ class TestBatchedEvaluation:
         energies, grads = energy_and_gradient(spec, rows)
         assert exact_calls == [0.5]
         for row, e_val, grad in zip(rows, energies, grads):
-            e_one, grad_one = energy_and_gradient(spec, QaoaParams.from_vector(row))
+            (e_one,), (grad_one,) = energy_and_gradient(spec, row[None])
             assert e_val == e_one
             np.testing.assert_array_equal(grad, grad_one)
 
@@ -170,6 +186,11 @@ class TestBatchedEvaluation:
         # an odd width would drop a beta, a 1-d row would index past its end
         with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
             energy_and_gradient(ProblemSpec(6, 2, 0.5), np.full(shape, 0.3))
+
+    def test_refuses_qaoa_params(self):
+        # one parameter vector is the batch of one, x[None]
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            energy_and_gradient(ProblemSpec(6, 2, 0.5), params_of(0.3, 0.3))
 
     def test_deep_odd_p_gradient_against_central_differences(self):
         # P = P* = N + 1 = 129 layers on all m = 129 states of N = 128, p = 3,
@@ -181,10 +202,10 @@ class TestBatchedEvaluation:
         depth = 129
         unit = natural_units(spec, depth)
         x = random_angles(spec, depth, 11)
-        _, grad = energy_and_gradient(spec, QaoaParams.from_vector(x))
+        _, (grad,) = energy_and_gradient(spec, x[None])
 
         def energy_at(y):
-            return energy_and_gradient(spec, QaoaParams.from_vector(y))[0]
+            return energy_and_gradient(spec, y[None])[0][0]
 
         rng = np.random.default_rng(12)
         step = 3e-5
@@ -345,7 +366,7 @@ class TestReflectionEvenBlock:
         spec = ProblemSpec(n, p, h)
         dense = DenseSectorCircuit(spec)
         x = random_angles(spec, depth, seed)
-        e_val, grad = energy_and_gradient(spec, QaoaParams.from_vector(x))
+        (e_val,), (grad,) = energy_and_gradient(spec, x[None])
         assert abs(e_val - dense.energy(x)) < 1e-10 * max(1.0, abs(e_val))
         unit = natural_units(spec, depth)
         step = 5e-5
@@ -456,26 +477,26 @@ class TestGradient:
     def test_against_finite_differences(self):
         spec = ProblemSpec(8, 2, 1.0)
         params = params_of(0.3, 0.7)
-        _, grad = energy_and_gradient(spec, params)
+        _, grad = energy_grad(spec, params)
         fd = self.finite_difference(spec, params)
         mask = np.abs(grad) > 1e-8
         assert np.all(np.abs(grad[mask] - fd[mask]) / np.abs(grad[mask]) < 1e-6)
 
     def test_vanishes_at_exact_minimum(self):
         spec = ProblemSpec(5, 3, 0.0)
-        _, grad = energy_and_gradient(spec, params_of(np.pi / 4, np.pi / 4))
+        _, grad = energy_grad(spec, params_of(np.pi / 4, np.pi / 4))
         assert np.max(np.abs(grad)) < 1e-10
 
     def test_beta_direction_flat_at_origin(self):
         # |+> is an eigenstate of the mixer, so the first beta is a pure phase
         spec = ProblemSpec(10, 2, 5.0)
-        _, grad = energy_and_gradient(spec, params_of([0.0, 0.0], [0.0, 0.0]))
+        _, grad = energy_grad(spec, params_of([0.0, 0.0], [0.0, 0.0]))
         assert abs(grad[2]) < 1e-12
 
     def test_energy_value_matches_plain_evaluation(self):
         spec = ProblemSpec(9, 3, 0.8)
         params = r_init(4, 77)
-        e_grad, _ = energy_and_gradient(spec, params)
+        e_grad, _ = energy_grad(spec, params)
         e_plain = energy(spec, qaoa_state(spec, params))
         assert abs(e_grad - e_plain) < 1e-13
 
@@ -484,7 +505,7 @@ class TestGradient:
         # gamma multiplies |M|^p up to N^p, so its step is scaled by N^-(p-1)
         spec = ProblemSpec(512, 2, 1.0)
         params = l_init(4, spec, seed=0)
-        e_grad, grad = energy_and_gradient(spec, params)
+        e_grad, grad = energy_grad(spec, params)
         assert abs(e_grad - evaluate(spec, params).energy) < 1e-12
         x = params.to_vector()
         steps = np.concatenate([np.full(4, 1e-5 / 512), np.full(4, 1e-5)])
@@ -507,9 +528,22 @@ class TestSymmetries:
         spec = ProblemSpec(7, 3, 0.6)
         params = r_init(3, seed)
         flipped = QaoaParams(gammas=-params.gammas, betas=-params.betas)
-        e1, _ = energy_and_gradient(spec, params)
-        e2, _ = energy_and_gradient(spec, flipped)
+        e1, _ = energy_grad(spec, params)
+        e2, _ = energy_grad(spec, flipped)
         assert abs(e1 - e2) < 1e-12
+
+
+class TestQaoaParams:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=str)
+    def test_refuses_non_finite_angles(self, bad):
+        # refused at construction: in the kernels an inf angle warns and
+        # ends in the misleading "energy nan outside spectrum"
+        with pytest.raises(ValueError, match="gammas"):
+            evaluate(ProblemSpec(8, 3, 0.5), QaoaParams([bad], [0.1]))
+        with pytest.raises(ValueError, match="betas"):
+            QaoaParams([0.1, 0.2], [0.3, bad])
+        with pytest.raises(ValueError, match="gammas"):
+            QaoaParams.from_vector([0.1, bad, 0.3, 0.4])
 
 
 class TestAnnealingTime:
@@ -552,12 +586,12 @@ class TestEvaluate:
         spec = ProblemSpec(n, p, h)
         for seed in range(4):
             params = QaoaParams.from_vector(random_angles(spec, 3, seed))
-            assert evaluate(spec, params).energy == energy_and_gradient(spec, params)[0]
+            assert evaluate(spec, params).energy == energy_grad(spec, params)[0]
 
     def test_optimized_record_reports_the_minimized_energy(self):
         spec = ProblemSpec(11, 2, 0.6)
-        for res in optimize(spec, 3, RandomInit(), seed=[0, 1]):
-            assert res.record.energy == energy_and_gradient(spec, res.params_star)[0]
+        for res in optimize(spec, 3, RandomInit(), [0, 1]):
+            assert res.record.energy == energy_grad(spec, res.params_star)[0]
 
     @pytest.mark.parametrize("n,p,h", EVALUATE_SPECS + [(512, 2, 1.0), (128, 3, 0.7)])
     def test_matches_the_full_sector(self, n, p, h):
@@ -596,6 +630,6 @@ class TestEvaluate:
         spec = ProblemSpec(10, 3, 0.123456789)  # a spec no other test builds
         for seed in range(3):
             evaluate(spec, r_init(2, seed))
-            energy_and_gradient(spec, r_init(2, seed))
+            energy_grad(spec, r_init(2, seed))
         assert engine.cached_spectrum(spec) is circuit_context(spec).spectrum
         assert calls == [spec]

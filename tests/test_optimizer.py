@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,21 @@ def rosenbrock(x):
         ]
     )
     return val, grad
+
+
+def rows_of(f):
+    """A batch objective from a single-point one, evaluated row by row."""
+    def batch(points):
+        values, grads = zip(*(f(x) for x in points))
+        return np.array(values), np.array(grads)
+
+    return batch
+
+
+def lone_run(f, x0):
+    """One BFGS run of a single-point objective, as a batch of one."""
+    (res,) = bfgs_minimize(rows_of(f), np.array([x0], dtype=float))
+    return res
 
 
 class TestSeeds:
@@ -104,22 +121,23 @@ class TestInits:
         with pytest.raises(ValueError):
             l_init(2, ProblemSpec(4, 2), dt=dt, noise_amplitude=noise)
 
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError):
-            r_init(0, 0)
-        with pytest.raises(ValueError):
-            l_init(0, ProblemSpec(4, 2))
+    @pytest.mark.parametrize("depth", [0, -1, 2.5, 2.0, True, np.float64(3.0)], ids=repr)
+    def test_rejects_bad_depth(self, depth):
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            r_init(depth, 0)
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            l_init(depth, ProblemSpec(4, 2))
 
 
 class TestBfgs:
     def test_quadratic_bowl(self):
-        res = bfgs_minimize(quadratic([1.0, 10.0, 100.0]), [1.0, 1.0, 1.0])
+        res = lone_run(quadratic([1.0, 10.0, 100.0]), [1.0, 1.0, 1.0])
         assert res.converged
         assert res.n_iters <= 15
         assert np.max(np.abs(res.x)) < 1e-8
 
     def test_rosenbrock(self):
-        res = bfgs_minimize(rosenbrock, [-1.2, 1.0])
+        res = lone_run(rosenbrock, [-1.2, 1.0])
         assert res.converged
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
         assert res.value < 1e-12
@@ -128,16 +146,16 @@ class TestBfgs:
         spec = ProblemSpec(5, 3, 0.0)
 
         def objective(x):
-            return energy_and_gradient(spec, QaoaParams.from_vector(x))
+            return energy_and_gradient(spec, x)
 
-        res = bfgs_minimize(objective, [0.78, 0.78])
+        (res,) = bfgs_minimize(objective, np.array([[0.78, 0.78]]))
         np.testing.assert_allclose(res.x, [np.pi / 4, np.pi / 4], atol=1e-8)
         psi = qaoa_state(spec, QaoaParams.from_vector(res.x))
         assert fidelity(psi, diagonalize_target(spec).ground_state) > 1 - 1e-10
 
     def test_respects_max_iters(self, monkeypatch):
         monkeypatch.setattr(optimizer, "MAX_ITERS", 3)
-        res = bfgs_minimize(rosenbrock, [-1.2, 1.0])
+        res = lone_run(rosenbrock, [-1.2, 1.0])
         assert res.n_iters == 3
         assert not res.converged
 
@@ -148,7 +166,7 @@ class TestBfgs:
             calls.append(x)
             return rosenbrock(x)
 
-        res = bfgs_minimize(counted, [-1.2, 1.0])
+        res = lone_run(counted, [-1.2, 1.0])
         assert res.n_evals == len(calls)
 
     def test_lockstep_runs_match_lone_runs(self):
@@ -160,21 +178,29 @@ class TestBfgs:
 
         def batched(points):
             rounds.append(len(points))
-            values, grads = zip(*(rosenbrock(x) for x in points))
-            return np.array(values), np.array(grads)
+            return rows_of(rosenbrock)(points)
 
         results = bfgs_minimize(batched, starts)
         assert len(rounds) == max(r.n_evals for r in results)
         assert sum(rounds) == sum(r.n_evals for r in results)
         assert rounds == sorted(rounds, reverse=True)
         for start, res in zip(starts, results):
-            alone = bfgs_minimize(rosenbrock, start)
+            alone = lone_run(rosenbrock, start)
             np.testing.assert_array_equal(res.x, alone.x)
             assert (res.n_iters, res.n_evals, res.converged) == (
                 alone.n_iters, alone.n_evals, alone.converged)
 
+    @pytest.mark.parametrize("x0", [[-1.2, 1.0], -1.2, [[[-1.2, 1.0]]], np.zeros((0, 2)), np.zeros((1, 0))],
+                             ids=lambda x0: str(np.shape(x0)))
+    def test_refuses_anything_but_a_start_array(self, x0):
+        # a 1-d start would otherwise run each coordinate as its own restart
+        calls = []
+        with pytest.raises(ValueError, match=rf"shape {re.escape(str(np.shape(x0)))}"):
+            bfgs_minimize(lambda points: calls.append(points), x0)
+        assert calls == []
+
     def test_already_at_minimum(self):
-        res = bfgs_minimize(quadratic([1.0, 1.0]), [0.0, 0.0])
+        res = lone_run(quadratic([1.0, 1.0]), [0.0, 0.0])
         assert res.converged
         assert res.n_iters == 0
 
@@ -192,7 +218,7 @@ class TestBfgs:
 
         x0 = rng.uniform(-2, 2, size=4)
         f_prev = quadratic(a)(x0)[0]
-        res = bfgs_minimize(tracked, x0)
+        res = lone_run(tracked, x0)
         assert res.converged
         assert res.value <= f_prev + 1e-15
 
@@ -209,8 +235,8 @@ class TestOptimize:
 
     def test_deterministic(self):
         spec = ProblemSpec(9, 2, 0.0)
-        r1 = optimize(spec, 3, RandomInit(), seed=11)
-        r2 = optimize(spec, 3, RandomInit(), seed=11)
+        (r1,) = optimize(spec, 3, RandomInit(), [11])
+        (r2,) = optimize(spec, 3, RandomInit(), [11])
         np.testing.assert_array_equal(
             r1.params_star.to_vector(), r2.params_star.to_vector()
         )
@@ -219,7 +245,7 @@ class TestOptimize:
 
     def test_linear_init_deep_circuit(self):
         spec = ProblemSpec(10, 2, 0.0)
-        result = optimize(spec, 7, LinearInit(), seed=0)  # depth = N/2 + 2
+        (result,) = optimize(spec, 7, LinearInit(), [0])  # depth = N/2 + 2
         assert result.record.residual < 1e-10
 
     @pytest.mark.parametrize("n,p,h", [(64, 2, 0.5), (28, 4, 0.5)])
@@ -229,7 +255,7 @@ class TestOptimize:
         # optimum its fidelity with the even ground state must be 1 (a mix of
         # the two parities read 0.5 and 0.75 here)
         spec = ProblemSpec(n, p, h)
-        result = optimize(spec, n // 2 + 2, RandomInit(), seed=0)  # depth = P*
+        (result,) = optimize(spec, n // 2 + 2, RandomInit(), [0])  # depth = P*
         assert result.record.residual < 1e-12
         assert result.record.fidelity > 1 - 1e-10
 
@@ -265,7 +291,7 @@ class TestMultiStart:
         spec = ProblemSpec(32, 3, 0.8)  # m = 33: a wide GEMM would round differently
         stats = multi_start(spec, 2, RandomInit(), n_restarts=20, base_seed=3)
         for i, res in enumerate(stats.results):
-            alone = optimize(spec, 2, RandomInit(), seed=derive_seed(3, i))
+            (alone,) = optimize(spec, 2, RandomInit(), [derive_seed(3, i)])
             assert (alone.n_iters, alone.n_evals) == (res.n_iters, res.n_evals)
             assert abs(alone.record.residual - res.record.residual) <= 1e-12
             np.testing.assert_array_equal(
@@ -286,12 +312,19 @@ class TestMultiStart:
 
     def test_seed_sequence_gives_one_result_per_seed(self):
         spec = ProblemSpec(6, 2, 0.5)
-        results = optimize(spec, 2, RandomInit(), seed=[4, 5])
+        results = optimize(spec, 2, RandomInit(), [4, 5])
         assert isinstance(results, tuple)
         assert [r.seed for r in results] == [4, 5]
-        alone = optimize(spec, 2, RandomInit(), seed=5)
+        (alone,) = optimize(spec, 2, RandomInit(), [5])
         assert (alone.n_evals, alone.record) == (results[1].n_evals, results[1].record)
 
-    def test_rejects_zero_restarts(self):
-        with pytest.raises(ValueError):
-            multi_start(ProblemSpec(4, 2), 1, RandomInit(), n_restarts=0)
+    @pytest.mark.parametrize("n_restarts", [0, -2, 2.5, 2.0, True], ids=repr)
+    def test_rejects_zero_restarts(self, n_restarts):
+        with pytest.raises(ValueError, match="n_restarts must be an integer"):
+            multi_start(ProblemSpec(4, 2), 1, RandomInit(), n_restarts=n_restarts)
+
+    @pytest.mark.parametrize("seeds", [5, np.int64(5), [], None, np.array([4, 5])], ids=repr)
+    def test_optimize_refuses_anything_but_a_seed_sequence(self, seeds):
+        # one seed is the batch of one, [seed]
+        with pytest.raises(ValueError, match=f"sequence, got {type(seeds).__name__}"):
+            optimize(ProblemSpec(4, 2), 1, RandomInit(), seeds)

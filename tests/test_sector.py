@@ -14,6 +14,7 @@ from fullspace import (
     sector_tridiagonal,
     target_matrix,
 )
+from pspin_qaoa import engine, sector
 from pspin_qaoa.engine import CircuitContext, energy, energy_and_gradient
 from pspin_qaoa.optimizer import r_init
 from pspin_qaoa.sector import (
@@ -160,6 +161,34 @@ class TestCollectiveX:
             xmat = collective_x_matrix(n)
             assert np.linalg.norm(xmat @ plus - n * plus) < 1e-10
 
+    def test_refuses_an_oversized_decomposition(self, monkeypatch):
+        # V holds m^2 float64: 2^30 bytes admit m = 11585 states
+        limit = sector._MAX_MIXER_BYTES
+        assert 8 * 11585**2 <= limit < 8 * 11586**2
+        x_spectral_decomposition.cache_clear()
+        monkeypatch.setattr(sector, "_MAX_MIXER_BYTES", 8 * 100**2)
+        assert x_spectral_decomposition(99).eigenvalues.size == 100
+        assert x_spectral_decomposition(199, even_parity=True).eigenvalues.size == 100
+
+        def refuse(*args):
+            raise AssertionError("built before the size check")
+
+        # refused before any array is built, the context's included
+        monkeypatch.setattr(sector, "_x_off_diagonal", refuse)
+        monkeypatch.setattr(engine, "sector_table", refuse)
+        with pytest.raises(ValueError, match=r"N = 100 \(m = 101 states\) would take 81608 bytes"):
+            x_spectral_decomposition(100)
+        with pytest.raises(ValueError, match=r"N = 200 \(m = 101 states\)"):
+            x_spectral_decomposition(200, even_parity=True)
+        with pytest.raises(ValueError, match=r"N = 101 \(m = 102 states\)"):
+            CircuitContext(ProblemSpec(101, 3))
+        with pytest.raises(ValueError, match=r"N = 200 \(m = 101 states\)"):
+            CircuitContext(ProblemSpec(200, 2, 0.5))
+        # at the real limit, odd p at N = 20001 would take 3.2 GB
+        monkeypatch.setattr(sector, "_MAX_MIXER_BYTES", limit)
+        with pytest.raises(ValueError, match=r"N = 20001 \(m = 20002 states\) would take 3200640032"):
+            x_spectral_decomposition(20001)
+
 
 class TestHzDiagonal:
     def test_values(self):
@@ -219,7 +248,7 @@ class TestSectorTable:
         spec = ProblemSpec(n, p, 0.7)
         energy(spec, plus_state(n))
         CircuitContext(spec)
-        energy_and_gradient(spec, r_init(3, seed=n))
+        energy_and_gradient(spec, r_init(3, seed=n).to_vector()[None])
         dynamics_block(p, *target_tridiagonal(spec))
         diagonalize_target(spec)
         dynamical_gap(spec)
