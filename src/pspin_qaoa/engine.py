@@ -15,14 +15,17 @@ One kernel serves the state, the energy and the adjoint gradient, for R
 parameter vectors at once: R circuits run as an (R, m, k) stack, row r
 with its own angles, and a lone circuit is the stack of one. The phase
 layer multiplies row r by the factors exp(-i gamma_r hz), the mixer by
-exp(i beta_r lam) between two real GEMMs (V^T, then V) on the (m, 2k)
-float64 view of each row, as V is real; the kernels take those factors,
-computed once per sweep, never the angles. Each row's GEMMs and sums are
-the BLAS calls its batch of one makes, so a row's numbers never depend on
-the other rows. The forward sweep keeps the factors of every layer; the
-reverse sweep carries each row's state and adjoint vector as one (m, 2)
-block and undoes each layer on it with the conjugated forward factors, so
-each reverse layer is one mixer call and one multiply for the whole stack.
+exp(i beta_r lam) between its two halves, the real GEMMs V^T (into the
+collective-X eigenbasis) and V (back out) on the (m, 2k) float64 view of
+each row, as V is real; the kernels take those factors, computed once per
+sweep, never the angles. Each row's GEMMs and sums are the BLAS calls its
+batch of one makes, so a row's numbers never depend on the other rows. The
+forward sweep keeps, per layer, the factors, the post-phase state and its
+eigenbasis coordinates after the mixer factors. The reverse sweep carries
+only the adjoint vector, one column per row, through the same two GEMM
+halves: the beta-derivative is an overlap with the stored coordinates in
+the eigenbasis, the gamma-derivative one with the stored post-phase state,
+so a reverse layer makes no exponential and no collective-X product.
 ``evaluate`` takes its energy and fidelity from the same forward sweep, in
 the block; only ``qaoa_state`` lifts a state back to the N+1 sector amplitudes.
 """
@@ -151,29 +154,48 @@ class CircuitContext:
         """exp(-i gamma Hz) on each column of an (m, k) block, given the (m,)
         ``phase_factors`` of gamma, or on an (R, m, k) stack, given the (R, m)
         factors of R angles, row r for block r."""
-        return state * factors[..., None]
+        return _checked_block(state) * factors[..., None]
+
+    def to_x_basis(self, state: np.ndarray) -> np.ndarray:
+        """V^T times each column of an (m, k) block or an (R, m, k) stack: its
+        coordinates in the collective-X eigenbasis.
+
+        V is real, so this is a real GEMM on the (m, 2k) float64 view of each
+        complex block. A stack makes one GEMM per block, each rounded exactly
+        as if that block came alone; so does ``from_x_basis``.
+        """
+        state = np.ascontiguousarray(_checked_block(state), dtype=complex)
+        return (self.xdec.eigenvectors.T @ state.view(np.float64)).view(complex)
+
+    def from_x_basis(self, coords: np.ndarray) -> np.ndarray:
+        """V times each column of an (m, k) block or an (R, m, k) stack of
+        collective-X eigenbasis coordinates: the states they describe."""
+        coords = np.ascontiguousarray(_checked_block(coords), dtype=complex)
+        return (self.xdec.eigenvectors @ coords.view(np.float64)).view(complex)
 
     def apply_mixer(self, state: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """exp(-i beta Hx) on each column of an (m, k) block, given the (m,)
-        ``mixer_factors`` of beta, or on an (R, m, k) stack, given the (R, m)
-        factors of R angles, row r for block r. Conjugated, the factors undo
-        the layer.
+        """exp(-i beta Hx) = V diag(``factors``) V^T on each column of an (m, k)
+        block, given the (m,) ``mixer_factors`` of beta, or on an (R, m, k)
+        stack, given the (R, m) factors of R angles, row r for block r."""
+        return self.from_x_basis(self.to_x_basis(state) * factors[..., None])
 
-        V is real, so both products are real GEMMs on the (m, 2k) float64
-        view of each complex block. A stack makes one GEMM per block, each
-        rounded exactly as if that block came alone.
-        """
-        v = self.xdec.eigenvectors
-        state = np.ascontiguousarray(state, dtype=complex)
-        rotated = (v.T @ state.view(np.float64)).view(complex)
-        rotated *= factors[..., None]
-        return (v @ rotated.view(np.float64)).view(complex)
-
+    # kept only for bench/, goes with ROADMAP item 2
     def apply_x(self, state: np.ndarray) -> np.ndarray:
-        return _tridiagonal_product(self.x_diag, self.x_off, state)
+        return _tridiagonal_product(self.x_diag, self.x_off, _checked_block(state))
 
     def apply_target(self, state: np.ndarray) -> np.ndarray:
         return _tridiagonal_product(self.target_diag, self.target_off, state)
+
+
+def _checked_block(state: np.ndarray) -> np.ndarray:
+    """``state``, refused unless it is an (m, k) block or an (R, m, k) stack:
+    a 1-d state would broadcast against the (m,) factors into an (m, m)
+    outer product."""
+    if state.ndim < 2:
+        raise ValueError(
+            f"a layer acts on an (m, k) block or an (R, m, k) stack, got a state of shape {state.shape}"
+        )
+    return state
 
 
 def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -214,20 +236,30 @@ def qaoa_state(spec: ProblemSpec, params: QaoaParams) -> np.ndarray:
     Returns the N+1 amplitudes of the sector, also for even p.
     """
     ctx = circuit_context(spec)
-    psi, _, _ = _forward(ctx, params.gammas[None], params.betas[None])
+    psi = _forward(ctx, params.gammas[None], params.betas[None])[0]
     return ctx.lift(psi[0, :, 0])
 
 
 def _forward(ctx: CircuitContext, gammas: np.ndarray, betas: np.ndarray):
     """The circuit for R angle sets at once, row r of ``gammas`` and
-    ``betas`` (each (R, P)) for circuit r. Returns the final states as an
-    (R, m, 1) stack and the phase and mixer factors of every layer, each
-    (R, P, m)."""
+    ``betas`` (each (R, P)) for circuit r.
+
+    Returns the final states as an (R, m, 1) stack, the phase and mixer
+    factors of every layer, each (R, P, m), and per layer l the pair
+    (a_l, r_l): the post-phase states a_l and their eigenbasis coordinates
+    after the mixer factors, r_l = E_l V^T a_l with E_l = exp(i beta_l lam),
+    each (R, m, 1). The next layer's input is V r_l.
+    """
     phases, mixers = ctx.phase_factors(gammas), ctx.mixer_factors(betas)
     psi = ctx.plus[:, None]  # the first phase layer broadcasts it to (R, m, 1)
+    layers = []
     for layer in range(gammas.shape[1]):
-        psi = ctx.apply_mixer(ctx.apply_phase(psi, phases[:, layer]), mixers[:, layer])
-    return psi, phases, mixers
+        post_phase = ctx.apply_phase(psi, phases[:, layer])
+        coords = ctx.to_x_basis(post_phase)
+        coords *= mixers[:, layer, :, None]
+        psi = ctx.from_x_basis(coords)
+        layers.append((post_phase, coords))
+    return psi, phases, mixers, layers
 
 
 def energy(spec: ProblemSpec, state: np.ndarray) -> float:
@@ -307,17 +339,16 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     not a 2-d array with an even width of at least 2, a ``QaoaParams``
     included, is refused.
 
-    The forward sweep keeps the 2P factor arrays of its layers, 32 P m R
-    bytes (66 kB at m = 257, P = 4, R = 2; 8.4 MB at m = 513, P = 513,
-    R = 1). The reverse sweep peels the layers off both the state and the
-    adjoint vector H|psi> with the conjugated forward factors, so the cost
-    is O(P m^2) per row regardless of depth, with m = floor(N/2)+1 for even
-    p and N+1 for odd p. Both ride in one (m, 2) block per row, so each
-    reverse layer is one mixer call and one multiply, with no exponential.
-    Un-computing the state this way stays within roundoff of the forward
-    sweep: after P* = 513 layers on m = 513 (N = 512, p = 3, natural-scale
-    random angles) the norm drifted by 6e-15 and the state returned to |+>
-    within 1.3e-14; at N = 1024, p = 2 (P* = 514) the drift was 1.3e-13.
+    The forward sweep keeps, per layer, its phase and mixer factors, the
+    post-phase state a_l and its eigenbasis coordinates r_l = E_l V^T a_l
+    (see ``_forward``): 64 P m R bytes, 16.9 MB at m = 513, P = 514, R = 1.
+    The reverse sweep carries only the adjoint vector, starting from H|psi>,
+    one column per row. Per layer, from the last: b = V^T adj gives
+    d/dbeta_l as 2 Re <b| i lam r_l>; adj = V conj(E_l) b moves it before
+    the mixer, where 2 Re <adj| -i hz a_l> is d/dgamma_l; then adj is
+    multiplied by the conjugated phase factors. So each reverse layer is two
+    GEMMs per row and no exponential, and the cost is O(P m^2) per row,
+    with m = floor(N/2)+1 for even p and N+1 for odd p.
     """
     ctx = circuit_context(spec)
     x = np.asarray(x)
@@ -325,22 +356,26 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
         raise ValueError(f"parameter rows must form an (R, 2P) array, P >= 1; got shape {x.shape}")
     x = x.astype(float, copy=False)
     depth = x.shape[1] // 2
-    # d/dgamma of the phase layer brings down +i M^p = -i hz
-    i_d_diag = 1j * -ctx.hz_float
+    # d/dgamma of the phase layer brings down +i M^p = -i hz, d/dbeta of
+    # the mixer i lam in the eigenbasis
+    d_phase, d_mixer = 1j * -ctx.hz_float, 1j * ctx.xdec.eigenvalues
 
-    phi, phases, mixers = _forward(ctx, x[:, :depth], x[:, depth:])
+    phi, phases, mixers, layers = _forward(ctx, x[:, :depth], x[:, depth:])
     e_val, adj = _block_energy(ctx, phi)
 
-    # row r: <adj|i d/dgamma_l phi>, then <adj|i d/dbeta_l phi>, l = 1..P
+    # row r: <adj|d/dgamma_l psi>, then <adj|d/dbeta_l psi>, l = 1..P
     overlaps = np.empty(x.shape, dtype=complex)
-    undo_phase, undo_mixer = phases.conj()[..., None], mixers.conj()
-    block = np.concatenate([phi, adj], axis=2)  # row r: (m, 2) [phi, adj]
-    for m in reversed(range(depth)):
-        x_phi = ctx.apply_x(block[..., :1])[..., 0]
-        overlaps[:, depth + m] = np.vecdot(block[..., 1], 1j * x_phi)
-        block = ctx.apply_mixer(block, undo_mixer[:, m])
-        overlaps[:, m] = np.vecdot(block[..., 1], i_d_diag * block[..., 0])
-        block *= undo_phase[:, m]
+    # conjugated in place, so the reverse sweep holds no second copy
+    undo_phase = np.conjugate(phases, out=phases)[..., None]
+    undo_mixer = np.conjugate(mixers, out=mixers)[..., None]
+    for layer in reversed(range(depth)):
+        post_phase, coords = layers[layer]
+        b = ctx.to_x_basis(adj)
+        overlaps[:, depth + layer] = np.vecdot(b[..., 0], d_mixer * coords[..., 0])
+        b *= undo_mixer[:, layer]
+        adj = ctx.from_x_basis(b)
+        overlaps[:, layer] = np.vecdot(adj[..., 0], d_phase * post_phase[..., 0])
+        adj *= undo_phase[:, layer]
     return e_val, 2.0 * overlaps.real
 
 

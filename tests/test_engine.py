@@ -123,6 +123,19 @@ class TestMixerLayer:
 class TestBlockKernel:
     """A block of states goes through the same kernels as its columns."""
 
+    @pytest.mark.parametrize("method", [
+        "apply_phase", "to_x_basis", "from_x_basis", "apply_mixer", "apply_x",
+    ])
+    def test_refuses_a_single_state(self, method):
+        # a 1-d state would broadcast against the (m,) factors: apply_phase
+        # returned the (m, m) outer product
+        ctx = context(8, 3)
+        psi = random_vector(ctx.plus.size, 12)
+        factors = {"apply_phase": (ctx.phase_factors(0.3),),
+                   "apply_mixer": (ctx.mixer_factors(0.3),)}.get(method, ())
+        with pytest.raises(ValueError, match=r"shape \(9,\)"):
+            getattr(ctx, method)(psi, *factors)
+
     @pytest.mark.parametrize("n", [1, 8, 129])
     def test_mixer_block_matches_columns(self, n):
         ctx = context(n)
@@ -194,7 +207,7 @@ class TestBatchedEvaluation:
 
     def test_deep_odd_p_gradient_against_central_differences(self):
         # P = P* = N + 1 = 129 layers on all m = 129 states of N = 128, p = 3,
-        # so the reverse sweep un-computes the state through every layer.
+        # so the reverse sweep reads the stored states of every layer.
         # Five-point central differences along three seeded unit directions
         # in natural units, step 3e-5: truncation about 1e-9 relative,
         # roundoff about 1e-15 |E| / step
@@ -215,6 +228,34 @@ class TestBatchedEvaluation:
             fd = (8 * (energy_at(x + step * d) - energy_at(x - step * d))
                   - (energy_at(x + 2 * step * d) - energy_at(x - 2 * step * d))) / (12 * step)
             assert abs(grad @ d - fd) <= 1e-7 * max(1.0, abs(fd))
+
+
+class TestAdjointSweep:
+    """The reverse sweep reads the forward sweep's stored states: it carries
+    one column per row through the two mixer halves and makes no
+    collective-X product."""
+
+    @pytest.mark.parametrize("n,p,depth", [(9, 3, 1), (12, 2, 4), (33, 3, 15)])
+    def test_calls_each_mixer_half_twice_per_layer(self, monkeypatch, n, p, depth):
+        spec = ProblemSpec(n, p, 0.7)
+        circuit_context(spec)
+        calls = {name: 0 for name in ("to_x_basis", "from_x_basis", "apply_mixer", "apply_x")}
+
+        def counting(name):
+            method = getattr(engine.CircuitContext, name)
+
+            def counted(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(engine.CircuitContext, name, counting(name))
+        rows = np.array([random_angles(spec, depth, seed) for seed in range(2)])
+        energy_and_gradient(spec, rows)
+        assert calls == {"to_x_basis": 2 * depth, "from_x_basis": 2 * depth,
+                         "apply_mixer": 0, "apply_x": 0}
 
 
 class TestQaoaState:
@@ -587,6 +628,13 @@ class TestEvaluate:
         for seed in range(4):
             params = QaoaParams.from_vector(random_angles(spec, 3, seed))
             assert evaluate(spec, params).energy == energy_grad(spec, params)[0]
+
+    @pytest.mark.parametrize("n", [64, 65, 512, 1024, 1025])
+    def test_fidelity_at_most_one_at_large_field(self, n):
+        # |+> is all but the ground state of -h X; with |+> off its norm by
+        # roundoff the fidelity read 1 + 2.4e-14 at N = 64
+        rec = evaluate(ProblemSpec(n, 2, 1e8), params_of(1e-9, 0.0))
+        assert rec.fidelity <= 1.0 + 4 * np.finfo(float).eps
 
     def test_optimized_record_reports_the_minimized_energy(self):
         spec = ProblemSpec(11, 2, 0.6)

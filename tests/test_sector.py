@@ -115,6 +115,13 @@ class TestPlusState:
     def test_norm(self, n):
         assert abs(np.linalg.norm(plus_state(n)) - 1.0) < 1e-12
 
+    def test_norm_within_roundoff(self):
+        # the log-gamma weights alone were off by -2.2e-14 at N = 512 and
+        # -5.5e-13 at N = 4096; divided by their norm they are off by ulps
+        eps = np.finfo(float).eps
+        for n in [*range(1, 65), 512, 1024, 4096]:
+            assert abs(np.linalg.norm(plus_state(n)) - 1.0) <= 4 * eps, n
+
     @pytest.mark.parametrize("n", [3, 11, 24, 30])
     def test_matches_exact_rational_binomials(self, n):
         # independent oracle: exact C(N,k)/2^N via Fraction
