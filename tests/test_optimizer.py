@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -158,6 +159,7 @@ class TestBfgs:
         res = lone_run(rosenbrock, [-1.2, 1.0])
         assert res.n_iters == 3
         assert not res.converged
+        assert res.termination == "max_iters"
 
     def test_counts_its_own_evaluations(self):
         calls = []
@@ -187,8 +189,8 @@ class TestBfgs:
         for start, res in zip(starts, results):
             alone = lone_run(rosenbrock, start)
             np.testing.assert_array_equal(res.x, alone.x)
-            assert (res.n_iters, res.n_evals, res.converged) == (
-                alone.n_iters, alone.n_evals, alone.converged)
+            assert (res.n_iters, res.n_evals, res.converged, res.termination) == (
+                alone.n_iters, alone.n_evals, alone.converged, alone.termination)
 
     @pytest.mark.parametrize("x0", [[-1.2, 1.0], -1.2, [[[-1.2, 1.0]]], np.zeros((0, 2)), np.zeros((1, 0))],
                              ids=lambda x0: str(np.shape(x0)))
@@ -197,6 +199,13 @@ class TestBfgs:
         calls = []
         with pytest.raises(ValueError, match=rf"shape {re.escape(str(np.shape(x0)))}"):
             bfgs_minimize(lambda points: calls.append(points), x0)
+        assert calls == []
+
+    @pytest.mark.parametrize("noise_floor", [-1e-12, float("nan"), float("inf")], ids=repr)
+    def test_refuses_a_bad_noise_floor(self, noise_floor):
+        calls = []
+        with pytest.raises(ValueError, match="noise_floor must be finite"):
+            bfgs_minimize(lambda points: calls.append(points), np.ones((1, 2)), noise_floor)
         assert calls == []
 
     def test_already_at_minimum(self):
@@ -223,6 +232,69 @@ class TestBfgs:
         assert res.value <= f_prev + 1e-15
 
 
+class TestTermination:
+    # one test per reason a run stops; "max_iters" is test_respects_max_iters
+
+    def test_grad_tol(self):
+        res = lone_run(quadratic([1.0, 10.0, 100.0]), [1.0, 1.0, 1.0])
+        assert res.termination == "grad_tol"
+        assert res.converged
+        assert np.max(np.abs(res.grad)) <= optimizer.GRAD_TOL
+
+    def test_stagnation(self):
+        # offset by 1e10, f resolves changes of about 1e-6 only: two
+        # unresolved steps stop the run with its gradient far above GRAD_TOL
+        def offset(x):
+            f, g = rosenbrock(x)
+            return 1e10 + f, g
+
+        res = lone_run(offset, [-1.2, 1.0])
+        assert res.termination == "stagnation"
+        assert res.converged
+        assert np.max(np.abs(res.grad)) > 1e3 * optimizer.GRAD_TOL
+
+    def test_line_search_failed(self):
+        # a gradient of the wrong sign: every descent direction goes uphill
+        def uphill(x):
+            return float(x @ x), -2.0 * x
+
+        res = lone_run(uphill, [1.0, 1.0])
+        assert res.termination == "line_search_failed"
+        assert not res.converged
+        assert res.n_iters == 0
+        np.testing.assert_array_equal(res.x, [1.0, 1.0])
+
+    def test_roundoff_ends_the_run_at_the_noise_floor(self):
+        # f carries deterministic noise of amplitude delta and its gradient
+        # none, as the QAOA energy carries rounding and its adjoint gradient
+        # stays accurate. Once f is within delta of its minimum no Armijo
+        # test can see a decrease: with the noise floor at delta the run
+        # stops within a few evaluations; with floor 0 a zoom bisects on
+        # the noise until max_zoom = 40 trials fail.
+        delta = 1e-8
+        a, w = np.array([1.0, 10.0, 100.0]), np.array([0.3, 0.7, 0.1])
+
+        def run(noise_floor):
+            exact = []
+
+            def noisy(x):
+                q, g = quadratic(a)(x)
+                exact.append(q)
+                return q + delta * math.sin(1e9 * float(w @ x) + 1.0), g
+
+            (res,) = bfgs_minimize(rows_of(noisy), np.array([[1.0, 1.0, 1.0]]), noise_floor)
+            floor_reached = next(i for i, q in enumerate(exact) if q <= delta)
+            return res, len(exact) - 1 - floor_reached
+
+        res, evals_after = run(delta)
+        assert res.termination == "roundoff"
+        assert res.converged
+        assert evals_after <= 5
+        res, evals_after = run(0.0)
+        assert res.termination == "line_search_failed"
+        assert evals_after >= 40
+
+
 class TestOptimize:
     def test_depth1_reaches_global_minimum(self):
         # the depth-1 landscape has many local minima; a handful of random
@@ -247,6 +319,32 @@ class TestOptimize:
         spec = ProblemSpec(10, 2, 0.0)
         (result,) = optimize(spec, 7, LinearInit(), [0])  # depth = N/2 + 2
         assert result.record.residual < 1e-10
+
+    def test_large_n_stops_at_the_energy_roundoff(self, monkeypatch):
+        # the benchmark's large_n point, N=512, p=2, P=4, h=1, with the
+        # sweep's two l-init seeds: the gradient test cannot pass there
+        # (max|g| stalls near 1e-5), and once the energy is within the noise
+        # floor of where it ends, a restart takes at most 20 more evaluations
+        # (the slower one took 121 when its searches ran on in the noise)
+        spec = ProblemSpec(512, 2, 1.0)
+        base_seed = derive_seed(0, 512, 4, 1.0)
+        floor = optimizer._noise_floor(spec)
+        original = optimizer.energy_and_gradient
+        for i in range(2):
+            energies = []
+
+            def recorded(spec_, x):
+                values, grads = original(spec_, x)
+                energies.extend(values)
+                return values, grads
+
+            monkeypatch.setattr(optimizer, "energy_and_gradient", recorded)
+            (res,) = optimize(spec, 4, LinearInit(), [derive_seed(base_seed, i)])
+            assert res.termination == "roundoff"
+            assert res.converged
+            assert len(energies) == res.n_evals
+            settled = next(k for k, e in enumerate(energies) if abs(e - res.record.energy) <= floor)
+            assert res.n_evals - 1 - settled <= 20
 
     @pytest.mark.parametrize("n,p,h", [(64, 2, 0.5), (28, 4, 0.5)])
     def test_exact_optimum_below_critical_field_has_unit_fidelity(self, n, p, h):
