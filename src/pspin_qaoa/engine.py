@@ -44,7 +44,6 @@ from .sector import (
     diagonalize_target,
     dynamics_block,
     dynamics_lift,
-    gershgorin_bound,
     plus_state,
     sector_table,
     target_tridiagonal,
@@ -78,14 +77,6 @@ class QaoaParams:
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.gammas, self.betas])
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "QaoaParams":
-        x = np.asarray(x, dtype=float)
-        if x.size % 2 != 0:
-            raise ValueError("parameter vector length must be even")
-        half = x.size // 2
-        return cls(gammas=x[:half], betas=x[half:])
 
 
 @dataclass(frozen=True)
@@ -262,38 +253,18 @@ def _forward(ctx: CircuitContext, gammas: np.ndarray, betas: np.ndarray):
     return psi, phases, mixers, layers
 
 
-def energy(spec: ProblemSpec, state: np.ndarray) -> float:
-    """<state| H_target |state> of the N+1 sector amplitudes, asserted real."""
-    n = spec.n_sites
-    state = np.asarray(state, complex)
-    if state.shape != (n + 1,):
-        raise ValueError(
-            f"energy needs the N + 1 = {n + 1} amplitudes of the sector, "
-            f"got a state of shape {state.shape}"
-        )
-    diag, off = target_tridiagonal(spec)
-    val = np.vdot(state, _tridiagonal_product(diag, off, state[:, None]))
-    return float(_real_energy(val, gershgorin_bound(diag, off)))
-
-
-def _real_energy(val, norm_bound: float):
-    """The real part of an energy, or of each of an array of energies,
-    after checking that the imaginary part is roundoff.
-
-    For a normalized state of m amplitudes the imaginary part of <s|H|s> is
-    at most about m eps ||H||, and ``norm_bound`` bounds ||H||; an imaginary
-    part of 1e-12 times the bound or more is refused.
-    """
-    val = np.asarray(val)
-    if np.any(abs(val.imag) >= _ROUNDOFF * norm_bound):
-        raise ValueError(f"energy has non-negligible imaginary part {val.imag}")
-    return val.real
-
-
 def _block_energy(ctx: CircuitContext, phi: np.ndarray):
-    """<phi|H|phi> of each state of an (R, m, 1) stack, and H|phi>."""
+    """<phi|H|phi> of each state of an (R, m, 1) stack, asserted real, and H|phi>.
+
+    For a normalized state of m amplitudes the imaginary part of <phi|H|phi>
+    is at most about m eps ||H||, and the spectrum's ``norm_bound`` bounds
+    ||H||; an imaginary part of 1e-12 times the bound or more is refused.
+    """
     h_phi = ctx.apply_target(phi)
-    return _real_energy(np.vecdot(phi[..., 0], h_phi[..., 0]), ctx.spectrum.norm_bound), h_phi
+    val = np.vecdot(phi[..., 0], h_phi[..., 0])
+    if np.any(abs(val.imag) >= _ROUNDOFF * ctx.spectrum.norm_bound):
+        raise ValueError(f"energy has non-negligible imaginary part {val.imag}")
+    return val.real, h_phi
 
 
 def residual_energy(spectrum: TargetSpectrum, energy_value: float) -> float:
@@ -383,7 +354,7 @@ def evaluate(spec: ProblemSpec, params: QaoaParams) -> EvaluationRecord:
     """Energy, residual, fidelity and equivalent annealing time in one record.
 
     The energy is ``energy_and_gradient``'s, bit for bit, and the fidelity the
-    block overlap with ``ctx.ground``. ``energy`` and ``fidelity`` of the
+    block overlap with ``ctx.ground``. The energy and ``fidelity`` of the
     lifted state sum the same terms in another order; the tests hold the gaps
     to 1e-14 (for the energy, times the Gershgorin bound ``norm_bound``).
     """

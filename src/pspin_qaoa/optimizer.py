@@ -12,7 +12,8 @@ An Armijo comparison cannot tell a decrease below the rounding scatter of f
 from the scatter itself, so a zoom whose next trial step predicts such a
 decrease ends ("roundoff") instead of bisecting on noise until it fails
 (compare Shi, Xie, Byrd & Nocedal, SIAM J. Optim. 2022, on BFGS with noisy
-function values). A noise-free objective has scatter 0.
+function values). A noise-free objective has scatter 0. A run counts as
+converged when it stops "grad_tol" or "roundoff".
 """
 
 from __future__ import annotations
@@ -32,16 +33,17 @@ from .sector import ProblemSpec
 # (k, dim) trial points -> their k values and (k, dim) gradients
 Objective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
-# BFGS termination: gradient infinity-norm, iteration cap, relative energy
-# change counted as stagnant; strong-Wolfe sufficient-decrease and curvature
+# BFGS termination: gradient infinity-norm, iteration cap; strong-Wolfe
+# sufficient-decrease and curvature, and the line search's trial budgets
 GRAD_TOL = 1e-9
 MAX_ITERS = 10000
-STAGNATION_TOL = 1e-15
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
+MAX_BRACKET = 30
+MAX_ZOOM = 40
 
-Termination = Literal["grad_tol", "stagnation", "roundoff", "line_search_failed", "max_iters"]
-_CONVERGED = ("grad_tol", "stagnation", "roundoff")
+Termination = Literal["grad_tol", "roundoff", "line_search_failed", "max_iters"]
+_CONVERGED = ("grad_tol", "roundoff")
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,6 @@ def _strong_wolfe(
     g0: np.ndarray,
     direction: np.ndarray,
     noise_floor: float,
-    max_bracket: int = 30,
-    max_zoom: int = 40,
 ):
     """Bracketing + zoom line search, a generator that yields trial points
     and receives (f, g) for each; returns (alpha, f, g), or on failure the
@@ -195,7 +195,7 @@ def _strong_wolfe(
         return f, g, float(g @ direction)
 
     def zoom(a_lo, f_lo, der_lo, a_hi, f_hi):
-        for _ in range(max_zoom):
+        for _ in range(MAX_ZOOM):
             # quadratic interpolation with bisection safeguard
             denom = f_hi - f_lo - der_lo * (a_hi - a_lo)
             if abs(denom) > 1e-300:
@@ -223,7 +223,7 @@ def _strong_wolfe(
 
     a_prev, f_prev, der_prev = 0.0, f0, der0
     a = 1.0
-    for i in range(max_bracket):
+    for i in range(MAX_BRACKET):
         f, g, der = yield from eval_at(a)
         if f > f0 + WOLFE_C1 * a * der0 or (i > 0 and f >= f_prev):
             return (yield from zoom(a_prev, f_prev, der_prev, a, f))
@@ -251,15 +251,13 @@ def bfgs_minimize(objective: Objective, x0: np.ndarray, noise_floor: float = 0.0
     an exact one. Each run stops for one ``Termination`` reason:
 
     - ``grad_tol``: the gradient's infinity-norm is at most GRAD_TOL;
-    - ``stagnation``: two steps in a row changed f by at most
-      STAGNATION_TOL relative;
     - ``roundoff``: a zoom's next trial step predicts a decrease
       |alpha g.d| at or below ``noise_floor``, so its Armijo test would
       compare noise;
     - ``line_search_failed``: the search failed otherwise;
     - ``max_iters``: MAX_ITERS steps were taken.
 
-    The first three count as ``converged``. A search that ends without a
+    The first two count as ``converged``. A search that ends without a
     step along the quasi-Newton direction is retried once along steepest
     descent, and the retry's reason is the run's; the run keeps its last
     iterate.
@@ -299,7 +297,6 @@ def _bfgs(x0: np.ndarray, noise_floor: float):
     if np.max(np.abs(g)) <= GRAD_TOL:
         return x, f, g, n_iters, "grad_tol"
     first_update = True
-    stagnant_streak = 0
 
     while n_iters < MAX_ITERS:
         direction = -hinv @ g
@@ -321,17 +318,11 @@ def _bfgs(x0: np.ndarray, noise_floor: float):
         alpha, f_new, g_new = ls
         s = alpha * direction
         y = g_new - g
-        if abs(f - f_new) <= STAGNATION_TOL * max(1.0, abs(f)):
-            stagnant_streak += 1
-        else:
-            stagnant_streak = 0
         x = x + s
         f, g = f_new, g_new
         n_iters += 1
         if np.max(np.abs(g)) <= GRAD_TOL:
             return x, f, g, n_iters, "grad_tol"
-        if stagnant_streak >= 2:
-            return x, f, g, n_iters, "stagnation"
         sy = float(s @ y)
         if sy > 1e-14 * float(np.linalg.norm(s) * np.linalg.norm(y)):
             if first_update:

@@ -3,7 +3,8 @@
 The package ships only the angles (`pspin_qaoa.analytic.exact_p1_params`);
 the decompositions p = 2^(k+1) + n 2^k, the modular power identity behind
 them, the closed-form depth-1 fidelity sum and the symmetry table live here,
-where the tests check the paper's derivation against the circuit.
+where the tests check the paper's derivation against the circuit; so does
+the split of a flat parameter vector into circuit angles.
 """
 
 from __future__ import annotations
@@ -14,6 +15,14 @@ from math import comb, pi
 import numpy as np
 
 from pspin_qaoa.engine import QaoaParams
+
+
+def params_from_vector(x) -> QaoaParams:
+    """The angles of a vector ordered like ``QaoaParams.to_vector``: P
+    gammas, then P betas."""
+    x = np.asarray(x, dtype=float)
+    half = x.size // 2
+    return QaoaParams(gammas=x[:half], betas=x[half:])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ The full-space functions work with explicit per-qubit tensor products and
 know nothing about the Dicke-sector code paths they are used to check. The
 dense sector matrices are the plain constructions that the tridiagonal
 production code replaced; they are kept as references, as is the sector
-tridiagonal written entry by entry from its formulas.
+tridiagonal written entry by entry from its formulas and the energy of N+1
+sector amplitudes taken from it.
 """
 
 import numpy as np
@@ -113,3 +114,14 @@ def sector_tridiagonal(n: int, p: int, h: float) -> tuple[np.ndarray, np.ndarray
     diag = np.array([-float((n - 2 * k) ** p) / scale for k in range(n + 1)])
     off = np.array([-h * sqrt((k + 1) * (n - k)) for k in range(n)])
     return diag, off
+
+
+def sector_energy(spec, state) -> float:
+    """<state|H|state> of the N+1 sector amplitudes, H the ``sector_tridiagonal``."""
+    diag, off = sector_tridiagonal(spec.n_sites, spec.p_exponent, spec.field)
+    state = np.asarray(state, dtype=complex)
+    assert state.shape == diag.shape
+    h_state = diag * state
+    h_state[:-1] += off * state[1:]
+    h_state[1:] += off * state[:-1]
+    return float(np.vdot(state, h_state).real)

@@ -8,13 +8,17 @@ import math
 
 import numpy as np
 
-from analytic_oracles import even_p_decomposition, symmetry_group, verify_power_identity
-from fullspace import embed_sector_state, full_qaoa_state
+from analytic_oracles import (
+    even_p_decomposition,
+    params_from_vector,
+    symmetry_group,
+    verify_power_identity,
+)
+from fullspace import embed_sector_state, full_qaoa_state, sector_energy
 from pspin_qaoa.analytic import exact_p1_params
 from pspin_qaoa.engine import (
     QaoaParams,
     circuit_context,
-    energy,
     energy_and_gradient,
     fidelity,
     qaoa_state,
@@ -168,8 +172,8 @@ def test_criterion_07_gradient_vs_finite_differences():
             xp[i] += 1e-6
             xm[i] -= 1e-6
             fd = (
-                energy(spec, qaoa_state(spec, QaoaParams.from_vector(xp)))
-                - energy(spec, qaoa_state(spec, QaoaParams.from_vector(xm)))
+                sector_energy(spec, qaoa_state(spec, params_from_vector(xp)))
+                - sector_energy(spec, qaoa_state(spec, params_from_vector(xm)))
             ) / 2e-6
             worst = max(worst, abs(grad[i] - fd) / abs(grad[i]))
     ok = worst < 1e-6
@@ -184,10 +188,10 @@ def test_criterion_08_symmetry_table():
         p, n = cases[trial % len(cases)]
         spec = ProblemSpec(n, p, float(rng.uniform(0.0, 2.0)))
         params = r_init(3, int(rng.integers(2**63)))
-        e0 = energy(spec, qaoa_state(spec, params))
+        e0 = sector_energy(spec, qaoa_state(spec, params))
         for transform in symmetry_group(p, n):
             mapped = transform.apply(params, component=trial % 3)
-            worst = max(worst, abs(energy(spec, qaoa_state(spec, mapped)) - e0))
+            worst = max(worst, abs(sector_energy(spec, qaoa_state(spec, mapped)) - e0))
     ok = worst < 1e-12
     assert report(8, "symmetry-table energy invariance", ok, f"worst drift {worst:.2e}")
 

@@ -15,7 +15,8 @@ from analytic_oracles import (
     verify_power_identity,
 )
 from pspin_qaoa.analytic import exact_p1_params
-from pspin_qaoa.engine import QaoaParams, energy, fidelity, qaoa_state
+from fullspace import sector_energy
+from pspin_qaoa.engine import QaoaParams, fidelity, qaoa_state
 from pspin_qaoa.optimizer import r_init
 from pspin_qaoa.sector import ProblemSpec, diagonalize_target
 
@@ -191,11 +192,11 @@ class TestSymmetries:
     def test_energy_invariance(self, p, n):
         spec = ProblemSpec(n, p, 0.8)
         params = r_init(3, derive := 17)
-        e0 = energy(spec, qaoa_state(spec, params))
+        e0 = sector_energy(spec, qaoa_state(spec, params))
         for transform in symmetry_group(p, n):
             for component in range(3):
                 mapped = transform.apply(params, component)
-                e1 = energy(spec, qaoa_state(spec, mapped))
+                e1 = sector_energy(spec, qaoa_state(spec, mapped))
                 assert abs(e1 - e0) < 1e-11, (transform, component)
 
     def test_shift_periods(self):
@@ -222,8 +223,8 @@ class TestCanonicalize:
         folded = canonicalize(wild, p, n)
         assert np.all(folded.gammas >= 0) and np.all(folded.gammas < np.pi / 2)
         assert np.all(folded.betas >= 0) and np.all(folded.betas < np.pi / 2)
-        e_wild = energy(spec, qaoa_state(spec, wild))
-        e_fold = energy(spec, qaoa_state(spec, folded))
+        e_wild = sector_energy(spec, qaoa_state(spec, wild))
+        e_fold = sector_energy(spec, qaoa_state(spec, folded))
         assert abs(e_wild - e_fold) < 1e-11
 
     def test_fixed_point(self):

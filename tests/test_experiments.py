@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import pspin_qaoa
-from pspin_qaoa import experiments
+from pspin_qaoa import experiments, optimizer
 from pspin_qaoa.cli import (
     _KIND_BY_COMMAND, build_parser, config_from_args, main as cli_main, parse_grid,
 )
@@ -590,3 +591,8 @@ class TestReadme:
             if not name.startswith("_") and not inspect.ismodule(value)
         }
         assert shown == exported
+
+    def test_termination_names_are_the_optimizers(self):
+        listing = re.search(r"why it stopped \(`termination`\):(.*?)\.\s", README.read_text(), re.S)
+        shown = tuple(re.findall(r"`(\w+)`", listing.group(1)))
+        assert shown == typing.get_args(optimizer.Termination)

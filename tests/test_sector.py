@@ -15,7 +15,7 @@ from fullspace import (
     target_matrix,
 )
 from pspin_qaoa import engine, sector
-from pspin_qaoa.engine import CircuitContext, energy, energy_and_gradient
+from pspin_qaoa.engine import CircuitContext, energy_and_gradient
 from pspin_qaoa.optimizer import r_init
 from pspin_qaoa.sector import (
     ProblemSpec,
@@ -253,7 +253,6 @@ class TestSectorTable:
         arrays = (table.hz_float, table.target_diag, table.x_off)
         before = [a.copy() for a in arrays]
         spec = ProblemSpec(n, p, 0.7)
-        energy(spec, plus_state(n))
         CircuitContext(spec)
         energy_and_gradient(spec, r_init(3, seed=n).to_vector()[None])
         dynamics_block(p, *target_tridiagonal(spec))
