@@ -87,7 +87,9 @@ def config_from_args(args) -> ExperimentConfig:
     data = {}
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"--config must hold a JSON object, got {type(data).__name__}")
     data["kind"] = _KIND_BY_COMMAND[args.command]
     overrides = {
         "n_grid": parse_grid(args.n, int) if args.n else None,

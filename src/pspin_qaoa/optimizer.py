@@ -13,7 +13,9 @@ from the scatter itself, so a zoom whose next trial step predicts such a
 decrease ends ("roundoff") instead of bisecting on noise until it fails
 (compare Shi, Xie, Byrd & Nocedal, SIAM J. Optim. 2022, on BFGS with noisy
 function values). A noise-free objective has scatter 0. A run counts as
-converged when it stops "grad_tol" or "roundoff".
+converged when it stops "grad_tol" or "roundoff". A search that fails
+along a quasi-Newton direction, a non-descent one included, is retried once
+along -g from the identity: a run gives up only where steepest descent fails.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def _strong_wolfe(
     return "line_search_failed"
 
 
-def bfgs_minimize(objective: Objective, x0: np.ndarray, noise_floor: float = 0.0) -> list[BfgsResult]:
+def bfgs_minimize(objective: Objective, x0: np.ndarray, noise_floor: float) -> list[BfgsResult]:
     """Minimize a smooth objective from each of R start points.
 
     ``x0`` is an (R, dim) array, one start point per row, and a single start
@@ -258,9 +260,10 @@ def bfgs_minimize(objective: Objective, x0: np.ndarray, noise_floor: float = 0.0
     - ``max_iters``: MAX_ITERS steps were taken.
 
     The first two count as ``converged``. A search that ends without a
-    step along the quasi-Newton direction is retried once along steepest
-    descent, and the retry's reason is the run's; the run keeps its last
-    iterate.
+    step along a quasi-Newton direction, a non-descent one included, is
+    retried once along -g with the inverse-Hessian estimate reset, and the
+    retry's reason is the run's; the run keeps its last iterate. A failed
+    search along -g itself is not retried.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 2 or 0 in x0.shape:
@@ -290,27 +293,19 @@ def _bfgs(x0: np.ndarray, noise_floor: float):
     """One BFGS run as a generator: it yields trial points, receives (f, g)
     for each, and returns (x, f, g, n_iters, termination)."""
     x = np.array(x0, dtype=float)
-    dim = x.size
     f, g = yield x
-    hinv = np.eye(dim)
+    hinv = None  # the identity, rescaled at the first curvature update
     n_iters = 0
     if np.max(np.abs(g)) <= GRAD_TOL:
         return x, f, g, n_iters, "grad_tol"
-    first_update = True
 
     while n_iters < MAX_ITERS:
-        direction = -hinv @ g
-        if float(direction @ g) >= 0.0:
-            # numerical breakdown of the inverse-Hessian estimate: reset
-            hinv = np.eye(dim)
-            first_update = True
-            direction = -g
+        direction = -g if hinv is None else -hinv @ g
         ls = yield from _strong_wolfe(x, f, g, direction, noise_floor)
-        if isinstance(ls, str) and not np.allclose(direction, -g):
-            # retry once along steepest descent before giving up: its first
-            # steps can still predict a decrease above the noise floor
-            hinv = np.eye(dim)
-            first_update = True
+        if isinstance(ls, str) and hinv is not None:
+            # retry once along steepest descent: it descends where a broken
+            # estimate does not, and can predict a decrease above the floor
+            hinv = None
             direction = -g
             ls = yield from _strong_wolfe(x, f, g, direction, noise_floor)
         if isinstance(ls, str):
@@ -325,9 +320,8 @@ def _bfgs(x0: np.ndarray, noise_floor: float):
             return x, f, g, n_iters, "grad_tol"
         sy = float(s @ y)
         if sy > 1e-14 * float(np.linalg.norm(s) * np.linalg.norm(y)):
-            if first_update:
-                hinv = (sy / float(y @ y)) * np.eye(dim)
-                first_update = False
+            if hinv is None:
+                hinv = (sy / float(y @ y)) * np.eye(x.size)
             rho = 1.0 / sy
             hy = hinv @ y
             hinv = (

@@ -395,18 +395,24 @@ class TestBoundedBrent:
 
 
 def test_cold_import_skips_scipy_optimize_and_mpmath():
-    # a fresh interpreter: the import cost every CLI run pays
-    code = (
-        "import sys, pspin_qaoa, pspin_qaoa.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'mpmath') if m in sys.modules))"
-    )
+    # a fresh interpreter: the import cost every CLI run pays, and what a
+    # gap scan and a field sweep import lazily on top of it
+    code = "\n".join([
+        "import sys, pspin_qaoa, pspin_qaoa.cli",
+        "from pspin_qaoa.experiments import ExperimentConfig, run_experiment",
+        "rows = run_experiment(ExperimentConfig(kind='gap-scaling', p_exponent=2, n_grid=(8, 16)))",
+        "rows += run_experiment(ExperimentConfig(",
+        "    kind='field-sweep', n_grid=(8,), depth_grid=(2,), h_grid=(0.5,), scheme='both', n_restarts=1))",
+        "print([row.status for row in rows])",
+        "print(sorted(m for m in ('scipy.optimize', 'mpmath') if m in sys.modules))",
+    ])
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == [str(["ok"] * 4), "[]"]
 
 
 class TestEmit:
@@ -530,6 +536,16 @@ class TestCli:
         loaded, _ = load_results_json(out)
         assert loaded.n_restarts == 1  # flag beats config file
         assert loaded.n_grid == (5,)
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '"text"', '[["n_grid", [8]]]'])
+    def test_config_file_must_hold_an_object(self, content, tmp_path, capsys):
+        # a list of pairs would otherwise be read as keys and values
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        assert cli_main(["gap", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: ")
+        assert "JSON object" in err
 
     def test_invalid_config_exit_code(self, capsys):
         assert cli_main(["scaling", "--n", "5", "--scheme", "r", "--restarts", "0"]) == 1

@@ -53,7 +53,7 @@ def rows_of(f):
 
 def lone_run(f, x0):
     """One BFGS run of a single-point objective, as a batch of one."""
-    (res,) = bfgs_minimize(rows_of(f), np.array([x0], dtype=float))
+    (res,) = bfgs_minimize(rows_of(f), np.array([x0], dtype=float), 0.0)
     return res
 
 
@@ -150,7 +150,7 @@ class TestBfgs:
         def objective(x):
             return energy_and_gradient(spec, x)
 
-        (res,) = bfgs_minimize(objective, np.array([[0.78, 0.78]]))
+        (res,) = bfgs_minimize(objective, np.array([[0.78, 0.78]]), 0.0)
         np.testing.assert_allclose(res.x, [np.pi / 4, np.pi / 4], atol=1e-8)
         psi = qaoa_state(spec, params_from_vector(res.x))
         assert fidelity(psi, diagonalize_target(spec).ground_state) > 1 - 1e-10
@@ -183,7 +183,7 @@ class TestBfgs:
             rounds.append(len(points))
             return rows_of(rosenbrock)(points)
 
-        results = bfgs_minimize(batched, starts)
+        results = bfgs_minimize(batched, starts, 0.0)
         assert len(rounds) == max(r.n_evals for r in results)
         assert sum(rounds) == sum(r.n_evals for r in results)
         assert rounds == sorted(rounds, reverse=True)
@@ -199,7 +199,7 @@ class TestBfgs:
         # a 1-d start would otherwise run each coordinate as its own restart
         calls = []
         with pytest.raises(ValueError, match=rf"shape {re.escape(str(np.shape(x0)))}"):
-            bfgs_minimize(lambda points: calls.append(points), x0)
+            bfgs_minimize(lambda points: calls.append(points), x0, 0.0)
         assert calls == []
 
     @pytest.mark.parametrize("noise_floor", [-1e-12, float("nan"), float("inf")], ids=repr)
@@ -297,6 +297,42 @@ class TestTermination:
         res, evals_after = run(0.0)
         assert res.termination == "line_search_failed"
         assert evals_after >= 40
+
+
+class TestRetry:
+    # a search that fails along a quasi-Newton direction is retried once
+    # along -g from the identity; one along -g itself ends the run
+
+    @pytest.mark.parametrize("scale", [2.0, 2e-9])
+    def test_failed_quasi_newton_search_retries_along_minus_g_at_any_scale(self, scale, monkeypatch):
+        # the first search along a direction other than exactly -g fails.
+        # Whether to retry must not depend on how close that direction is
+        # to -g: at 2e-9 every gradient component is below 1e-8
+        strong_wolfe = optimizer._strong_wolfe
+        steepest = []
+
+        def fail_first_quasi_newton(x, f0, g0, direction, noise_floor):
+            steepest.append(np.array_equal(direction, -g0))
+            if steepest.count(False) == 1 and not steepest[-1]:
+                return "line_search_failed"
+            return (yield from strong_wolfe(x, f0, g0, direction, noise_floor))
+
+        monkeypatch.setattr(optimizer, "_strong_wolfe", fail_first_quasi_newton)
+        res = lone_run(quadratic([1.0, 2.0, 3.0]), scale * np.ones(3))
+        # the identity's search, the failed quasi-Newton one, the retry
+        assert steepest[:3] == [True, False, True]
+        assert res.termination == "grad_tol"
+        assert np.max(np.abs(res.grad)) <= optimizer.GRAD_TOL
+
+    @pytest.mark.parametrize("direction", [[1.0, 0.0], [0.0, 1.0]], ids=["uphill", "orthogonal"])
+    def test_line_search_refuses_a_non_descent_direction(self, direction):
+        # the retry relies on this: a search along d with g.d >= 0 fails
+        # before it asks for a trial point
+        search = optimizer._strong_wolfe(
+            np.zeros(2), 0.0, np.array([1.0, 0.0]), np.array(direction), 0.0)
+        with pytest.raises(StopIteration) as stop:
+            next(search)
+        assert stop.value.value == "line_search_failed"
 
 
 class TestOptimize:
