@@ -3,7 +3,8 @@
 Subcommands: scaling, field-sweep, iters, p1-table, gap.
 Grid flags accept comma lists ("4,6,8") or ranges ("2:12:2", inclusive).
 A JSON config can be supplied with --config; explicit flags win over it.
-Exit codes: 0 success, 1 invalid config, 2 partial task failures.
+Each flag stores into the ExperimentConfig field it sets.
+Exit codes: 0 success, 1 invalid config or usage, 2 partial task failures.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from decimal import Decimal
+from pathlib import Path
 
 from .experiments import (
     ConfigError,
@@ -56,18 +59,19 @@ def parse_grid(text: str, cast=float) -> tuple:
 
 
 def _add_common_flags(sub):
-    sub.add_argument("--n", help="system-size grid, e.g. 8,12,16 or 4:16:4")
-    sub.add_argument("--p-exp", type=int, help="interaction exponent p")
-    sub.add_argument("--h", help="transverse-field grid")
-    sub.add_argument("--depth", help="circuit-depth grid")
+    sub.add_argument("--n", dest="n_grid", help="system-size grid, e.g. 8,12,16 or 4:16:4")
+    sub.add_argument("--p-exp", dest="p_exponent", type=int, help="interaction exponent p")
+    sub.add_argument("--h", dest="h_grid", help="transverse-field grid")
+    sub.add_argument("--depth", dest="depth_grid", help="circuit-depth grid")
     sub.add_argument("--scheme", choices=["r", "l", "both"], help="initialization scheme")
     sub.add_argument("--dt", type=float, help="Trotter step for the linear schedule")
-    sub.add_argument("--noise", type=float, help="l-init multiplicative noise amplitude")
-    sub.add_argument("--restarts", type=int, help="restarts per grid point")
-    sub.add_argument("--seed", type=int, help="base seed")
-    sub.add_argument("--workers", type=int, help="worker process count")
-    sub.add_argument("--out", help="output path")
-    sub.add_argument("--format", choices=["csv", "json"], help="output format")
+    sub.add_argument("--noise", dest="noise_amplitude", type=float,
+                     help="l-init multiplicative noise amplitude")
+    sub.add_argument("--restarts", dest="n_restarts", type=int, help="restarts per grid point")
+    sub.add_argument("--seed", dest="base_seed", type=int, help="base seed")
+    sub.add_argument("--workers", dest="worker_count", type=int, help="worker process count")
+    sub.add_argument("--out", dest="out_path", help="output path")
+    sub.add_argument("--format", dest="out_format", choices=["csv", "json"], help="output format")
     sub.add_argument("--config", help="JSON ExperimentConfig file")
 
 
@@ -77,36 +81,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="QAOA ground-state preparation sweeps for the p-spin ferromagnet",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command in _KIND_BY_COMMAND:
+    for command, kind in _KIND_BY_COMMAND.items():
         sub = subs.add_parser(command)
+        sub.set_defaults(kind=kind)
         _add_common_flags(sub)
     return parser
 
 
 def config_from_args(args) -> ExperimentConfig:
+    """The --config file's fields, overridden by every flag given."""
     data = {}
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"--config must hold a JSON object, got {type(data).__name__}")
-    data["kind"] = _KIND_BY_COMMAND[args.command]
-    overrides = {
-        "n_grid": parse_grid(args.n, int) if args.n else None,
-        "p_exponent": args.p_exp,
-        "h_grid": parse_grid(args.h, float) if args.h else None,
-        "depth_grid": parse_grid(args.depth, int) if args.depth else None,
-        "scheme": args.scheme,
-        "dt": args.dt,
-        "noise_amplitude": args.noise,
-        "n_restarts": args.restarts,
-        "base_seed": args.seed,
-        "worker_count": args.workers,
-        "out_path": args.out,
-        "out_format": args.format,
-    }
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    return ExperimentConfig.from_dict(data)
+    names = {f.name for f in fields(ExperimentConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    for name, cast in (("n_grid", int), ("depth_grid", int), ("h_grid", float)):
+        if name in flags:  # the grid flags are text
+            flags[name] = parse_grid(flags[name], cast)
+    return ExperimentConfig.from_dict({**data, **flags})
 
 
 def _print_fit(config: ExperimentConfig, rows) -> None:
@@ -126,10 +121,14 @@ def _print_fit(config: ExperimentConfig, rows) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors exit 2, which means failed points here
+        return 1 if exc.code else 0
     try:
         config = config_from_args(args)
+        if config.out_path and not Path(config.out_path).parent.is_dir():
+            raise ConfigError(f"the directory of out_path {config.out_path!r} does not exist")
     except (ConfigError, ValueError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1

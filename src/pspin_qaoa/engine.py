@@ -114,7 +114,10 @@ class CircuitContext:
         self.plus = plus_state(n)[:dim] / self.lift_weight[:dim]
         self.spectrum: TargetSpectrum = diagonalize_target(spec)
         self.ground = self.spectrum.ground_state[:dim] / self.lift_weight[:dim]
-        self.ground.setflags(write=False)
+        # one context serves every caller of circuit_context(spec)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def lift(self, state: np.ndarray) -> np.ndarray:
         """The N+1 sector amplitudes of a context-dimension state vector."""

@@ -68,12 +68,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if not self.n_grid or not self.depth_grid or not self.h_grid:
-            raise ConfigError("grids must be non-empty")
         for name in ("n_grid", "depth_grid", "h_grid"):
-            grid = getattr(self, name)
+            try:
+                grid = tuple(getattr(self, name))
+            except TypeError as exc:
+                raise ConfigError(f"grids must be lists of numbers: {exc}") from exc
+            if not grid:
+                raise ConfigError("grids must be non-empty")
             if name not in EXPERIMENT_KINDS[self.kind] and len(grid) > 1:
                 raise ConfigError(f"{self.kind} does not sweep {name}; give one entry, got {grid!r}")
+            object.__setattr__(self, name, grid)
+        if self.out_path is not None and not isinstance(self.out_path, str):
+            raise ConfigError(f"out_path must be a string, got {self.out_path!r}")
         if self.scheme not in ("r", "l", "both"):
             raise ConfigError(f"scheme must be 'r', 'l' or 'both', got {self.scheme!r}")
         if self.out_format not in ("csv", "json"):
@@ -104,19 +110,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The config of a JSON object: grids become tuples; nothing else is
-        converted."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """The config of a JSON object; refuses unknown fields."""
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        data = dict(data)
-        try:
-            for key in ("n_grid", "depth_grid", "h_grid"):
-                if key in data:
-                    data[key] = tuple(data[key])
-        except TypeError as exc:
-            raise ConfigError(f"grids must be lists of numbers: {exc}") from exc
         return cls(**data)
 
 
@@ -172,17 +169,18 @@ def collapse_coordinate(p: int, n_sites: int, depth: int) -> float:
     return (depth - offset) / n_sites
 
 
-def _sweep_task(args: tuple) -> dict:
+def _sweep_task(config: ExperimentConfig, point: dict) -> dict:
     """One grid point: a seeded multi-start; runs in the worker process."""
-    (n, p, h, depth, tag, dt, noise, n_restarts, seed) = args
-    spec = ProblemSpec(n_sites=n, p_exponent=p, field=h)
-    scheme = RandomInit() if tag == "r" else LinearInit(dt=dt, noise_amplitude=noise)
-    stats = multi_start(spec, depth, scheme, n_restarts, base_seed=seed)
+    n, h, depth = point["n_sites"], point["field"], point["depth"]
+    spec = ProblemSpec(n_sites=n, p_exponent=config.p_exponent, field=h)
+    scheme = RandomInit() if point["scheme"] == "r" else LinearInit(config.dt, config.noise_amplitude)
+    seed = derive_seed(config.base_seed, n, depth, h)
+    stats = multi_start(spec, depth, scheme, config.n_restarts, base_seed=seed)
     mean_tau = float(np.mean([r.record.annealing_time for r in stats.results]))
     return {
         "mean_residual": stats.mean_residual,
         "std_residual": stats.std_residual,
-        "sem_residual": stats.std_residual / math.sqrt(n_restarts),
+        "sem_residual": stats.std_residual / math.sqrt(config.n_restarts),
         "min_residual": stats.min_residual,
         "max_residual": stats.max_residual,
         "mean_iters": stats.mean_iters,
@@ -191,9 +189,9 @@ def _sweep_task(args: tuple) -> dict:
     }
 
 
-def _p1_task(args: tuple) -> dict:
+def _p1_task(config: ExperimentConfig, point: dict) -> dict:
     """Closed-form depth-1 angles pushed through the circuit, h = 0."""
-    p, n = args
+    p, n = config.p_exponent, point["n_sites"]
     pair = analytic.exact_p1_params(p, n)
     if pair is None:
         return {"status": "no closed form (N even)"}
@@ -209,28 +207,24 @@ def _p1_task(args: tuple) -> dict:
     }
 
 
-def _gap_task(args: tuple) -> dict:
+def _gap_task(config: ExperimentConfig, point: dict) -> dict:
     """Minimal spectral gap near the critical field, for one system size."""
-    n, p, h_center = args
-    h_min, gap = minimal_gap(n, p, h_center)
+    p = config.p_exponent
+    h_min, gap = minimal_gap(point["n_sites"], p, CRITICAL_FIELDS.get(p, 1.0))
     return {"h_at_minimum": h_min, "minimal_gap": gap}
 
 
-def _plan(config: ExperimentConfig) -> tuple[type, Callable[[tuple], dict], list]:
-    """The row type, the task and the (row keys, task arguments) of every grid
-    point, in row order. Tables run over N. Residual sweeps run, per scheme,
-    depth scans over N and P at the first h, field sweeps over h at the first
-    N and P, iteration scans over N at depth P*(N)."""
+def _plan(config: ExperimentConfig) -> tuple[type, Callable[[ExperimentConfig, dict], dict], list[dict]]:
+    """The row type, the task and the row keys of every grid point, in row
+    order; the task reads the rest of its input from the config. Tables run
+    over N. Residual sweeps run, per scheme, depth scans over N and P at the
+    first h, field sweeps over h at the first N and P, iteration scans over
+    N at depth P*(N)."""
     p = config.p_exponent
     if config.kind == "p1-table":
-        return P1TableRow, _p1_task, [
-            ({"p_exponent": p, "n_sites": n}, (p, n)) for n in sorted(config.n_grid)
-        ]
+        return P1TableRow, _p1_task, [{"p_exponent": p, "n_sites": n} for n in sorted(config.n_grid)]
     if config.kind == "gap-scaling":
-        h_center = CRITICAL_FIELDS.get(p, 1.0)
-        return GapRow, _gap_task, [
-            ({"n_sites": n, "p_exponent": p}, (n, p, h_center)) for n in sorted(config.n_grid)
-        ]
+        return GapRow, _gap_task, [{"n_sites": n, "p_exponent": p} for n in sorted(config.n_grid)]
     n0, depth0, h0 = config.n_grid[0], config.depth_grid[0], config.h_grid[0]
     if config.kind == "scaling":
         grid = [(n, h0, d) for n in sorted(config.n_grid) for d in sorted(config.depth_grid)]
@@ -240,11 +234,9 @@ def _plan(config: ExperimentConfig) -> tuple[type, Callable[[tuple], dict], list
         grid = [(n, h0, p_star(p, n)) for n in sorted(config.n_grid)]
     tags = ("r", "l") if config.scheme == "both" else (config.scheme,)
     return SweepRow, _sweep_task, [
-        ({"n_sites": n, "p_exponent": p, "field": h, "depth": depth, "scheme": tag,
-          "n_restarts": config.n_restarts, "collapse_coordinate": collapse_coordinate(p, n, depth),
-          "h_critical": CRITICAL_FIELDS.get(p, math.nan)},
-         (n, p, h, depth, tag, config.dt, config.noise_amplitude, config.n_restarts,
-          derive_seed(config.base_seed, n, depth, h)))
+        {"n_sites": n, "p_exponent": p, "field": h, "depth": depth, "scheme": tag,
+         "n_restarts": config.n_restarts, "collapse_coordinate": collapse_coordinate(p, n, depth),
+         "h_critical": CRITICAL_FIELDS.get(p, math.nan)}
         for tag in tags for n, h, depth in grid
     ]
 
@@ -408,10 +400,10 @@ def run_experiment(config: ExperimentConfig) -> list:
     rows = []
     with ProcessPoolExecutor(config.worker_count) if config.worker_count > 1 else nullcontext() as pool:
         if pool is None:
-            calls = [partial(task, args) for _, args in points]
+            calls = [partial(task, config, keys) for keys in points]
         else:
-            calls = [pool.submit(task, args).result for _, args in points]
-        for (keys, _), call in zip(points, calls):
+            calls = [pool.submit(task, config, keys).result for keys in points]
+        for keys, call in zip(points, calls):
             try:
                 values = call()
             except Exception as exc:  # partial failure: keep the row, flag it

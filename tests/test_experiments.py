@@ -92,6 +92,8 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict({"kind": "field-sweep", "h_grid": [0, 1]})
         assert cfg.h_grid == (0.0, 1.0)
         assert all(type(h) is float for h in cfg.h_grid)
+        # the constructor makes the same tuples
+        assert cfg == ExperimentConfig(kind="field-sweep", h_grid=[0, 1])
 
     @pytest.mark.parametrize("field,value", [
         ("n_grid", [8.5]), ("n_grid", [8.0]), ("depth_grid", [2.5]), ("n_grid", 8),
@@ -106,7 +108,7 @@ class TestConfig:
         ("n_grid", (8.0,)), ("n_grid", (0,)), ("n_grid", (True,)), ("n_grid", (2**64,)),
         ("depth_grid", (0,)), ("depth_grid", (1.5,)), ("depth_grid", (True,)),
         ("h_grid", (-0.5,)), ("h_grid", (float("nan"),)), ("h_grid", (float("inf"),)),
-        ("h_grid", (True,)),
+        ("h_grid", (True,)), ("n_grid", 8), ("h_grid", 0.5),
         # a gap scan runs over N alone, so a second h or depth would be dropped
         ("h_grid", (0.5, 1.0)), ("depth_grid", (2, 3)),
     ], ids=str)
@@ -128,6 +130,7 @@ class TestConfig:
         ("noise_amplitude", -0.1), ("noise_amplitude", float("nan")),
         ("n_restarts", 2.5), ("n_restarts", True), ("worker_count", True),
         ("worker_count", 0), ("base_seed", 1.5), ("base_seed", True),
+        ("out_path", 3), ("out_path", ["x.csv"]),
     ], ids=str)
     def test_rejects_bad_scalar_fields(self, field, value):
         with pytest.raises(ConfigError):
@@ -220,6 +223,10 @@ class TestRunners:
              h_grid=(0.0,), n_restarts=2, base_seed=3),
         dict(kind="gap-scaling", p_exponent=2, n_grid=(16, 8)),
         dict(kind="p1-table", p_exponent=2, n_grid=(7, 5, 6)),
+        dict(kind="field-sweep", p_exponent=3, n_grid=(5,), depth_grid=(2,),
+             h_grid=(0.0, 1.0), scheme="both", n_restarts=2, base_seed=4),
+        dict(kind="iteration-scaling", p_exponent=2, n_grid=(4, 6), h_grid=(0.5,),
+             n_restarts=2, base_seed=2),
     ], ids=lambda base: base["kind"])
     def test_worker_count_does_not_change_results(self, base):
         serial = run_experiment(ExperimentConfig(**base, worker_count=1))
@@ -302,7 +309,7 @@ class TestRunners:
         assert row.status == "ok"
 
     def test_sweep_failure_keeps_exception_type(self, monkeypatch):
-        def boom(args):
+        def boom(config, point):
             raise ZeroDivisionError("boom")
 
         monkeypatch.setattr(experiments, "_sweep_task", boom)
@@ -315,7 +322,7 @@ class TestRunners:
         assert row.n_converged == 0
 
     def test_p1_table_failure_keeps_row(self, monkeypatch):
-        def boom(args):
+        def boom(config, point):
             raise ZeroDivisionError("boom")
 
         monkeypatch.setattr(experiments, "_p1_task", boom)
@@ -562,6 +569,35 @@ class TestCli:
     def test_invalid_grid_exit_code(self, argv, capsys):
         assert cli_main(argv) == 1
         assert "invalid config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["scaling", "--scheme", "z"], ["scaling", "--restarts", "x"],
+        ["scaling", "--format", "xml"], ["gap", "--unknown-flag", "1"],
+    ], ids=lambda argv: "_".join(argv) or "no-command")
+    def test_usage_error_exit_code(self, argv, capsys):
+        # exit 2 means failed grid points, so argparse's own exit 2 becomes 1
+        assert cli_main(argv) == 1
+        assert "usage: pspin-qaoa" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert cli_main(["gap", "--help"]) == 0
+        assert "--workers" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ["non-string out_path", "missing directory"])
+    def test_bad_out_path_is_refused_before_the_sweep(self, case, tmp_path, monkeypatch, capsys):
+        def never(config, point):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(experiments, "_p1_task", never)
+        argv = ["p1-table", "--n", "5", "--p-exp", "2"]
+        if case == "non-string out_path":
+            cfg_path = tmp_path / "c.json"
+            cfg_path.write_text(json.dumps({"out_path": 3}))
+            argv += ["--config", str(cfg_path)]
+        else:
+            argv += ["--out", str(tmp_path / "no" / "such" / "x.csv")]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.startswith("invalid config: ")
 
     def test_p1_table_command(self, capsys):
         code = cli_main(["p1-table", "--n", "5,7", "--p-exp", "2"])

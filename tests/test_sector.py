@@ -238,13 +238,19 @@ class TestSectorTable:
     def test_cached_arrays_are_read_only(self):
         spec = ProblemSpec(9, 3, 0.5)
         table = sector_table(9, 3)
-        ctx = CircuitContext(spec)
-        for arr in (
-            target_tridiagonal(spec)[0], table.hz_float, table.target_diag,
-            table.x_off, ctx.hz_float, ctx.target_diag, ctx.x_off, ctx.ground,
-        ):
+        for arr in (target_tridiagonal(spec)[0], table.hz_float, table.target_diag, table.x_off):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
+        # every array of a context, in the whole sector (odd p) and the block (even p)
+        for spec in (ProblemSpec(9, 3, 0.5), ProblemSpec(8, 2, 0.5)):
+            arrays = {k: v for k, v in vars(CircuitContext(spec)).items() if isinstance(v, np.ndarray)}
+            assert {
+                "plus", "lift_index", "lift_weight", "x_diag", "x_off", "target_diag",
+                "target_off", "hz_float", "ground",
+            } <= arrays.keys()
+            for arr in arrays.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1
 
     @pytest.mark.parametrize("n", [8, 9])
     @pytest.mark.parametrize("p", [2, 3])
