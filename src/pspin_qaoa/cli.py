@@ -4,7 +4,8 @@ Subcommands: scaling, field-sweep, iters, p1-table, gap.
 Grid flags accept comma lists ("4,6,8") or ranges ("2:12:2", inclusive).
 A JSON config can be supplied with --config; explicit flags win over it.
 Each flag stores into the ExperimentConfig field it sets.
-Exit codes: 0 success, 1 invalid config or usage, 2 partial task failures.
+Exit codes: 0 success, 1 invalid config or usage, or results that could not
+be written (the rows are printed instead), 2 partial task failures.
 """
 
 from __future__ import annotations
@@ -129,14 +130,22 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         if config.out_path and not Path(config.out_path).parent.is_dir():
             raise ConfigError(f"the directory of out_path {config.out_path!r} does not exist")
+        if config.out_path and Path(config.out_path).is_dir():
+            raise ConfigError(f"out_path {config.out_path!r} is a directory")
     except (ConfigError, ValueError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
 
     rows = run_experiment(config)
     n_failed = sum(1 for r in rows if r.status.startswith("failed"))
+    written = False
     if config.out_path:
-        emit_results(rows, config.out_format, config.out_path, config)
+        try:
+            emit_results(rows, config.out_format, config.out_path, config)
+            written = True
+        except (OSError, ValueError) as exc:  # the sweep's rows are kept on stdout
+            print(f"{exc}; printing the rows instead", file=sys.stderr)
+    if written:
         print(f"wrote {len(rows)} rows to {config.out_path}")
     else:
         for row in rows:
@@ -144,8 +153,9 @@ def main(argv=None) -> int:
     _print_fit(config, rows)
     if n_failed:
         print(f"{n_failed} grid point(s) failed", file=sys.stderr)
-        return 2
-    return 0
+    if config.out_path and not written:
+        return 1
+    return 2 if n_failed else 0
 
 
 if __name__ == "__main__":

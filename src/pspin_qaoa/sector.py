@@ -18,6 +18,19 @@ reflection-even block of floor(N/2)+1 states, again tridiagonal. For odd p
 it uses the whole sector. ``dynamics_block`` picks that block for any
 sector tridiagonal and ``dynamics_lift`` maps its states back to the sector;
 the circuit, the dynamical gap and the ground state all work in it.
+
+Every spectrum here is of a symmetric tridiagonal, and ``_tridiagonal_eigh``
+is the one path to LAPACK (``scipy.linalg.lapack``): bisection (dstebz) for
+eigenvalues selected by index, inverse iteration (dstein) for their vectors,
+divide and conquer (dstevd) for a whole decomposition. These are the
+routines, with the arguments, that ``scipy.linalg.eigh_tridiagonal`` picks,
+so the numbers are the same bit for bit, without its per-call argument
+handling. Its guards are kept and the eigenvalue count is checked too: a
+non-finite entry, a nonzero LAPACK ``info`` or a short count raises
+``LinAlgError``, which ``dynamical_gap`` passes on and
+``diagonalize_target`` and ``x_spectral_decomposition`` raise as
+``RuntimeError``. ``ProblemSpec`` refuses a field large enough to overflow
+the solvers, so no accepted spec reaches those guards.
 """
 
 from __future__ import annotations
@@ -28,7 +41,8 @@ from math import isfinite, lgamma, log
 from numbers import Integral
 
 import numpy as np
-import scipy.linalg
+from numpy.linalg import LinAlgError
+from scipy.linalg import lapack
 
 # M^p is carried as an exact Python integer; reject anything that would not
 # fit a 128-bit signed phase accumulator.
@@ -36,11 +50,23 @@ _MAX_PHASE_BITS = 127
 _MAX_PHASE_INT = 2**_MAX_PHASE_BITS
 # the largest collective-X eigenvector matrix V (m^2 float64): m <= 11585
 _MAX_MIXER_BYTES = 2**30
+# the largest h (N + 1): see ``ProblemSpec``
+_MAX_FIELD_SCALE = 2.0**448
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """The triple (N, p, h) defining the target Hamiltonian."""
+    """The triple (N, p, h) defining the target Hamiltonian.
+
+    A field with h (N + 1) >= 2^448 is refused with an OverflowError. Every
+    off-diagonal entry of the sector target, and of its reflection-even
+    block, is at most h (N + 1) / sqrt(2), and LAPACK's bisection (dstebz)
+    squares each one, so from h (N + 1) = 2^512.5 on it overflows; inverse
+    iteration (dstein) multiplies such squares by further size and growth
+    factors, and returned a NaN ground state with info = 0 from about
+    h (N + 1) = 2^476 on (p = 3, N = 256 .. 16384, measured). The bound keeps
+    every square below 2^896.
+    """
 
     n_sites: int
     p_exponent: int
@@ -68,6 +94,11 @@ class ProblemSpec:
             raise OverflowError(
                 f"N^p = {self.n_sites}^{self.p_exponent} exceeds the supported "
                 "128-bit integer width for phase arithmetic"
+            )
+        if self.field * (self.n_sites + 1) >= _MAX_FIELD_SCALE:
+            raise OverflowError(
+                f"h (N + 1) = {self.field} * {self.n_sites + 1} reaches 2^448, "
+                "past which the tridiagonal eigensolvers overflow"
             )
 
 
@@ -215,14 +246,53 @@ def dynamics_lift(p: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(k, n_sites - k), np.where(2 * k == n_sites, 1.0, np.sqrt(0.5))
 
 
+def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, index=None, vectors: bool = True):
+    """Eigenvalues, ascending, of the symmetric tridiagonal (d, e), and with
+    ``vectors`` the orthonormal eigenvectors as columns: ``(w, v)`` or ``w``.
+
+    ``index = (lo, hi)`` selects eigenvalues lo..hi (from 0) by bisection,
+    dstebz with range "I" and abstol 0, so each is accurate to a few ulp of
+    the Gershgorin bound of (d, e); their vectors come from dstein. Without
+    ``index`` all come from dstevd. A 1x1 matrix is its own spectrum (f2py
+    refuses an empty off-diagonal). Raises LinAlgError for a non-finite
+    entry, a nonzero LAPACK ``info``, fewer eigenvalues than selected, or a
+    non-finite dstein vector (dstein can overflow with info = 0).
+    """
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise LinAlgError("the tridiagonal has a non-finite entry")
+    if d.size == 1:
+        w, v = d.copy(), np.ones((1, 1))
+    elif index is None:
+        w, v, info = lapack.dstevd(d, e, compute_v=vectors)
+        if info:
+            raise LinAlgError(f"dstevd failed with info = {info}")
+    else:
+        lo, hi = index
+        m, w, iblock, isplit, info = lapack.dstebz(
+            d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "B" if vectors else "E"
+        )
+        if info or m != hi - lo + 1:
+            raise LinAlgError(f"dstebz found {m} of eigenvalues {lo}..{hi}, info = {info}")
+        w = w[:m]
+        if vectors:
+            v, info = lapack.dstein(d, e, w, iblock, isplit)
+            if info or not np.isfinite(v).all():
+                raise LinAlgError(f"dstein failed (info = {info}) or returned a non-finite vector")
+            order = np.argsort(w)  # dstebz's block order to ascending
+            w, v = w[order], v[:, order]
+    return (w, v) if vectors else w
+
+
 @lru_cache(maxsize=None)
 def x_spectral_decomposition(n_sites: int, even_parity: bool = False) -> XSpectralDecomposition:
     """Cached eigendecomposition of the collective-X matrix for size N.
 
     With ``even_parity`` it decomposes the reflection-even block of
     ``reflection_even_tridiagonal`` instead of the whole sector: floor(N/2)+1
-    states, eigenvalues N - 2j for even j. Refused with a ValueError, before
-    anything is allocated, when V would exceed ``_MAX_MIXER_BYTES``.
+    states, eigenvalues N - 2j for even j. LAPACK's divide and conquer
+    (dstevd) computes it; a failure raises RuntimeError. Refused with a
+    ValueError, before anything is allocated, when V would exceed
+    ``_MAX_MIXER_BYTES``.
     """
     dim = n_sites // 2 + 1 if even_parity else n_sites + 1
     if 8 * dim**2 > _MAX_MIXER_BYTES:
@@ -235,8 +305,8 @@ def x_spectral_decomposition(n_sites: int, even_parity: bool = False) -> XSpectr
     if even_parity:
         diag, off = reflection_even_tridiagonal(diag, off)
     try:
-        lam, vec = scipy.linalg.eigh_tridiagonal(diag, off)
-    except scipy.linalg.LinAlgError as exc:
+        lam, vec = _tridiagonal_eigh(diag, off)
+    except LinAlgError as exc:
         raise RuntimeError(f"collective-X eigensolver failed for N={n_sites}") from exc
     lam.setflags(write=False)
     vec.setflags(write=False)
@@ -253,14 +323,15 @@ def dynamical_gap(spec: ProblemSpec) -> float:
     there is no such symmetry and it is the full-sector gap.
 
     Either way the block is tridiagonal, and its two lowest eigenvalues come
-    from LAPACK bisection (stebz) in O(N). Each is accurate to a few ulp of
+    from one LAPACK bisection (dstebz) in O(N). Each is accurate to a few ulp of
     max|d| + 2 max|o|, with d and o the sector diagonal and off-diagonal of
     ``target_tridiagonal``: the Gershgorin bound on the norm. The tests hold
     the gap to 1e-13 times that bound against 40-digit mpmath and against
     dense eigensolvers. The bound is absolute: below the critical field the
     gap can be exponentially small.
 
-    Raises ValueError for N = 1 with even p, whose block has one state.
+    Raises ValueError for N = 1 with even p, whose block has one state, and
+    LinAlgError if dstebz fails.
     """
     d, e = dynamics_block(spec.p_exponent, *target_tridiagonal(spec))
     if d.size < 2:
@@ -268,7 +339,7 @@ def dynamical_gap(spec: ProblemSpec) -> float:
             f"the dynamics block of N = {spec.n_sites}, p = {spec.p_exponent} "
             "has one state, so there is no gap"
         )
-    w = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 1))
+    w = _tridiagonal_eigh(d, e, (0, 1), vectors=False)
     return float(w[1] - w[0])
 
 
@@ -278,17 +349,18 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
 
     e_min and e_max are the ends of the full-sector spectrum (for odd N the
     top state is reflection-odd, so the even block would miss e_max), each
-    one LAPACK bisection (stebz) in O(N), without eigenvectors. Each is
+    one LAPACK bisection (dstebz) in O(N), without eigenvectors. Each is
     accurate to a few ulp of ``norm_bound``, the ``gershgorin_bound`` of the
     sector diagonal and off-diagonal; the tests hold them to 1e-13 times that
     bound against 40-digit mpmath.
 
-    The ground state is the lowest eigenvector of ``dynamics_block``, lifted to
-    the sector and signed so that its largest amplitude is positive. For even
-    p it is the reflection-even ground state, exactly mirror-symmetric like
-    the circuit state: below the critical field the full sector's even and
-    odd ground states split by an exponentially small amount, so its lowest
-    eigenvector would be an arbitrary mix of the two. For h > 0 the block is
+    The ground state is the lowest eigenvector of ``dynamics_block`` (dstebz,
+    then inverse iteration, dstein), lifted to the sector and signed so that
+    its largest amplitude is positive. For even p it is the reflection-even
+    ground state, exactly mirror-symmetric like the circuit state: below the
+    critical field the full sector's even and odd ground states split by an
+    exponentially small amount, so its lowest eigenvector would be an
+    arbitrary mix of the two. For h > 0 the block is
     an irreducible tridiagonal with negative off-diagonal, so its ground
     state is unique and positive (Perron-Frobenius); at h = 0 it is block
     state 0, which for even p lifts to the cat state (|0> + |N>)/sqrt(2).
@@ -296,17 +368,16 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
     The ground state is accurate to about eps ||H|| / gap_block in norm, with
     gap_block the ``dynamical_gap``. For odd p near the critical field that
     gap is exponentially small, so the ground state, and any fidelity taken
-    against it, is ill-conditioned there.
+    against it, is ill-conditioned there. A LAPACK failure raises RuntimeError.
     """
     diag, off = target_tridiagonal(spec)
     d, e = dynamics_block(spec.p_exponent, diag, off)
     try:
         e_min, e_max = (
-            float(scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(i, i))[0])
-            for i in (0, spec.n_sites)
+            float(_tridiagonal_eigh(diag, off, (i, i), vectors=False)[0]) for i in (0, spec.n_sites)
         )
-        v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
-    except scipy.linalg.LinAlgError as exc:
+        v = _tridiagonal_eigh(d, e, (0, 0))[1][:, 0]
+    except LinAlgError as exc:
         raise RuntimeError(
             f"target eigensolver failed for N={spec.n_sites}, "
             f"p={spec.p_exponent}, h={spec.field}"

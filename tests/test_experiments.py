@@ -16,7 +16,7 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import pspin_qaoa
-from pspin_qaoa import experiments, optimizer
+from pspin_qaoa import cli as cli_module, experiments, optimizer
 from pspin_qaoa.cli import (
     _KIND_BY_COMMAND, build_parser, config_from_args, main as cli_main, parse_grid,
 )
@@ -583,7 +583,9 @@ class TestCli:
         assert cli_main(["gap", "--help"]) == 0
         assert "--workers" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("case", ["non-string out_path", "missing directory"])
+    @pytest.mark.parametrize(
+        "case", ["non-string out_path", "missing directory", "existing directory"]
+    )
     def test_bad_out_path_is_refused_before_the_sweep(self, case, tmp_path, monkeypatch, capsys):
         def never(config, point):
             raise AssertionError("the sweep ran")
@@ -594,10 +596,25 @@ class TestCli:
             cfg_path = tmp_path / "c.json"
             cfg_path.write_text(json.dumps({"out_path": 3}))
             argv += ["--config", str(cfg_path)]
-        else:
+        elif case == "missing directory":
             argv += ["--out", str(tmp_path / "no" / "such" / "x.csv")]
+        else:
+            argv += ["--out", str(tmp_path)]
         assert cli_main(argv) == 1
         assert capsys.readouterr().err.startswith("invalid config: ")
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), ValueError("non-finite value")])
+    def test_rows_are_printed_when_the_write_fails(self, error, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli_module, "emit_results", fail)
+        out = tmp_path / "t.csv"
+        assert cli_main(["p1-table", "--n", "5,7", "--p-exp", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert str(error) in captured.err
+        assert captured.out.count("status='ok'") == 2
+        assert "wrote" not in captured.out and not out.exists()
 
     def test_p1_table_command(self, capsys):
         code = cli_main(["p1-table", "--n", "5,7", "--p-exp", "2"])

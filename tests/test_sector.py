@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from fractions import Fraction
 from math import comb
 
@@ -22,7 +23,9 @@ from pspin_qaoa.sector import (
     diagonalize_target,
     dynamical_gap,
     dynamics_block,
+    dynamics_lift,
     plus_state,
+    reflection_even_tridiagonal,
     sector_table,
     target_tridiagonal,
     x_spectral_decomposition,
@@ -68,6 +71,30 @@ class TestProblemSpec:
         spec = ProblemSpec(np.int64(16), np.int32(3), 1.0)
         assert type(spec.n_sites) is int and type(spec.p_exponent) is int
         assert spec == ProblemSpec(16, 3, 1.0)
+
+    @pytest.mark.parametrize("n", [7, 1023, 2**40 - 1])
+    def test_field_bound(self, n):
+        # h (N + 1) < 2^448; N + 1 is a power of two, so the products are exact.
+        # Checked in O(1): N = 2^40 - 1 builds no array.
+        at = 2.0**448 / (n + 1)
+        assert ProblemSpec(n, 2, np.nextafter(at, 0.0)).field < at
+        for h in (at, np.nextafter(at, np.inf), 1e308):
+            with pytest.raises(OverflowError, match="2\\^448"):
+                ProblemSpec(n, 3, h)
+
+    @pytest.mark.parametrize("n", [7, 1023])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_largest_field_is_computed(self, n, p):
+        # just below the bound the target is -h X to 2^-437 relative, whose
+        # block gap is 2h (odd p) or 4h (even p), lowest energy -h N and
+        # ground state |+>
+        h = np.nextafter(2.0**448 / (n + 1), 0.0)
+        spec = ProblemSpec(n, p, h)
+        assert dynamical_gap(spec) == pytest.approx((2 if p % 2 else 4) * h, rel=1e-12)
+        target = diagonalize_target(spec)
+        assert target.e_min == pytest.approx(-h * n, rel=1e-12)
+        assert target.e_max == pytest.approx(h * n, rel=1e-12)
+        np.testing.assert_allclose(target.ground_state, plus_state(n), rtol=0, atol=1e-12)
 
 
 def magnetizations(n: int) -> np.ndarray:
@@ -566,3 +593,128 @@ class TestDynamicalGap:
     def test_single_site_even_p_rejected(self):
         with pytest.raises(ValueError, match="one state"):
             dynamical_gap(ProblemSpec(1, 2, 1.0))
+
+
+def scipy_sites(spec: ProblemSpec):
+    """The gap, the spectrum ends and the signed, lifted ground state by
+    scipy's tridiagonal wrappers: the reference ``sector`` must equal bit
+    for bit."""
+    diag, off = target_tridiagonal(spec)
+    d, e = dynamics_block(spec.p_exponent, diag, off)
+    gap = None
+    if d.size > 1:
+        w = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 1))
+        gap = float(w[1] - w[0])
+    ends = tuple(
+        float(scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(i, i))[0])
+        for i in (0, spec.n_sites)
+    )
+    v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
+    index, weight = dynamics_lift(spec.p_exponent, spec.n_sites)
+    ground = v[index] * weight
+    if ground[np.argmax(np.abs(ground))] < 0:
+        ground = -ground
+    return gap, ends, ground.astype(complex)
+
+
+def scipy_x_decomposition(n: int, even_parity: bool):
+    """The collective-X eigendecomposition by scipy's ``eigh_tridiagonal``."""
+    diag, off = np.zeros(n + 1), np.sqrt((np.arange(n) + 1.0) * (n - np.arange(n)))
+    if even_parity:
+        diag, off = reflection_even_tridiagonal(diag, off)
+    return scipy.linalg.eigh_tridiagonal(diag, off)
+
+
+class TestLapackPath:
+    """``sector`` calls dstebz, dstein and dstevd itself, with the arguments
+    scipy's wrappers pick, so every number equals theirs bit for bit."""
+
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.sampled_from([2, 3, 4, 5]),
+        st.floats(min_value=0.0, max_value=10.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(1, 2, 1.0)
+    @example(1, 3, 0.0)
+    @example(200, 3, 10.0)
+    def test_equals_scipy_wrappers(self, n, p, h):
+        spec = ProblemSpec(n, p, h)
+        gap, ends, ground = scipy_sites(spec)
+        if gap is not None:
+            assert dynamical_gap(spec) == gap
+        target = diagonalize_target(spec)
+        assert (target.e_min, target.e_max) == ends
+        assert np.array_equal(target.ground_state, ground)
+        for even_parity in (False, True):
+            dec = x_spectral_decomposition.__wrapped__(n, even_parity)
+            lam, vec = scipy_x_decomposition(n, even_parity)
+            assert np.array_equal(dec.eigenvalues, lam)
+            assert np.array_equal(dec.eigenvectors, vec)
+            assert dec.eigenvectors.strides == vec.strides  # the mixer GEMMs see one layout
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_one_state_block(self, p):
+        # N = 1, even p: a 1x1 block, which f2py cannot pass to LAPACK
+        spec = ProblemSpec(1, p, 0.8)
+        target = diagonalize_target(spec)
+        assert np.array_equal(target.ground_state, np.full(2, np.sqrt(0.5), dtype=complex))
+        assert np.array_equal(target.ground_state, scipy_sites(spec)[2])
+        dec = x_spectral_decomposition(1, even_parity=True)
+        assert dec.eigenvalues.tolist() == [1.0] and dec.eigenvectors.tolist() == [[1.0]]
+
+    def test_needs_no_scipy_wrapper(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scipy wrapper was called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", refuse)
+        spec = ProblemSpec(33, 3, 0.7)
+        assert dynamical_gap(spec) > 0
+        assert diagonalize_target(spec).e_min < 0
+        assert x_spectral_decomposition.__wrapped__(33, True).eigenvalues.size == 17
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_non_finite_entries(self, bad):
+        d, e = np.zeros(4), np.ones(3)
+        for arrays in ((np.r_[d[:3], bad], e), (d, np.r_[e[:2], bad])):
+            for index, vectors in ((None, True), ((0, 1), False), ((0, 0), True)):
+                with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                    sector._tridiagonal_eigh(*arrays, index, vectors)
+
+    def test_refuses_a_non_finite_dstein_vector(self):
+        # h (N + 1) = 2^500 at N = 1024, p = 3, past the field bound: dstebz
+        # still succeeds, dstein overflows with info = 0
+        table = sector_table(1024, 3)
+        d, e = table.target_diag, -(2.0**500 / 1025) * table.x_off
+        assert np.isfinite(sector._tridiagonal_eigh(d, e, (0, 1), vectors=False)).all()
+        with pytest.raises(np.linalg.LinAlgError, match="dstein"):
+            sector._tridiagonal_eigh(d, e, (0, 0))
+
+    def test_lapack_failures_keep_their_error_types(self, monkeypatch):
+        class Failing:
+            def dstebz(self, d, e, *args):
+                return 0, np.zeros(d.size), None, None, 1
+
+            def dstevd(self, d, e, compute_v):
+                return np.zeros(d.size), np.eye(d.size), 1
+
+        monkeypatch.setattr(sector, "lapack", Failing())
+        spec = ProblemSpec(8, 3, 0.5)
+        with pytest.raises(np.linalg.LinAlgError, match="dstebz found 0"):
+            dynamical_gap(spec)
+        with pytest.raises(RuntimeError, match="target eigensolver failed"):
+            diagonalize_target(spec)
+        with pytest.raises(RuntimeError, match="collective-X eigensolver failed"):
+            x_spectral_decomposition.__wrapped__(8)
+
+    def test_short_eigenvalue_count_is_refused(self, monkeypatch):
+        real = sector.lapack.dstebz
+
+        def short(*args):
+            m, w, iblock, isplit, info = real(*args)
+            return m - 1, w, iblock, isplit, info
+
+        monkeypatch.setattr(sector.lapack, "dstebz", short)
+        with pytest.raises(np.linalg.LinAlgError, match="found 1 of eigenvalues 0..1"):
+            dynamical_gap(ProblemSpec(8, 3, 0.5))
