@@ -6,10 +6,10 @@ target commute with the spin flip k -> N - k and |+> is even under it, so
 the circuit runs in the reflection-even block of the sector: the
 floor(N/2)+1 states (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for even N
 (``sector.dynamics_block``, ``sector.dynamics_lift``). For odd p it
-runs in the whole sector of N+1 states. Either way the context holds the
-same fields, m the dimension: the phases, the target and collective-X as
-tridiagonals, |+>, the target spectrum and ground state, and the cached
-spectral decomposition V diag(lam) V^T of collective-X.
+runs in the whole sector of N+1 states. Either way the per-(N, p) context
+holds, m the dimension, the phases, |+>, collective-X as a tridiagonal and
+its cached V diag(lam) V^T. The field h enters only through the target, the
+per-(N, p, h) ``cached_spectrum``: the block tridiagonal and ground state.
 
 One kernel serves the state, the energy and the adjoint gradient, for R
 parameter vectors at once: R circuits run as an (R, m, k) stack, row r
@@ -46,7 +46,6 @@ from .sector import (
     dynamics_lift,
     plus_state,
     sector_table,
-    target_tridiagonal,
     x_spectral_decomposition,
 )
 
@@ -90,12 +89,12 @@ class EvaluationRecord:
 
 
 class CircuitContext:
-    """Per-(N, p, h) immutable workspace shared by many evaluations.
+    """Per-(N, p) immutable workspace shared by many evaluations.
 
     For even p every field describes the reflection-even block, for odd p the
     whole sector; the kernels do not tell the two apart. Sector amplitude k
-    is block amplitude ``lift_index[k]`` times ``lift_weight[k]``.
-    ``spectrum`` is the spec's ``diagonalize_target``, ``ground`` its ground state.
+    is block amplitude ``lift_index[k]`` times ``lift_weight[k]``. Of
+    ``spec`` only N and p are read: no attribute depends on h.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -105,15 +104,12 @@ class CircuitContext:
         self.xdec: XSpectralDecomposition = x_spectral_decomposition(n, even_parity=p % 2 == 0)
         table = sector_table(n, p)
         self.x_diag, self.x_off = dynamics_block(p, np.zeros(n + 1), table.x_off)
-        self.target_diag, self.target_off = dynamics_block(p, *target_tridiagonal(spec))
         self.lift_index, self.lift_weight = dynamics_lift(p, n)
         dim = self.x_diag.size
         self.hz: tuple[int, ...] = table.hz[:dim]
         self.max_abs_hz: int = table.max_abs_hz
         self.hz_float = table.hz_float[:dim]
         self.plus = plus_state(n)[:dim] / self.lift_weight[:dim]
-        self.spectrum: TargetSpectrum = diagonalize_target(spec)
-        self.ground = self.spectrum.ground_state[:dim] / self.lift_weight[:dim]
         # one context serves every caller of circuit_context(spec)
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -177,9 +173,6 @@ class CircuitContext:
     def apply_x(self, state: np.ndarray) -> np.ndarray:
         return _tridiagonal_product(self.x_diag, self.x_off, _checked_block(state))
 
-    def apply_target(self, state: np.ndarray) -> np.ndarray:
-        return _tridiagonal_product(self.target_diag, self.target_off, state)
-
 
 def _checked_block(state: np.ndarray) -> np.ndarray:
     """``state``, refused unless it is an (m, k) block or an (R, m, k) stack:
@@ -207,10 +200,10 @@ def circuit_context(spec: ProblemSpec) -> CircuitContext:
     return CircuitContext(spec)
 
 
-# kept only because bench/workloads.py clears it by name; goes with ROADMAP item 2
 @lru_cache(maxsize=None)
 def cached_spectrum(spec: ProblemSpec) -> TargetSpectrum:
-    return circuit_context(spec).spectrum
+    """The spec's ``diagonalize_target``, computed once per (N, p, h) per process."""
+    return diagonalize_target(spec)
 
 
 def _exact_angles(gamma: float, hz_ints, max_abs_hz: int) -> np.ndarray:
@@ -256,16 +249,16 @@ def _forward(ctx: CircuitContext, gammas: np.ndarray, betas: np.ndarray):
     return psi, phases, mixers, layers
 
 
-def _block_energy(ctx: CircuitContext, phi: np.ndarray):
+def _block_energy(target: TargetSpectrum, phi: np.ndarray):
     """<phi|H|phi> of each state of an (R, m, 1) stack, asserted real, and H|phi>.
 
     For a normalized state of m amplitudes the imaginary part of <phi|H|phi>
     is at most about m eps ||H||, and the spectrum's ``norm_bound`` bounds
     ||H||; an imaginary part of 1e-12 times the bound or more is refused.
     """
-    h_phi = ctx.apply_target(phi)
+    h_phi = _tridiagonal_product(target.diag, target.off, phi)
     val = np.vecdot(phi[..., 0], h_phi[..., 0])
-    if np.any(abs(val.imag) >= _ROUNDOFF * ctx.spectrum.norm_bound):
+    if np.any(abs(val.imag) >= _ROUNDOFF * target.norm_bound):
         raise ValueError(f"energy has non-negligible imaginary part {val.imag}")
     return val.real, h_phi
 
@@ -310,8 +303,8 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     one stack through every kernel call, and each row's numbers are
     bit-identical to its own batch of one: the mixer makes one GEMM per row,
     and each sum over the sector is one BLAS dot per row. Anything that is
-    not a 2-d array with an even width of at least 2, a ``QaoaParams``
-    included, is refused.
+    not a 2-d array of finite numbers with an even width of at least 2, a
+    ``QaoaParams`` included, is refused before any exponential.
 
     The forward sweep keeps, per layer, its phase and mixer factors, the
     post-phase state a_l and its eigenbasis coordinates r_l = E_l V^T a_l
@@ -324,18 +317,20 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     GEMMs per row and no exponential, and the cost is O(P m^2) per row,
     with m = floor(N/2)+1 for even p and N+1 for odd p.
     """
-    ctx = circuit_context(spec)
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] % 2:
         raise ValueError(f"parameter rows must form an (R, 2P) array, P >= 1; got shape {x.shape}")
     x = x.astype(float, copy=False)
+    if not np.isfinite(x).all():
+        raise ValueError(f"parameter rows must be finite, got {x}")
+    ctx = circuit_context(spec)
     depth = x.shape[1] // 2
     # d/dgamma of the phase layer brings down +i M^p = -i hz, d/dbeta of
     # the mixer i lam in the eigenbasis
     d_phase, d_mixer = 1j * -ctx.hz_float, 1j * ctx.xdec.eigenvalues
 
     phi, phases, mixers, layers = _forward(ctx, x[:, :depth], x[:, depth:])
-    e_val, adj = _block_energy(ctx, phi)
+    e_val, adj = _block_energy(cached_spectrum(spec), phi)
 
     # row r: <adj|d/dgamma_l psi>, then <adj|d/dbeta_l psi>, l = 1..P
     overlaps = np.empty(x.shape, dtype=complex)
@@ -357,16 +352,16 @@ def evaluate(spec: ProblemSpec, params: QaoaParams) -> EvaluationRecord:
     """Energy, residual, fidelity and equivalent annealing time in one record.
 
     The energy is ``energy_and_gradient``'s, bit for bit, and the fidelity the
-    block overlap with ``ctx.ground``. The energy and ``fidelity`` of the
-    lifted state sum the same terms in another order; the tests hold the gaps
-    to 1e-14 (for the energy, times the Gershgorin bound ``norm_bound``).
+    block overlap with the ``cached_spectrum``'s ``ground``. The energy and
+    ``fidelity`` of the lifted state sum the same terms in another order; the
+    tests hold the gaps to 1e-14 (for the energy, times ``norm_bound``).
     """
-    ctx = circuit_context(spec)
-    phi = _forward(ctx, params.gammas[None], params.betas[None])[0]
-    e_val = float(_block_energy(ctx, phi)[0][0])
+    target = cached_spectrum(spec)
+    phi = _forward(circuit_context(spec), params.gammas[None], params.betas[None])[0]
+    e_val = float(_block_energy(target, phi)[0][0])
     return EvaluationRecord(
         energy=e_val,
-        residual=residual_energy(ctx.spectrum, e_val),
-        fidelity=fidelity(phi[0, :, 0], ctx.ground),
+        residual=residual_energy(target, e_val),
+        fidelity=fidelity(phi[0, :, 0], target.ground),
         annealing_time=equivalent_annealing_time(spec, params),
     )

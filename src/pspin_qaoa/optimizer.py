@@ -29,7 +29,7 @@ from typing import Callable, Literal, Union
 
 import numpy as np
 
-from .engine import QaoaParams, EvaluationRecord, circuit_context, energy_and_gradient, evaluate
+from .engine import QaoaParams, EvaluationRecord, cached_spectrum, energy_and_gradient, evaluate
 from .sector import ProblemSpec
 
 # (k, dim) trial points -> their k values and (k, dim) gradients
@@ -349,7 +349,7 @@ def _noise_floor(spec: ProblemSpec) -> float:
     residual at N=32, p=3, h=2, P=15 (20 restarts) rose from 1.586e-9 by
     0.3% and 11%.
     """
-    return 4.0 * np.finfo(float).eps * circuit_context(spec).spectrum.norm_bound
+    return 4.0 * np.finfo(float).eps * cached_spectrum(spec).norm_bound
 
 
 def optimize(

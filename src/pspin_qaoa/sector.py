@@ -128,13 +128,16 @@ class SectorTable:
 
 @dataclass(frozen=True)
 class TargetSpectrum:
-    """Extremal eigenvalues and ground state of the sector Hamiltonian, and
-    the ``gershgorin_bound`` on its norm that their accuracy is stated in."""
+    """Sector spectrum ends, the ``gershgorin_bound`` on its norm that their
+    accuracy is stated in, and, read-only in ``dynamics_block`` coordinates,
+    the block target tridiagonal and its ground state."""
 
     e_min: float
     e_max: float
-    ground_state: np.ndarray
     norm_bound: float
+    diag: np.ndarray
+    off: np.ndarray
+    ground: np.ndarray
 
 
 def plus_state(n_sites: int) -> np.ndarray:
@@ -344,8 +347,9 @@ def dynamical_gap(spec: ProblemSpec) -> float:
 
 
 def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
-    """Extremal eigenvalues of the sector Hamiltonian and the ground state the
-    circuit can reach.
+    """The spec's ``TargetSpectrum``: the ``dynamics_block`` of the target,
+    the ends of the sector spectrum and the ground state the circuit can
+    reach, all that the circuit reads of h.
 
     e_min and e_max are the ends of the full-sector spectrum (for odd N the
     top state is reflection-odd, so the even block would miss e_max), each
@@ -355,9 +359,10 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
     bound against 40-digit mpmath.
 
     The ground state is the lowest eigenvector of ``dynamics_block`` (dstebz,
-    then inverse iteration, dstein), lifted to the sector and signed so that
-    its largest amplitude is positive. For even p it is the reflection-even
-    ground state, exactly mirror-symmetric like the circuit state: below the
+    then inverse iteration, dstein), kept in block coordinates and signed so
+    that its largest amplitude is positive. For even p it is the
+    reflection-even ground state, which lifts to an exactly mirror-symmetric
+    sector state like the circuit state: below the
     critical field the full sector's even and odd ground states split by an
     exponentially small amount, so its lowest eigenvector would be an
     arbitrary mix of the two. For h > 0 the block is
@@ -382,12 +387,9 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
             f"target eigensolver failed for N={spec.n_sites}, "
             f"p={spec.p_exponent}, h={spec.field}"
         ) from exc
-    index, weight = dynamics_lift(spec.p_exponent, spec.n_sites)
-    ground = v[index] * weight
-    if ground[np.argmax(np.abs(ground))] < 0:
-        ground = -ground
-    ground = ground.astype(complex)
-    ground.setflags(write=False)
+    ground = (-v if v[np.argmax(np.abs(v))] < 0 else v).astype(complex)
+    for arr in (d, e, ground):
+        arr.setflags(write=False)
     return TargetSpectrum(
-        e_min=e_min, e_max=e_max, ground_state=ground, norm_bound=gershgorin_bound(diag, off)
+        e_min=e_min, e_max=e_max, norm_bound=gershgorin_bound(diag, off), diag=d, off=e, ground=ground
     )

@@ -6,12 +6,16 @@ know nothing about the Dicke-sector code paths they are used to check. The
 dense sector matrices are the plain constructions that the tridiagonal
 production code replaced; they are kept as references, as is the sector
 tridiagonal written entry by entry from its formulas and the energy of N+1
-sector amplitudes taken from it.
+sector amplitudes taken from it. ``sector_ground_state`` is the one place
+the tests lift the package's block ground state to the sector.
 """
 
 import numpy as np
 import scipy.linalg
 from math import comb, sqrt
+
+from pspin_qaoa.engine import circuit_context
+from pspin_qaoa.sector import diagonalize_target
 
 
 def n_down(l: int) -> int:
@@ -125,3 +129,9 @@ def sector_energy(spec, state) -> float:
     h_state[:-1] += off * state[1:]
     h_state[1:] += off * state[:-1]
     return float(np.vdot(state, h_state).real)
+
+
+def sector_ground_state(spec) -> np.ndarray:
+    """The N+1 sector amplitudes of the target ground state: the block vector
+    of ``diagonalize_target``, lifted by the spec's circuit context."""
+    return circuit_context(spec).lift(diagonalize_target(spec).ground)

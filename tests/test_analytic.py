@@ -15,10 +15,10 @@ from analytic_oracles import (
     verify_power_identity,
 )
 from pspin_qaoa.analytic import exact_p1_params
-from fullspace import sector_energy
+from fullspace import sector_energy, sector_ground_state
 from pspin_qaoa.engine import QaoaParams, fidelity, qaoa_state
 from pspin_qaoa.optimizer import r_init
-from pspin_qaoa.sector import ProblemSpec, diagonalize_target
+from pspin_qaoa.sector import ProblemSpec
 
 
 def params_of(gammas, betas):
@@ -148,14 +148,14 @@ class TestExactDepth1Params:
         gamma, beta = exact_p1_params(p, n)
         spec = ProblemSpec(n, p, 0.0)
         psi = qaoa_state(spec, params_of(gamma, beta))
-        targ = diagonalize_target(spec).ground_state
+        targ = sector_ground_state(spec)
         assert fidelity(psi, targ) > 1 - 1e-12
 
     def test_only_divisible_decomposition_is_exact(self):
         # for p=6, gamma = pi/8 from (k=0, n=4) prepares the ground state
         # while pi/16 from the rejected (k=1, n=1) representation does not
         spec = ProblemSpec(9, 6, 0.0)
-        targ = diagonalize_target(spec).ground_state
+        targ = sector_ground_state(spec)
         fids = {}
         for dec in all_even_p_decompositions(6):
             psi = qaoa_state(spec, params_of(dec.gamma, np.pi / 4))
@@ -168,7 +168,7 @@ class TestClosedFormFidelity:
     @pytest.mark.parametrize("p,n", [(2, 7), (3, 8), (3, 11), (4, 9), (5, 10)])
     def test_matches_circuit_on_gamma_grid(self, p, n):
         spec = ProblemSpec(n, p, 0.0)
-        targ = diagonalize_target(spec).ground_state
+        targ = sector_ground_state(spec)
         for gamma in np.linspace(0.0, np.pi, 64):
             via_circuit = fidelity(qaoa_state(spec, params_of(gamma, np.pi / 4)), targ)
             via_sum = p1_fidelity_closed_form(p, n, gamma)

@@ -96,3 +96,31 @@ def test_recorded_evals_count_lockstep_rounds():
     assert tracer.stats["optimizer.optimize"].calls == 1
     assert recorder.evals == tracer.stats["engine.energy_and_gradient"].calls
     assert recorder.evals == max(r.n_evals for r in stats.results)
+
+
+def test_warm_caches_leave_no_set_up_in_a_pass(monkeypatch):
+    # BENCHMARK.json times the caches cold in setup_s and warm in wall_s: once
+    # build_caches has run, a pass of a workload diagonalizes no target and
+    # decomposes no collective X
+    workloads = load_bench_module("workloads")
+    calls = []
+
+    def counting(name):
+        original = getattr(engine, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for workload in workloads.WORKLOADS:
+        configs = workloads.configs(workload, 0)
+        workloads.clear_caches()
+        workloads.build_caches(configs)
+        with monkeypatch.context() as patch:
+            for name in ("diagonalize_target", "x_spectral_decomposition"):
+                patch.setattr(engine, name, counting(name))
+            for cfg in configs:
+                assert all(row.status == "ok" for row in experiments.run_experiment(cfg))
+        assert calls == [], workload

@@ -14,9 +14,10 @@ from fullspace import (
     full_energy,
     full_qaoa_state,
     sector_energy,
+    sector_ground_state,
     target_matrix,
 )
-from pspin_qaoa import engine
+from pspin_qaoa import engine, optimizer
 from pspin_qaoa.engine import (
     QaoaParams,
     circuit_context,
@@ -201,6 +202,19 @@ class TestBatchedEvaluation:
         with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
             energy_and_gradient(ProblemSpec(6, 2, 0.5), np.full(shape, 0.3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2, 3])  # gamma_1, gamma_2, beta_1, beta_2
+    def test_refuses_non_finite_parameter_rows(self, monkeypatch, bad, column):
+        # refused before the circuit runs, not as a NaN energy and gradient
+        def refuse(*args):
+            raise AssertionError("the circuit ran")
+
+        monkeypatch.setattr(engine, "_forward", refuse)
+        x = np.full((2, 4), 0.1)
+        x[1, column] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            energy_and_gradient(ProblemSpec(8, 3, 0.5), x)
+
     def test_refuses_qaoa_params(self):
         # one parameter vector is the batch of one, x[None]
         with pytest.raises(ValueError, match=r"shape \(\)"):
@@ -268,13 +282,13 @@ class TestQaoaState:
     def test_exact_depth1_odd_p(self):
         spec = ProblemSpec(5, 3, 0.0)
         psi = qaoa_state(spec, params_of(np.pi / 4, np.pi / 4))
-        targ = diagonalize_target(spec).ground_state
+        targ = sector_ground_state(spec)
         assert fidelity(psi, targ) > 1 - 1e-12
 
     def test_exact_depth1_even_p(self):
         spec = ProblemSpec(5, 2, 0.0)
         psi = qaoa_state(spec, params_of(np.pi / 8, np.pi / 4))
-        targ = diagonalize_target(spec).ground_state
+        targ = sector_ground_state(spec)
         assert fidelity(psi, targ) > 1 - 1e-12
 
     @given(st.integers(min_value=1, max_value=128), st.integers(min_value=0, max_value=10**6))
@@ -492,7 +506,7 @@ class TestFidelity:
     def test_exact_point_p5(self):
         spec = ProblemSpec(7, 5, 0.0)
         psi = qaoa_state(spec, params_of(np.pi / 4, np.pi / 4))
-        assert fidelity(psi, diagonalize_target(spec).ground_state) > 1 - 1e-12
+        assert fidelity(psi, sector_ground_state(spec)) > 1 - 1e-12
 
 
 class TestGradient:
@@ -647,17 +661,20 @@ class TestEvaluate:
             rec = evaluate(spec, params)
             state = qaoa_state(spec, params)
             assert abs(rec.energy - sector_energy(spec, state)) <= 1e-14 * spectrum.norm_bound
-            assert abs(rec.fidelity - fidelity(state, spectrum.ground_state)) <= 1e-14
+            assert abs(rec.fidelity - fidelity(state, sector_ground_state(spec))) <= 1e-14
 
     def test_reaches_no_full_sector_path(self, monkeypatch):
+        # evaluate reads the cached context and spectrum, both in the block
         spec = ProblemSpec(10, 2, 0.9)
         circuit_context(spec)
+        engine.cached_spectrum(spec)
 
         def refuse(*args, **kwargs):
             raise AssertionError("evaluate left the block")
 
-        for name in ("qaoa_state", "target_tridiagonal", "cached_spectrum", "diagonalize_target"):
+        for name in ("qaoa_state", "diagonalize_target"):
             monkeypatch.setattr(engine, name, refuse)
+        monkeypatch.setattr(engine.CircuitContext, "lift", refuse)
         assert 0.0 <= evaluate(spec, r_init(2, 3)).residual <= 1.0
 
     def test_context_diagonalizes_the_target_once(self, monkeypatch):
@@ -668,9 +685,12 @@ class TestEvaluate:
             return diagonalize_target(spec)
 
         monkeypatch.setattr(engine, "diagonalize_target", counted)
-        spec = ProblemSpec(10, 3, 0.123456789)  # a spec no other test builds
-        for seed in range(3):
-            evaluate(spec, r_init(2, seed))
-            energy_grad(spec, r_init(2, seed))
-        assert engine.cached_spectrum(spec) is circuit_context(spec).spectrum
-        assert calls == [spec]
+        engine.cached_spectrum.cache_clear()
+        specs = [ProblemSpec(10, 3, 0.5), ProblemSpec(10, 3, 1.5), ProblemSpec(9, 2, 0.5)]
+        for spec in specs:
+            for seed in range(3):
+                evaluate(spec, r_init(2, seed))
+                energy_grad(spec, r_init(2, seed))
+                optimizer._noise_floor(spec)
+            optimize(spec, 2, RandomInit(), [0, 1])
+        assert calls == specs

@@ -12,6 +12,7 @@ from fullspace import (
     dense_even_gap,
     embed_sector_state,
     full_target_matrix,
+    sector_ground_state,
     sector_tridiagonal,
     target_matrix,
 )
@@ -94,7 +95,7 @@ class TestProblemSpec:
         target = diagonalize_target(spec)
         assert target.e_min == pytest.approx(-h * n, rel=1e-12)
         assert target.e_max == pytest.approx(h * n, rel=1e-12)
-        np.testing.assert_allclose(target.ground_state, plus_state(n), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sector_ground_state(spec), plus_state(n), rtol=0, atol=1e-12)
 
 
 def magnetizations(n: int) -> np.ndarray:
@@ -268,16 +269,31 @@ class TestSectorTable:
         for arr in (target_tridiagonal(spec)[0], table.hz_float, table.target_diag, table.x_off):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
-        # every array of a context, in the whole sector (odd p) and the block (even p)
+        # every array of a context and of a target spectrum, in the whole
+        # sector (odd p, whose block off-diagonal is a new array) and the
+        # block (even p)
         for spec in (ProblemSpec(9, 3, 0.5), ProblemSpec(8, 2, 0.5)):
             arrays = {k: v for k, v in vars(CircuitContext(spec)).items() if isinstance(v, np.ndarray)}
-            assert {
-                "plus", "lift_index", "lift_weight", "x_diag", "x_off", "target_diag",
-                "target_off", "hz_float", "ground",
-            } <= arrays.keys()
+            assert {"plus", "lift_index", "lift_weight", "x_diag", "x_off", "hz_float"} <= arrays.keys()
+            target = diagonalize_target(spec)
+            arrays.update(diag=target.diag, off=target.off, ground=target.ground)
             for arr in arrays.values():
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 1
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_context_does_not_depend_on_the_field(self, n, p):
+        # the field enters only the target spectrum: two contexts that differ
+        # in h alone hold equal arrays and share one collective-X decomposition
+        a, b = (engine.circuit_context(ProblemSpec(n, p, h)) for h in (0.25, 1.75))
+        assert a.xdec is b.xdec
+        assert vars(a).keys() == vars(b).keys()
+        for name, value in vars(a).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, getattr(b, name)), name
+            elif name not in ("spec", "xdec"):
+                assert value == getattr(b, name), name
 
     @pytest.mark.parametrize("n", [8, 9])
     @pytest.mark.parametrize("p", [2, 3])
@@ -333,23 +349,38 @@ class TestDiagonalizeTarget:
         assert abs(spectrum_odd.e_max + 1 / 7) < 1e-12
 
     def test_classical_ferromagnet_ground_state(self):
-        spectrum = diagonalize_target(ProblemSpec(5, 3, 0.0))
+        spec = ProblemSpec(5, 3, 0.0)
+        spectrum = diagonalize_target(spec)
         assert abs(spectrum.e_min + 5) < 1e-12
         expected = np.zeros(6)
         expected[0] = 1.0
-        np.testing.assert_allclose(spectrum.ground_state.real, expected, atol=1e-12)
+        np.testing.assert_allclose(sector_ground_state(spec).real, expected, atol=1e-12)
 
     def test_cat_state_for_even_p(self):
-        spectrum = diagonalize_target(ProblemSpec(6, 2, 0.0))
+        # block state 0, the pair state (|0> + |6>)/sqrt(2), lifts to the cat state
+        spec = ProblemSpec(6, 2, 0.0)
+        np.testing.assert_allclose(diagonalize_target(spec).ground, np.eye(4)[0], atol=1e-12)
         expected = np.zeros(7)
         expected[0] = expected[6] = 1 / np.sqrt(2)
-        np.testing.assert_allclose(spectrum.ground_state.real, expected, atol=1e-12)
+        np.testing.assert_allclose(sector_ground_state(spec).real, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n,p,h", [(9, 3, 0.5), (9, 2, 0.5), (8, 2, 1.5), (1, 2, 0.5)])
+    def test_holds_the_block_target(self, n, p, h):
+        # the tridiagonal the energy kernel applies, and its ground state
+        spec = ProblemSpec(n, p, h)
+        target = diagonalize_target(spec)
+        d, e = dynamics_block(p, *target_tridiagonal(spec))
+        assert np.array_equal(target.diag, d) and np.array_equal(target.off, e)
+        g = target.ground
+        assert g.shape == d.shape and abs(np.linalg.norm(g) - 1.0) < 1e-13
+        h_g = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)) @ g
+        assert np.linalg.norm(h_g - np.vdot(g, h_g).real * g) < 1e-12 * target.norm_bound
 
     def test_ground_state_residual(self):
         spec = ProblemSpec(12, 3, 0.9)
         spectrum = diagonalize_target(spec)
         mat = target_matrix(spec)
-        g = spectrum.ground_state.real
+        g = sector_ground_state(spec).real
         assert np.linalg.norm(mat @ g - spectrum.e_min * g) < 1e-10
 
     def test_dynamical_gap_n2_exact(self):
@@ -362,7 +393,7 @@ class TestDiagonalizeTarget:
     def test_even_p_ground_state_is_mirror_symmetric(self, n, p, h):
         # below h_c the sector's even and odd ground states split by less than
         # roundoff; the returned state must still be the even one, exactly
-        g = diagonalize_target(ProblemSpec(n, p, h)).ground_state
+        g = sector_ground_state(ProblemSpec(n, p, h))
         assert np.array_equal(g, g[::-1])
         assert abs(np.linalg.norm(g) - 1.0) < 1e-13
 
@@ -373,7 +404,7 @@ class TestDiagonalizeTarget:
         # Perron-Frobenius: for h > 0 the ground state is positive. Tail
         # entries far below roundoff (down to -7e-44 at N = 1001) come out
         # with either sign, so the floor is a roundoff unit of the unit vector.
-        g = diagonalize_target(ProblemSpec(n, p, h)).ground_state
+        g = sector_ground_state(ProblemSpec(n, p, h))
         assert np.all(g.imag == 0)
         assert g.real.max() > 0
         assert g.real.min() >= -1e-15
@@ -387,7 +418,7 @@ class TestDiagonalizeTarget:
         # for ||H||; these cases use at most 21% of it
         spec = ProblemSpec(n, p, float(h))
         gap, expected = mp_ground_state(n, p, h)
-        g = diagonalize_target(spec).ground_state
+        g = sector_ground_state(spec)
         assert np.linalg.norm(g - expected) <= np.finfo(float).eps * norm_bound(spec) / gap
 
     @given(
@@ -416,7 +447,7 @@ class TestDiagonalizeTarget:
     def test_ground_state_matches_full_space(self, n, p, h):
         # the ground state of the 2^N Hamiltonian lies in the sector
         w, v = np.linalg.eigh(full_target_matrix(n, p, h))
-        g = diagonalize_target(ProblemSpec(n, p, h)).ground_state
+        g = sector_ground_state(ProblemSpec(n, p, h))
         assert w[1] - w[0] > 1e-6
         assert abs(np.vdot(v[:, 0], embed_sector_state(g, n))) ** 2 > 1 - 1e-12
 
@@ -645,7 +676,7 @@ class TestLapackPath:
             assert dynamical_gap(spec) == gap
         target = diagonalize_target(spec)
         assert (target.e_min, target.e_max) == ends
-        assert np.array_equal(target.ground_state, ground)
+        assert np.array_equal(sector_ground_state(spec), ground)
         for even_parity in (False, True):
             dec = x_spectral_decomposition.__wrapped__(n, even_parity)
             lam, vec = scipy_x_decomposition(n, even_parity)
@@ -657,9 +688,9 @@ class TestLapackPath:
     def test_one_state_block(self, p):
         # N = 1, even p: a 1x1 block, which f2py cannot pass to LAPACK
         spec = ProblemSpec(1, p, 0.8)
-        target = diagonalize_target(spec)
-        assert np.array_equal(target.ground_state, np.full(2, np.sqrt(0.5), dtype=complex))
-        assert np.array_equal(target.ground_state, scipy_sites(spec)[2])
+        assert np.array_equal(diagonalize_target(spec).ground, [1.0])
+        assert np.array_equal(sector_ground_state(spec), np.full(2, np.sqrt(0.5), dtype=complex))
+        assert np.array_equal(sector_ground_state(spec), scipy_sites(spec)[2])
         dec = x_spectral_decomposition(1, even_parity=True)
         assert dec.eigenvalues.tolist() == [1.0] and dec.eigenvectors.tolist() == [[1.0]]
 
