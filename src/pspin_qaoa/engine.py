@@ -7,22 +7,23 @@ the circuit runs in the reflection-even block of the sector: the
 floor(N/2)+1 states (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for even N
 (``sector.dynamics_block``, ``sector.dynamics_lift``). For odd p it
 runs in the whole sector of N+1 states. Either way the per-(N, p) context
-holds, m the dimension, the phases, |+>, collective-X as a tridiagonal and
-its cached V diag(lam) V^T. The field h enters only through the target, the
+holds, m the dimension, the phases, |+> and collective-X as its cached
+V diag(lam) V^T. The field h enters only through the target, the
 per-(N, p, h) ``cached_spectrum``: the block tridiagonal and ground state.
 
-One kernel serves the state, the energy and the adjoint gradient, for R
-parameter vectors at once: R circuits run as an (R, m, k) stack, row r
+A state's last axis holds its m amplitudes: (m,) for one state, (R, m) for
+a stack. One kernel serves the state, the energy and the adjoint gradient,
+for R parameter vectors at once: R circuits run as an (R, m) stack, row r
 with its own angles, and a lone circuit is the stack of one. The phase
 layer multiplies row r by the factors exp(-i gamma_r hz), the mixer by
 exp(i beta_r lam) between its two halves, the real GEMMs V^T (into the
-collective-X eigenbasis) and V (back out) on the (m, 2k) float64 view of
+collective-X eigenbasis) and V (back out) on the (m, 2) float64 view of
 each row, as V is real; the kernels take those factors, computed once per
 sweep, never the angles. Each row's GEMMs and sums are the BLAS calls its
 batch of one makes, so a row's numbers never depend on the other rows. The
 forward sweep keeps, per layer, the factors, the post-phase state and its
 eigenbasis coordinates after the mixer factors. The reverse sweep carries
-only the adjoint vector, one column per row, through the same two GEMM
+only the adjoint stack, one row per circuit, through the same two GEMM
 halves: the beta-derivative is an overlap with the stored coordinates in
 the eigenbasis, the gamma-derivative one with the stored post-phase state,
 so a reverse layer makes no exponential and no collective-X product.
@@ -42,7 +43,6 @@ from .sector import (
     TargetSpectrum,
     XSpectralDecomposition,
     diagonalize_target,
-    dynamics_block,
     dynamics_lift,
     plus_state,
     sector_table,
@@ -103,9 +103,8 @@ class CircuitContext:
         # first, so that a V too large to hold is refused before anything is built
         self.xdec: XSpectralDecomposition = x_spectral_decomposition(n, even_parity=p % 2 == 0)
         table = sector_table(n, p)
-        self.x_diag, self.x_off = dynamics_block(p, np.zeros(n + 1), table.x_off)
         self.lift_index, self.lift_weight = dynamics_lift(p, n)
-        dim = self.x_diag.size
+        dim = self.xdec.eigenvalues.size
         self.hz: tuple[int, ...] = table.hz[:dim]
         self.max_abs_hz: int = table.max_abs_hz
         self.hz_float = table.hz_float[:dim]
@@ -124,8 +123,8 @@ class CircuitContext:
         gamma.shape + (m,).
 
         An angle whose phase |gamma| max|hz| exceeds 2^53 is reduced mod 2 pi
-        from the exact integers hz_k, with 64 bits to spare over the exact
-        product; every other angle takes the float product.
+        from the exact integers hz_k (``_exact_angles``); every other angle
+        takes the float product.
         """
         gamma = np.asarray(gamma, dtype=float)
         angles = np.multiply.outer(gamma, self.hz_float)
@@ -141,58 +140,47 @@ class CircuitContext:
         return np.exp(1j * np.multiply.outer(beta, self.xdec.eigenvalues))
 
     def apply_phase(self, state: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """exp(-i gamma Hz) on each column of an (m, k) block, given the (m,)
-        ``phase_factors`` of gamma, or on an (R, m, k) stack, given the (R, m)
-        factors of R angles, row r for block r."""
-        return _checked_block(state) * factors[..., None]
+        """exp(-i gamma Hz) on an (m,) state, given the (m,) ``phase_factors``
+        of gamma, or on an (R, m) stack, given the (R, m) factors of R
+        angles, row r for state r."""
+        return self._checked(state) * factors
 
     def to_x_basis(self, state: np.ndarray) -> np.ndarray:
-        """V^T times each column of an (m, k) block or an (R, m, k) stack: its
-        coordinates in the collective-X eigenbasis.
-
-        V is real, so this is a real GEMM on the (m, 2k) float64 view of each
-        complex block. A stack makes one GEMM per block, each rounded exactly
-        as if that block came alone; so does ``from_x_basis``.
-        """
-        state = np.ascontiguousarray(_checked_block(state), dtype=complex)
-        return (self.xdec.eigenvectors.T @ state.view(np.float64)).view(complex)
+        """V^T times an (m,) state or each row of an (R, m) stack: its
+        coordinates in the collective-X eigenbasis."""
+        return self._real_gemm(self.xdec.eigenvectors.T, state)
 
     def from_x_basis(self, coords: np.ndarray) -> np.ndarray:
-        """V times each column of an (m, k) block or an (R, m, k) stack of
+        """V times an (m,) state or each row of an (R, m) stack of
         collective-X eigenbasis coordinates: the states they describe."""
-        coords = np.ascontiguousarray(_checked_block(coords), dtype=complex)
-        return (self.xdec.eigenvectors @ coords.view(np.float64)).view(complex)
+        return self._real_gemm(self.xdec.eigenvectors, coords)
 
     def apply_mixer(self, state: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """exp(-i beta Hx) = V diag(``factors``) V^T on each column of an (m, k)
-        block, given the (m,) ``mixer_factors`` of beta, or on an (R, m, k)
-        stack, given the (R, m) factors of R angles, row r for block r."""
-        return self.from_x_basis(self.to_x_basis(state) * factors[..., None])
+        """exp(-i beta Hx) = V diag(``factors``) V^T on an (m,) state, given
+        the (m,) ``mixer_factors`` of beta, or on an (R, m) stack, given the
+        (R, m) factors of R angles, row r for state r."""
+        return self.from_x_basis(self.to_x_basis(state) * factors)
 
     # kept only for bench/, goes with ROADMAP item 2
     def apply_x(self, state: np.ndarray) -> np.ndarray:
-        return _tridiagonal_product(self.x_diag, self.x_off, _checked_block(state))
+        return self.from_x_basis(self.xdec.eigenvalues * self.to_x_basis(state))
 
+    def _real_gemm(self, matrix: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """The real (m, m) ``matrix`` times each state, as a real GEMM on its
+        (m, 2) float64 view: a stack makes one GEMM per row, rounded exactly
+        as if that row came alone."""
+        state = np.ascontiguousarray(self._checked(state), dtype=complex)
+        pairs = state.view(np.float64).reshape(*state.shape, 2)
+        return (matrix @ pairs).view(complex).reshape(state.shape)
 
-def _checked_block(state: np.ndarray) -> np.ndarray:
-    """``state``, refused unless it is an (m, k) block or an (R, m, k) stack:
-    a 1-d state would broadcast against the (m,) factors into an (m, m)
-    outer product."""
-    if state.ndim < 2:
-        raise ValueError(
-            f"a layer acts on an (m, k) block or an (R, m, k) stack, got a state of shape {state.shape}"
-        )
-    return state
-
-
-def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """The symmetric tridiagonal (diag, off) times each column of an (m, k)
-    block or of an (R, m, k) stack."""
-    diag, off = diag[:, None], off[:, None]
-    out = diag * state
-    out[..., :-1, :] += off * state[..., 1:, :]
-    out[..., 1:, :] += off * state[..., :-1, :]
-    return out
+    def _checked(self, state: np.ndarray) -> np.ndarray:
+        """``state``, refused unless its last axis holds the m amplitudes: an
+        (m, 1) column would broadcast against the (m,) factors into an
+        (m, m) array."""
+        if state.shape[-1:] != self.plus.shape:
+            m = self.plus.size
+            raise ValueError(f"a layer acts on a last axis of m = {m}, got shape {state.shape}")
+        return state
 
 
 @lru_cache(maxsize=None)
@@ -207,10 +195,13 @@ def cached_spectrum(spec: ProblemSpec) -> TargetSpectrum:
 
 
 def _exact_angles(gamma: float, hz_ints, max_abs_hz: int) -> np.ndarray:
-    """gamma hz_k mod 2 pi from the exact integers hz_k, in mpmath."""
+    """gamma hz_k mod 2 pi from the exact integers hz_k, in mpmath, with 64
+    bits over the exact product plus the bits of |gamma|'s integer part: 2 pi's
+    rounding grows with the quotient |gamma hz_k| / 2 pi, so the result keeps
+    about 2^-117 absolute whatever the size of gamma."""
     import mpmath
 
-    with mpmath.workprec(max_abs_hz.bit_length() + 53 + 64):
+    with mpmath.workprec(max_abs_hz.bit_length() + 53 + 64 + int(abs(gamma)).bit_length()):
         two_pi = 2 * mpmath.pi
         g = mpmath.mpf(gamma)
         return np.array([float(mpmath.fmod(g * v, two_pi)) for v in hz_ints])
@@ -224,40 +215,43 @@ def qaoa_state(spec: ProblemSpec, params: QaoaParams) -> np.ndarray:
     """
     ctx = circuit_context(spec)
     psi = _forward(ctx, params.gammas[None], params.betas[None])[0]
-    return ctx.lift(psi[0, :, 0])
+    return ctx.lift(psi[0])
 
 
 def _forward(ctx: CircuitContext, gammas: np.ndarray, betas: np.ndarray):
     """The circuit for R angle sets at once, row r of ``gammas`` and
     ``betas`` (each (R, P)) for circuit r.
 
-    Returns the final states as an (R, m, 1) stack, the phase and mixer
+    Returns the final states as an (R, m) stack, the phase and mixer
     factors of every layer, each (R, P, m), and per layer l the pair
     (a_l, r_l): the post-phase states a_l and their eigenbasis coordinates
     after the mixer factors, r_l = E_l V^T a_l with E_l = exp(i beta_l lam),
-    each (R, m, 1). The next layer's input is V r_l.
+    each (R, m). The next layer's input is V r_l.
     """
     phases, mixers = ctx.phase_factors(gammas), ctx.mixer_factors(betas)
-    psi = ctx.plus[:, None]  # the first phase layer broadcasts it to (R, m, 1)
+    psi = ctx.plus  # the first phase layer broadcasts it to (R, m)
     layers = []
     for layer in range(gammas.shape[1]):
         post_phase = ctx.apply_phase(psi, phases[:, layer])
         coords = ctx.to_x_basis(post_phase)
-        coords *= mixers[:, layer, :, None]
+        coords *= mixers[:, layer]
         psi = ctx.from_x_basis(coords)
         layers.append((post_phase, coords))
     return psi, phases, mixers, layers
 
 
 def _block_energy(target: TargetSpectrum, phi: np.ndarray):
-    """<phi|H|phi> of each state of an (R, m, 1) stack, asserted real, and H|phi>.
+    """<phi|H|phi> of each row of an (R, m) stack, as an (R,) real array, and
+    the (R, m) stack H|phi>.
 
     For a normalized state of m amplitudes the imaginary part of <phi|H|phi>
     is at most about m eps ||H||, and the spectrum's ``norm_bound`` bounds
     ||H||; an imaginary part of 1e-12 times the bound or more is refused.
     """
-    h_phi = _tridiagonal_product(target.diag, target.off, phi)
-    val = np.vecdot(phi[..., 0], h_phi[..., 0])
+    h_phi = target.diag * phi  # the block tridiagonal (diag, off) times phi
+    h_phi[..., :-1] += target.off * phi[..., 1:]
+    h_phi[..., 1:] += target.off * phi[..., :-1]
+    val = np.vecdot(phi, h_phi)
     if np.any(abs(val.imag) >= _ROUNDOFF * target.norm_bound):
         raise ValueError(f"energy has non-negligible imaginary part {val.imag}")
     return val.real, h_phi
@@ -308,14 +302,14 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
 
     The forward sweep keeps, per layer, its phase and mixer factors, the
     post-phase state a_l and its eigenbasis coordinates r_l = E_l V^T a_l
-    (see ``_forward``): 64 P m R bytes, 16.9 MB at m = 513, P = 514, R = 1.
-    The reverse sweep carries only the adjoint vector, starting from H|psi>,
-    one column per row. Per layer, from the last: b = V^T adj gives
-    d/dbeta_l as 2 Re <b| i lam r_l>; adj = V conj(E_l) b moves it before
-    the mixer, where 2 Re <adj| -i hz a_l> is d/dgamma_l; then adj is
-    multiplied by the conjugated phase factors. So each reverse layer is two
-    GEMMs per row and no exponential, and the cost is O(P m^2) per row,
-    with m = floor(N/2)+1 for even p and N+1 for odd p.
+    (see ``_forward``), each an (R, m) stack: 64 P m R bytes, 16.9 MB at
+    m = 513, P = 514, R = 1. The reverse sweep carries only the (R, m)
+    adjoint stack, starting from H|psi>. Per layer, from the last:
+    b = V^T adj gives d/dbeta_l as 2 Re <b| i lam r_l>; adj = V conj(E_l) b
+    moves it before the mixer, where 2 Re <adj| -i hz a_l> is d/dgamma_l;
+    then adj is multiplied by the conjugated phase factors. So each reverse
+    layer is two GEMMs per row and no exponential, and the cost is
+    O(P m^2) per row, with m = floor(N/2)+1 for even p and N+1 for odd p.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] % 2:
@@ -335,15 +329,15 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     # row r: <adj|d/dgamma_l psi>, then <adj|d/dbeta_l psi>, l = 1..P
     overlaps = np.empty(x.shape, dtype=complex)
     # conjugated in place, so the reverse sweep holds no second copy
-    undo_phase = np.conjugate(phases, out=phases)[..., None]
-    undo_mixer = np.conjugate(mixers, out=mixers)[..., None]
+    undo_phase = np.conjugate(phases, out=phases)
+    undo_mixer = np.conjugate(mixers, out=mixers)
     for layer in reversed(range(depth)):
         post_phase, coords = layers[layer]
         b = ctx.to_x_basis(adj)
-        overlaps[:, depth + layer] = np.vecdot(b[..., 0], d_mixer * coords[..., 0])
+        overlaps[:, depth + layer] = np.vecdot(b, d_mixer * coords)
         b *= undo_mixer[:, layer]
         adj = ctx.from_x_basis(b)
-        overlaps[:, layer] = np.vecdot(adj[..., 0], d_phase * post_phase[..., 0])
+        overlaps[:, layer] = np.vecdot(adj, d_phase * post_phase)
         adj *= undo_phase[:, layer]
     return e_val, 2.0 * overlaps.real
 
@@ -362,6 +356,6 @@ def evaluate(spec: ProblemSpec, params: QaoaParams) -> EvaluationRecord:
     return EvaluationRecord(
         energy=e_val,
         residual=residual_energy(target, e_val),
-        fidelity=fidelity(phi[0, :, 0], target.ground),
+        fidelity=fidelity(phi[0], target.ground),
         annealing_time=equivalent_annealing_time(spec, params),
     )

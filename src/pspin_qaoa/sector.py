@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, lgamma, log
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -83,8 +83,10 @@ class ProblemSpec:
             raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
         if self.p_exponent < 2:
             raise ValueError(f"p_exponent must be >= 2, got {self.p_exponent}")
-        if isinstance(self.field, bool) or not isfinite(self.field):
-            raise ValueError(f"field must be finite and not a bool, got {self.field!r}")
+        field = self.field  # a plain float, as N and p are plain ints
+        if isinstance(field, bool) or not isinstance(field, Real) or not isfinite(field):
+            raise ValueError(f"field must be finite, real and not a bool, got {field!r}")
+        object.__setattr__(self, "field", float(field))
         if self.field < 0:
             raise ValueError(f"field must be >= 0, got {self.field}")
         # N >= 2^(bit_length - 1), so a large p is refused before the exact power

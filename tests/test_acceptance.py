@@ -90,7 +90,7 @@ def test_criterion_03_even_sites_need_depth_2():
         mixers = np.exp(1j * np.outer(grid, lam))  # (n_beta, N+1)
         best = 0.0
         for gamma in grid:
-            phi = ctx.apply_phase(ctx.plus[:, None], ctx.phase_factors(gamma))[:, 0]
+            phi = ctx.apply_phase(ctx.plus, ctx.phase_factors(gamma))
             weights = t_side * (vec.T @ phi)
             best = max(best, float(np.max(np.abs(mixers @ weights) ** 2)))
         stats = multi_start(spec, 2, RandomInit(), n_restarts=10, base_seed=0)

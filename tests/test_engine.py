@@ -55,13 +55,13 @@ def context(n, p=2):
 
 
 def phase(ctx, psi, gamma):
-    """One phase layer on a single state, run as a block of one column."""
-    return ctx.apply_phase(psi[:, None], ctx.phase_factors(gamma))[:, 0]
+    """One phase layer on a single state."""
+    return ctx.apply_phase(psi, ctx.phase_factors(gamma))
 
 
 def mix(ctx, psi, beta):
-    """One mixer layer on a single state, run as a block of one column."""
-    return ctx.apply_mixer(psi[:, None], ctx.mixer_factors(beta))[:, 0]
+    """One mixer layer on a single state."""
+    return ctx.apply_mixer(psi, ctx.mixer_factors(beta))
 
 
 def energy_grad(spec, params):
@@ -87,14 +87,20 @@ class TestPhaseLayer:
         out = phase(context(9, 3), psi, 0.3)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-14
 
-    @pytest.mark.parametrize("n,p,gamma", [(200, 16, 2.9), (300, 15, 1.234567), (1000, 12, 0.7)])
+    @pytest.mark.parametrize("n,p,gamma", [
+        (200, 16, 2.9), (300, 15, 1.234567), (1000, 12, 0.7),
+        (8, 2, 1e25), (8, 2, 1e30), (8, 2, 3.7e40), (8, 2, -1e300),
+    ])
     def test_huge_phases_match_high_precision_reference(self, n, p, gamma):
         # |gamma hz| far beyond 2^53 takes the mpmath fallback; a product of
-        # 53 + bit_length(N^p) bits must be reduced mod 2 pi without rounding
+        # 53 + bit_length(N^p) bits must be reduced mod 2 pi without rounding,
+        # also where gamma alone is huge: the reduction's precision must grow
+        # with gamma's exponent (without it, 1e25 loses 2.8e-12 and 3.7e40
+        # every digit)
         ctx = context(n, p)
         assert abs(gamma) * ctx.max_abs_hz > 2.0**53
         out = phase(ctx, np.ones(ctx.plus.size, dtype=complex), gamma)
-        with mpmath.workprec(512):
+        with mpmath.workprec(4096):
             g, two_pi = mpmath.mpf(gamma), 2 * mpmath.pi
             expected = np.array([complex(mpmath.expj(-mpmath.fmod(g * v, two_pi))) for v in ctx.hz])
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
@@ -122,39 +128,59 @@ class TestMixerLayer:
         np.testing.assert_allclose(out, np.exp(1j * 0.77 * 8) * plus, atol=1e-12)
 
 
+LAYERS = ["apply_phase", "to_x_basis", "from_x_basis", "apply_mixer", "apply_x"]
+
+
+def layer_factors(ctx, method, angles):
+    """The factors ``method`` takes for ``angles``: none, or those of the
+    phase or mixer layer."""
+    return {"apply_phase": (ctx.phase_factors(angles),),
+            "apply_mixer": (ctx.mixer_factors(angles),)}.get(method, ())
+
+
 class TestBlockKernel:
-    """A block of states goes through the same kernels as its columns."""
+    """A state's last axis holds its m amplitudes: an (R, m) stack goes
+    through the same kernels as its rows, and a lone (m,) state as the
+    stack of one."""
 
-    @pytest.mark.parametrize("method", [
-        "apply_phase", "to_x_basis", "from_x_basis", "apply_mixer", "apply_x",
-    ])
-    def test_refuses_a_single_state(self, method):
-        # a 1-d state would broadcast against the (m,) factors: apply_phase
-        # returned the (m, m) outer product
+    @pytest.mark.parametrize("method", LAYERS)
+    def test_refuses_a_column(self, method):
+        # an (m, 1) column would broadcast against the (m,) factors:
+        # apply_phase returned an (m, m) array
         ctx = context(8, 3)
-        psi = random_vector(ctx.plus.size, 12)
-        factors = {"apply_phase": (ctx.phase_factors(0.3),),
-                   "apply_mixer": (ctx.mixer_factors(0.3),)}.get(method, ())
-        with pytest.raises(ValueError, match=r"shape \(9,\)"):
-            getattr(ctx, method)(psi, *factors)
+        column = random_vector(ctx.plus.size, 12)[:, None]
+        with pytest.raises(ValueError, match=r"shape \(9, 1\)"):
+            getattr(ctx, method)(column, *layer_factors(ctx, method, 0.3))
+
+    @pytest.mark.parametrize("method", LAYERS)
+    @pytest.mark.parametrize("n,p", [(1, 2), (1, 3), (8, 2), (129, 3)])
+    def test_lone_state_is_row_zero_of_its_stack(self, method, n, p):
+        ctx = context(n, p)
+        psi = random_vector(ctx.plus.size, 13)
+        lone = getattr(ctx, method)(psi, *layer_factors(ctx, method, 0.3))
+        stack = getattr(ctx, method)(psi[None], *layer_factors(ctx, method, np.array([0.3])))
+        assert lone.shape == psi.shape and stack.shape == (1, psi.size)
+        np.testing.assert_array_equal(lone, stack[0])
 
     @pytest.mark.parametrize("n", [1, 8, 129])
-    def test_mixer_block_matches_columns(self, n):
+    def test_mixer_stack_matches_rows(self, n):
         ctx = context(n)
-        block = np.stack([random_vector(ctx.plus.size, seed) for seed in (6, 7, 8)], axis=1)
-        out = ctx.apply_mixer(block, ctx.mixer_factors(0.41))
-        assert out.shape == block.shape
-        for j in range(3):
-            column = mix(ctx, block[:, j], 0.41)
-            np.testing.assert_allclose(out[:, j], column, rtol=0, atol=1e-13)
+        stack = np.stack([random_vector(ctx.plus.size, seed) for seed in (6, 7, 8)])
+        betas = np.array([0.41, 1.3, -2.2])
+        out = ctx.apply_mixer(stack, ctx.mixer_factors(betas))
+        assert out.shape == stack.shape
+        for r in range(3):
+            np.testing.assert_array_equal(out[r], mix(ctx, stack[r], betas[r]))
 
     @pytest.mark.parametrize("n", [1, 8, 129])
-    def test_phase_block_matches_columns(self, n):
+    def test_phase_stack_matches_rows(self, n):
         ctx = context(n, 3)
-        block = np.stack([random_state(n, seed) for seed in (9, 10, 11)], axis=1)
-        out = ctx.apply_phase(block, ctx.phase_factors(0.23))
-        for j in range(3):
-            np.testing.assert_array_equal(out[:, j], phase(ctx, block[:, j], 0.23))
+        stack = np.stack([random_state(n, seed) for seed in (9, 10, 11)])
+        gammas = np.array([0.23, 1.7, -0.05])
+        out = ctx.apply_phase(stack, ctx.phase_factors(gammas))
+        assert out.shape == stack.shape
+        for r in range(3):
+            np.testing.assert_array_equal(out[r], phase(ctx, stack[r], gammas[r]))
 
 
 class TestBatchedEvaluation:

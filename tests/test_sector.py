@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -72,6 +73,23 @@ class TestProblemSpec:
         spec = ProblemSpec(np.int64(16), np.int32(3), 1.0)
         assert type(spec.n_sites) is int and type(spec.p_exponent) is int
         assert spec == ProblemSpec(16, 3, 1.0)
+
+    @pytest.mark.parametrize("field,stored", [
+        (Fraction(1, 2), 0.5), (np.float32(0.5), 0.5), (np.float64(0.5), 0.5),
+        (2, 2.0), (np.int64(2), 2.0),
+        (np.True_, None), (Decimal("0.5"), None), ("0.5", None), (0.5 + 0j, None), (None, None),
+    ])
+    def test_stores_the_field_as_a_float(self, field, stored):
+        # any other field fails only later: a Fraction in the eigensolver's
+        # isfinite, a Decimal or np.True_ when the target is built, an
+        # np.float32 with an overflow warning in the field bound
+        if stored is None:
+            with pytest.raises(ValueError, match="field must be"):
+                ProblemSpec(16, 3, field)
+            return
+        spec = ProblemSpec(16, 3, field)
+        assert type(spec.field) is float and spec == ProblemSpec(16, 3, stored)
+        assert diagonalize_target(spec).e_min == diagonalize_target(ProblemSpec(16, 3, stored)).e_min
 
     @pytest.mark.parametrize("n", [7, 1023, 2**40 - 1])
     def test_field_bound(self, n):
@@ -274,7 +292,7 @@ class TestSectorTable:
         # block (even p)
         for spec in (ProblemSpec(9, 3, 0.5), ProblemSpec(8, 2, 0.5)):
             arrays = {k: v for k, v in vars(CircuitContext(spec)).items() if isinstance(v, np.ndarray)}
-            assert {"plus", "lift_index", "lift_weight", "x_diag", "x_off", "hz_float"} <= arrays.keys()
+            assert {"plus", "lift_index", "lift_weight", "hz_float"} <= arrays.keys()
             target = diagonalize_target(spec)
             arrays.update(diag=target.diag, off=target.off, ground=target.ground)
             for arr in arrays.values():
