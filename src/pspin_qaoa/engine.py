@@ -127,8 +127,11 @@ class CircuitContext:
         takes the float product.
         """
         gamma = np.asarray(gamma, dtype=float)
-        angles = np.multiply.outer(gamma, self.hz_float)
-        exact = np.abs(gamma) * float(self.max_abs_hz) > _SAFE_DOUBLE
+        # a huge angle overflows both products to inf, but its row is exact
+        # and replaced below, so the overflow is no error
+        with np.errstate(over="ignore"):
+            angles = np.multiply.outer(gamma, self.hz_float)
+            exact = np.abs(gamma) * float(self.max_abs_hz) > _SAFE_DOUBLE
         if exact.any():
             rows = angles.reshape(-1, self.hz_float.size)  # a view, one row per angle
             for r in np.flatnonzero(exact):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
@@ -398,7 +397,14 @@ def run_experiment(config: ExperimentConfig) -> list:
         for f in fields(row_type) if f.default is MISSING
     }
     rows = []
-    with ProcessPoolExecutor(config.worker_count) if config.worker_count > 1 else nullcontext() as pool:
+    if config.worker_count > 1:
+        # imported here: multiprocessing is a cold-start cost a serial run need not pay
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_context = ProcessPoolExecutor(config.worker_count)
+    else:
+        pool_context = nullcontext()
+    with pool_context as pool:
         if pool is None:
             calls = [partial(task, config, keys) for keys in points]
         else:

@@ -20,7 +20,7 @@ sector tridiagonal and ``dynamics_lift`` maps its states back to the sector;
 the circuit, the dynamical gap and the ground state all work in it.
 
 Every spectrum here is of a symmetric tridiagonal, and ``_tridiagonal_eigh``
-is the one path to LAPACK (``scipy.linalg.lapack``): bisection (dstebz) for
+is the one path to LAPACK: bisection (dstebz) for
 eigenvalues selected by index, inverse iteration (dstein) for their vectors,
 divide and conquer (dstevd) for a whole decomposition. These are the
 routines, with the arguments, that ``scipy.linalg.eigh_tridiagonal`` picks,
@@ -31,18 +31,62 @@ non-finite entry, a nonzero LAPACK ``info`` or a short count raises
 ``diagonalize_target`` and ``x_spectral_decomposition`` raise as
 ``RuntimeError``. ``ProblemSpec`` refuses a field large enough to overflow
 the solvers, so no accepted spec reaches those guards.
+
+``lapack`` is scipy's compiled extension ``scipy.linalg._flapack``, the
+module whose routines ``scipy.linalg.lapack`` re-exports, loaded from its
+file by ``_load_flapack``. Importing ``scipy.linalg`` instead would run its
+package init, which pulls in numpy.f2py, numpy.testing and numpy.ma, none
+of which this package uses: about two thirds of a cold start.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, lgamma, log
 from numbers import Integral, Real
+from pathlib import Path
 
 import numpy as np
+import scipy
 from numpy.linalg import LinAlgError
-from scipy.linalg import lapack
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, the extension ``scipy.linalg._flapack``
+    that ``scipy.linalg.lapack`` re-exports, loaded from its file without
+    running ``scipy/linalg/__init__.py``.
+
+    The module is registered under its own name, or taken from
+    ``sys.modules`` if already there, so a later ``import scipy.linalg``
+    shares this one instance. Raises ImportError, naming the directory
+    searched, if scipy has no such file.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = where / f"_flapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no compiled extension _flapack in {where}", name=name, path=str(where))
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+lapack = _load_flapack()
 
 # M^p is carried as an exact Python integer; reject anything that would not
 # fit a 128-bit signed phase accumulator.
@@ -84,7 +128,13 @@ class ProblemSpec:
         if self.p_exponent < 2:
             raise ValueError(f"p_exponent must be >= 2, got {self.p_exponent}")
         field = self.field  # a plain float, as N and p are plain ints
-        if isinstance(field, bool) or not isinstance(field, Real) or not isfinite(field):
+        try:
+            finite = not isinstance(field, bool) and isinstance(field, Real) and isfinite(field)
+        except OverflowError:  # an int or a Fraction past the float range
+            raise OverflowError(
+                f"field must fit a float; this {type(field).__name__} is 2^1024 or more in magnitude"
+            ) from None
+        if not finite:
             raise ValueError(f"field must be finite, real and not a bool, got {field!r}")
         object.__setattr__(self, "field", float(field))
         if self.field < 0:

@@ -89,14 +89,15 @@ class TestPhaseLayer:
 
     @pytest.mark.parametrize("n,p,gamma", [
         (200, 16, 2.9), (300, 15, 1.234567), (1000, 12, 0.7),
-        (8, 2, 1e25), (8, 2, 1e30), (8, 2, 3.7e40), (8, 2, -1e300),
+        (8, 2, 1e25), (8, 2, 1e30), (8, 2, 3.7e40), (8, 2, -1e300), (1000, 12, 1e300),
     ])
     def test_huge_phases_match_high_precision_reference(self, n, p, gamma):
         # |gamma hz| far beyond 2^53 takes the mpmath fallback; a product of
         # 53 + bit_length(N^p) bits must be reduced mod 2 pi without rounding,
         # also where gamma alone is huge: the reduction's precision must grow
         # with gamma's exponent (without it, 1e25 loses 2.8e-12 and 3.7e40
-        # every digit)
+        # every digit). At (1000, 12, 1e300) the float product overflows to
+        # inf before its row is replaced, which must raise no warning
         ctx = context(n, p)
         assert abs(gamma) * ctx.max_abs_hz > 2.0**53
         out = phase(ctx, np.ones(ctx.plus.size, dtype=complex), gamma)

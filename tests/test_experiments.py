@@ -401,25 +401,53 @@ class TestBoundedBrent:
         assert minimal_gap(n, p, h_center) == expected
 
 
+def run_fresh(*lines):
+    """The standard output lines of ``lines`` run as a program in a fresh
+    interpreter that imports pspin_qaoa from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
 def test_cold_import_skips_scipy_optimize_and_mpmath():
     # a fresh interpreter: the import cost every CLI run pays, and what a
-    # gap scan and a field sweep import lazily on top of it
-    code = "\n".join([
+    # serial gap scan and field sweep import lazily on top of it. LAPACK
+    # comes without scipy.linalg's package init, and a serial run starts no
+    # process pool
+    lines = run_fresh(
         "import sys, pspin_qaoa, pspin_qaoa.cli",
         "from pspin_qaoa.experiments import ExperimentConfig, run_experiment",
         "rows = run_experiment(ExperimentConfig(kind='gap-scaling', p_exponent=2, n_grid=(8, 16)))",
         "rows += run_experiment(ExperimentConfig(",
         "    kind='field-sweep', n_grid=(8,), depth_grid=(2,), h_grid=(0.5,), scheme='both', n_restarts=1))",
         "print([row.status for row in rows])",
-        "print(sorted(m for m in ('scipy.optimize', 'mpmath') if m in sys.modules))",
-    ])
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        "unused = ('scipy.optimize', 'mpmath', 'scipy.linalg', 'concurrent.futures.process')",
+        "print(sorted(m for m in unused if m in sys.modules))",
     )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [str(["ok"] * 4), "[]"]
+    assert lines == [str(["ok"] * 4), "[]"]
+
+
+@pytest.mark.parametrize("first,second", [
+    ("pspin_qaoa.sector", "scipy.linalg"), ("scipy.linalg", "pspin_qaoa.sector"),
+])
+def test_one_lapack_module_whatever_the_import_order(first, second):
+    # sector registers the extension under its own name, so scipy.linalg,
+    # imported before or after, reads the same module. (Imported after, the
+    # package has no attribute _flapack: Python sets a submodule's attribute
+    # only when it loads the submodule itself. scipy reads it through
+    # scipy.linalg.lapack.)
+    lines = run_fresh(
+        f"import importlib, sys; importlib.import_module({first!r}); importlib.import_module({second!r})",
+        "from pspin_qaoa import sector; import scipy.linalg",
+        "flapack = sys.modules['scipy.linalg._flapack']",
+        "print(sector.lapack is flapack is scipy.linalg.lapack._flapack)",
+        "print(all(getattr(scipy.linalg.lapack, f) is getattr(flapack, f) for f in ('dstebz', 'dstein', 'dstevd')))",
+    )
+    assert lines == ["True", "True"]
 
 
 class TestEmit:

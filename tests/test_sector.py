@@ -1,7 +1,9 @@
 import mpmath
 import numpy as np
 import pytest
+import re
 import scipy.linalg
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
@@ -61,6 +63,15 @@ class TestProblemSpec:
     def test_rejects_non_finite_field(self, field):
         with pytest.raises(ValueError, match="field must be finite"):
             ProblemSpec(16, 2, field)
+
+    @pytest.mark.parametrize(
+        "field", [10**400, Fraction(10**400, 3), -(10**400)], ids=["int", "fraction", "negative"]
+    )
+    def test_refuses_a_field_past_the_float_range(self, field):
+        # float(field) overflows; the error names the field, not isfinite's
+        # conversion
+        with pytest.raises(OverflowError, match="field must fit a float"):
+            ProblemSpec(8, 2, field)
 
     @pytest.mark.parametrize("n,p,name", [
         (16.5, 2, "n_sites"), (16.0, 2, "n_sites"), (True, 2, "n_sites"), (16, 2.5, "p_exponent"),
@@ -739,6 +750,13 @@ class TestLapackPath:
         assert np.isfinite(sector._tridiagonal_eigh(d, e, (0, 1), vectors=False)).all()
         with pytest.raises(np.linalg.LinAlgError, match="dstein"):
             sector._tridiagonal_eigh(d, e, (0, 0))
+
+    def test_missing_flapack_names_the_path_searched(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        where = tmp_path / "scipy" / "linalg"
+        with pytest.raises(ImportError, match=re.escape(f"_flapack in {where}")):
+            sector._load_flapack()
 
     def test_lapack_failures_keep_their_error_types(self, monkeypatch):
         class Failing:
