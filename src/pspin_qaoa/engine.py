@@ -5,11 +5,12 @@ mixer exp(-i beta Hx) with Hx = -sum_j sigma^x_j. For even p, Hz, Hx and the
 target commute with the spin flip k -> N - k and |+> is even under it, so
 the circuit runs in the reflection-even block of the sector: the
 floor(N/2)+1 states (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for even N
-(``sector.dynamics_block``, ``sector.dynamics_lift``). For odd p it
-runs in the whole sector of N+1 states. Either way the per-(N, p) context
-holds, m the dimension, the phases, |+> and collective-X as its cached
-V diag(lam) V^T. The field h enters only through the target, the
-per-(N, p, h) ``cached_spectrum``: the block tridiagonal and ground state.
+(``sector.dynamics_block``). For odd p it runs in the whole sector of N+1
+states. Either way the per-(N, p) context holds, m the dimension, the
+phases and the per-(N, parity) ``x_spectral_decomposition``: |+>, the lift
+and collective-X as V diag(lam) V^T. The field h enters only through the
+target, the per-(N, p, h) ``cached_spectrum``: the block tridiagonal and
+ground state.
 
 A state's last axis holds its m amplitudes: (m,) for one state, (R, m) for
 a stack. One kernel serves the state, the energy and the adjoint gradient,
@@ -41,10 +42,7 @@ import numpy as np
 from .sector import (
     ProblemSpec,
     TargetSpectrum,
-    XSpectralDecomposition,
     diagonalize_target,
-    dynamics_lift,
-    plus_state,
     sector_table,
     x_spectral_decomposition,
 )
@@ -94,25 +92,21 @@ class CircuitContext:
     For even p every field describes the reflection-even block, for odd p the
     whole sector; the kernels do not tell the two apart. Sector amplitude k
     is block amplitude ``lift_index[k]`` times ``lift_weight[k]``. Of
-    ``spec`` only N and p are read: no attribute depends on h.
+    ``spec`` only N and p are read: no attribute depends on h. It builds no
+    array: it holds ``xdec``'s arrays and views of ``sector_table``'s.
     """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         n, p = spec.n_sites, spec.p_exponent
         # first, so that a V too large to hold is refused before anything is built
-        self.xdec: XSpectralDecomposition = x_spectral_decomposition(n, even_parity=p % 2 == 0)
+        self.xdec = xdec = x_spectral_decomposition(n, even_parity=p % 2 == 0)
+        self.plus, self.lift_index, self.lift_weight = xdec.plus, xdec.lift_index, xdec.lift_weight
         table = sector_table(n, p)
-        self.lift_index, self.lift_weight = dynamics_lift(p, n)
-        dim = self.xdec.eigenvalues.size
+        dim = self.plus.size
         self.hz: tuple[int, ...] = table.hz[:dim]
         self.max_abs_hz: int = table.max_abs_hz
         self.hz_float = table.hz_float[:dim]
-        self.plus = plus_state(n)[:dim] / self.lift_weight[:dim]
-        # one context serves every caller of circuit_context(spec)
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
 
     def lift(self, state: np.ndarray) -> np.ndarray:
         """The N+1 sector amplitudes of a context-dimension state vector."""

@@ -99,13 +99,15 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         for n in self.n_grid:
+            h_values = []
             for h in self.h_grid:
                 try:
-                    ProblemSpec(n, self.p_exponent, h)
+                    h_values.append(ProblemSpec(n, self.p_exponent, h).field)
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"grid point N={n!r}, h={h!r}: {exc}") from exc
-        # floats, so that a row's field and seed do not depend on how h was written
-        object.__setattr__(self, "h_grid", tuple(float(h) for h in self.h_grid))
+        # the specs' fields, so that a row's field and seed do not depend on how
+        # h was written, and see the value the Hamiltonian sees
+        object.__setattr__(self, "h_grid", tuple(h_values))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -240,14 +242,36 @@ def _plan(config: ExperimentConfig) -> tuple[type, Callable[[ExperimentConfig, d
     ]
 
 
+# the xatol of minimal_gap's first stage, which sets its resolution tol1
+_GAP_XATOL = 1e-8
+
+
 def minimal_gap(n_sites: int, p: int, h_center: float) -> tuple[float, float]:
-    """Minimize the dynamically relevant gap over h around h_center;
-    returns (h_min, gap)."""
+    """Minimize the dynamically relevant gap over h in [h_center / 2,
+    3 h_center / 2]; returns (h_min, gap).
+
+    The first bounded Brent, xatol 1e-8, stops within 2 tol1 of the minimum,
+    tol1 = sqrt(2.2e-16) h + xatol / 3, about 2.3e-8 near h = 1.3. The gap
+    moves at most 2N per unit of h (X's spectrum is [-N, N]), so a minimal
+    gap below about 4 N tol1 may be read off the shoulder of a narrow
+    avoided crossing. When the first gap is below 10 times that, a second
+    Brent minimizes over the offset u = h - h_1 within +-3 tol1, xatol 1e-14,
+    where Brent's relative term sqrt(eps) |u| is negligible, and the smaller
+    of the two gaps is returned. Either way no gap is finer than LAPACK's
+    floor: each eigenvalue is accurate to a few ulp of the Gershgorin bound
+    on the target, about N (1 + h).
+    """
 
     def gap_at(h):
         return dynamical_gap(ProblemSpec(n_sites, p, float(h)))
 
-    return _bounded_brent(gap_at, 0.5 * h_center, 1.5 * h_center, xatol=1e-8)
+    h_min, gap = _bounded_brent(gap_at, 0.5 * h_center, 1.5 * h_center, xatol=_GAP_XATOL)
+    tol1 = math.sqrt(2.2e-16) * abs(h_min) + _GAP_XATOL / 3.0
+    if gap < 10 * 4 * n_sites * tol1:
+        u, narrow = _bounded_brent(lambda u: gap_at(h_min + u), -3 * tol1, 3 * tol1, xatol=1e-14)
+        if narrow < gap:
+            h_min, gap = h_min + u, narrow
+    return h_min, gap
 
 
 def _bounded_brent(func, lo: float, hi: float, xatol: float, maxfun: int = 500) -> tuple[float, float]:

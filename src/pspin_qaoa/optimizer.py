@@ -24,7 +24,7 @@ import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Literal, Union
 
 import numpy as np
@@ -120,13 +120,20 @@ class BfgsResult:
 
 
 def derive_seed(*keys) -> int:
-    """Stable 64-bit seed from a mixed int/float key tuple (order-sensitive)."""
+    """Stable 64-bit seed from a mixed int/float key tuple (order-sensitive).
+
+    An integral key counts by its value mod 2^64, any other real (a numpy
+    float32, a Fraction) by the bits of its float value; any other type is
+    refused with a TypeError.
+    """
     ints = []
     for k in keys:
-        if isinstance(k, float):
-            ints.append(struct.unpack("<Q", struct.pack("<d", k))[0])
-        else:
+        if isinstance(k, Integral):
             ints.append(int(k) & 0xFFFFFFFFFFFFFFFF)
+        elif isinstance(k, Real):
+            ints.append(struct.unpack("<Q", struct.pack("<d", float(k)))[0])
+        else:
+            raise TypeError(f"a seed key must be a real number, got {k!r}")
     ss = np.random.SeedSequence(ints)
     return int(ss.generate_state(1, np.uint64)[0])
 

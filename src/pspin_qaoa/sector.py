@@ -16,8 +16,9 @@ For even p the target, the phase and the mixer also commute with the spin
 flip k -> N - k, and |+> is even under it, so the dynamics stays in the
 reflection-even block of floor(N/2)+1 states, again tridiagonal. For odd p
 it uses the whole sector. ``dynamics_block`` picks that block for any
-sector tridiagonal and ``dynamics_lift`` maps its states back to the sector;
-the circuit, the dynamical gap and the ground state all work in it.
+sector tridiagonal; the circuit, the dynamical gap and the ground state all
+work in it. ``x_spectral_decomposition`` builds its basis once per (N,
+parity): collective X, |+> (X's top eigenvector) and the lift to the sector.
 
 Every spectrum here is of a symmetric tridiagonal, and ``_tridiagonal_eigh``
 is the one path to LAPACK: bisection (dstebz) for
@@ -136,7 +137,8 @@ class ProblemSpec:
             ) from None
         if not finite:
             raise ValueError(f"field must be finite, real and not a bool, got {field!r}")
-        object.__setattr__(self, "field", float(field))
+        # + 0.0 turns -0.0 into 0.0, so a zero field has one value, and one seed
+        object.__setattr__(self, "field", float(field) + 0.0)
         if self.field < 0:
             raise ValueError(f"field must be >= 0, got {self.field}")
         # N >= 2^(bit_length - 1), so a large p is refused before the exact power
@@ -156,10 +158,17 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class XSpectralDecomposition:
-    """Eigendecomposition of the collective-X operator, V diag(lam) V^T."""
+    """The basis of a ``dynamics_block``, read-only: collective X as
+    V diag(lam) V^T, |+> (X's top eigenvector) and the lift. Sector
+    amplitude k is block amplitude lift_index[k] times lift_weight[k]:
+    min(k, N - k) and 1/sqrt(2) from a pair state (|k> + |N-k>)/sqrt(2), 1
+    from |N/2>, in the reflection-even block; the identity in the sector."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    plus: np.ndarray
+    lift_index: np.ndarray
+    lift_weight: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -288,19 +297,6 @@ def dynamics_block(p: int, diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarra
     return (diag, off) if p % 2 == 1 else reflection_even_tridiagonal(diag, off)
 
 
-def dynamics_lift(p: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index and weight that lift a ``dynamics_block`` state to the sector.
-
-    Sector amplitude k is block amplitude index[k] times weight[k]. For even
-    p, index[k] = min(k, N - k) and the weight is 1/sqrt(2) from a pair state
-    (|k> + |N-k>)/sqrt(2), 1 from |N/2>; for odd p the lift is the identity.
-    """
-    k = np.arange(n_sites + 1)
-    if p % 2 == 1:
-        return k, np.ones(n_sites + 1)
-    return np.minimum(k, n_sites - k), np.where(2 * k == n_sites, 1.0, np.sqrt(0.5))
-
-
 def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, index=None, vectors: bool = True):
     """Eigenvalues, ascending, of the symmetric tridiagonal (d, e), and with
     ``vectors`` the orthonormal eigenvectors as columns: ``(w, v)`` or ``w``.
@@ -340,14 +336,14 @@ def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, index=None, vectors: bool = 
 
 @lru_cache(maxsize=None)
 def x_spectral_decomposition(n_sites: int, even_parity: bool = False) -> XSpectralDecomposition:
-    """Cached eigendecomposition of the collective-X matrix for size N.
+    """Cached ``XSpectralDecomposition`` of N sites, one per (N, parity).
 
     With ``even_parity`` it decomposes the reflection-even block of
     ``reflection_even_tridiagonal`` instead of the whole sector: floor(N/2)+1
     states, eigenvalues N - 2j for even j. LAPACK's divide and conquer
-    (dstevd) computes it; a failure raises RuntimeError. Refused with a
-    ValueError, before anything is allocated, when V would exceed
-    ``_MAX_MIXER_BYTES``.
+    (dstevd) computes V; a failure raises RuntimeError. |+> is ``plus_state``
+    over the lift weights. Refused with a ValueError, before anything is
+    allocated, when V would exceed ``_MAX_MIXER_BYTES``.
     """
     dim = n_sites // 2 + 1 if even_parity else n_sites + 1
     if 8 * dim**2 > _MAX_MIXER_BYTES:
@@ -363,9 +359,15 @@ def x_spectral_decomposition(n_sites: int, even_parity: bool = False) -> XSpectr
         lam, vec = _tridiagonal_eigh(diag, off)
     except LinAlgError as exc:
         raise RuntimeError(f"collective-X eigensolver failed for N={n_sites}") from exc
-    lam.setflags(write=False)
-    vec.setflags(write=False)
-    return XSpectralDecomposition(eigenvalues=lam, eigenvectors=vec)
+    k = np.arange(n_sites + 1)
+    if even_parity:
+        index, weight = np.minimum(k, n_sites - k), np.where(2 * k == n_sites, 1.0, np.sqrt(0.5))
+    else:
+        index, weight = k, np.ones(n_sites + 1)
+    plus = plus_state(n_sites)[:dim] / weight[:dim]
+    for arr in (lam, vec, plus, index, weight):
+        arr.setflags(write=False)
+    return XSpectralDecomposition(lam, vec, plus, index, weight)
 
 
 def dynamical_gap(spec: ProblemSpec) -> float:

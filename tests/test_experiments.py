@@ -142,6 +142,18 @@ class TestConfig:
         assert all(type(h) is float for h in cfg.h_grid)
         assert cfg == ExperimentConfig(kind="field-sweep", h_grid=(0.0, 1.0), n_restarts=1)
 
+    def test_negative_zero_field_is_zero(self):
+        # -0.0 == 0.0, but its sign bit once reached the row and the seed:
+        # other restarts, and "-0" in the CSV
+        assert math.copysign(1.0, ProblemSpec(8, 2, -0.0).field) == 1.0
+        rows = [
+            run_experiment(ExperimentConfig(
+                kind="field-sweep", n_grid=(8,), depth_grid=(2,), h_grid=(h,), n_restarts=3,
+            ))
+            for h in (0.0, -0.0)
+        ]
+        assert [repr(row) for row in rows[0]] == [repr(row) for row in rows[1]]
+
 
 class TestDepthLaw:
     def test_p_star(self):
@@ -336,6 +348,25 @@ class TestRunners:
         h_min, gap = minimal_gap(64, 2, 2.0)
         assert abs(h_min - 2.0) < 0.3
         assert 0 < gap < 2.0
+
+    @pytest.mark.parametrize("n,p", [(128, 5), (256, 3)])
+    def test_minimal_gap_resolves_narrow_crossings(self, n, p):
+        # a single Brent stage stops about 2e-8 from the minimum in h and
+        # read these gaps 730x and 112x too high from the crossing's shoulder
+        h_min, gap = minimal_gap(n, p, experiments.CRITICAL_FIELDS.get(p, 1.0))
+
+        def gap_at(h):
+            return dynamical_gap(ProblemSpec(n, p, float(h)))
+
+        # nested scans, each 20x finer around the best point of the last
+        best, width = h_min, 1e-7
+        for _ in range(5):
+            grid = best + np.linspace(-width, width, 201)
+            best = grid[np.argmin([gap_at(h) for h in grid])]
+            width /= 20
+        scan = gap_at(best)
+        assert scan < 1e-8
+        assert abs(gap - scan) <= 0.01 * scan
 
 
 def scipy_bounded(func, lo, hi, xatol, maxfun=500):

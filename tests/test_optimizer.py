@@ -1,5 +1,7 @@
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +69,20 @@ class TestSeeds:
     def test_distinct_restart_streams(self):
         seeds = {derive_seed(7, i) for i in range(100)}
         assert len(seeds) == 100
+
+    @pytest.mark.parametrize("key,value", [
+        (np.float32(0.5), 0.5), (Fraction(1, 2), 0.5), (Fraction(4, 2), 2.0),
+        (np.float64(0.7), 0.7), (np.int64(3), 3), (np.uint8(200), 200),
+    ], ids=repr)
+    def test_keys_count_by_value(self, key, value):
+        # a real key that is not an integer once lost its fraction: a float32
+        # 0.5 derived the seed of 0
+        assert derive_seed(1, key) == derive_seed(1, value)
+
+    @pytest.mark.parametrize("key", ["3", None, 1j, Decimal("0.5")], ids=repr)
+    def test_refuses_keys_that_are_not_real(self, key):
+        with pytest.raises(TypeError, match="real number"):
+            derive_seed(1, key)
 
 
 class TestInits:

@@ -27,7 +27,6 @@ from pspin_qaoa.sector import (
     diagonalize_target,
     dynamical_gap,
     dynamics_block,
-    dynamics_lift,
     plus_state,
     reflection_even_tridiagonal,
     sector_table,
@@ -314,15 +313,44 @@ class TestSectorTable:
     @pytest.mark.parametrize("p", [2, 3])
     def test_context_does_not_depend_on_the_field(self, n, p):
         # the field enters only the target spectrum: two contexts that differ
-        # in h alone hold equal arrays and share one collective-X decomposition
-        a, b = (engine.circuit_context(ProblemSpec(n, p, h)) for h in (0.25, 1.75))
-        assert a.xdec is b.xdec
+        # in h alone hold equal arrays and share one block basis, the
+        # decomposition's |+> and lift themselves
+        a, b = (CircuitContext(ProblemSpec(n, p, h)) for h in (0.25, 1.75))
         assert vars(a).keys() == vars(b).keys()
         for name, value in vars(a).items():
-            if isinstance(value, np.ndarray):
+            if name in ("plus", "lift_index", "lift_weight", "xdec"):
+                assert value is getattr(b, name), name
+            elif isinstance(value, np.ndarray):
                 assert np.array_equal(value, getattr(b, name)), name
-            elif name not in ("spec", "xdec"):
+            elif name != "spec":
                 assert value == getattr(b, name), name
+        for name in ("plus", "lift_index", "lift_weight"):
+            assert getattr(a, name) is getattr(a.xdec, name), name
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_contexts_of_one_parity_share_the_block_basis(self, n):
+        # p = 2 and p = 4 run in one reflection-even block, so they hold one
+        # |+> and one lift; only the phases differ
+        a, b = (CircuitContext(ProblemSpec(n, p, 0.5)) for p in (2, 4))
+        for name in ("plus", "lift_index", "lift_weight", "xdec"):
+            assert getattr(a, name) is getattr(b, name), name
+        assert not np.array_equal(a.hz_float, b.hz_float)
+
+    def test_plus_state_is_built_once_per_block(self, monkeypatch):
+        n = 37
+        block = CircuitContext(ProblemSpec(n, 2, 0.3)).xdec
+
+        def refuse(*args):
+            raise AssertionError("plus_state called")
+
+        monkeypatch.setattr(sector, "plus_state", refuse)
+        # a new h, and a new p of the same parity, reuse the block's |+>
+        for spec in (ProblemSpec(n, 2, 1.1), ProblemSpec(n, 4, 0.3)):
+            assert CircuitContext(spec).plus is block.plus
+        # the gap path never reads |+>
+        assert sector_table.__wrapped__(n, 3).hz[0] == -(n**3)
+        assert dynamical_gap(ProblemSpec(n, 3, 1.3)) > 0
+        assert dynamical_gap(ProblemSpec(n, 2, 1.9)) > 0
 
     @pytest.mark.parametrize("n", [8, 9])
     @pytest.mark.parametrize("p", [2, 3])
@@ -670,7 +698,8 @@ def scipy_sites(spec: ProblemSpec):
         for i in (0, spec.n_sites)
     )
     v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
-    index, weight = dynamics_lift(spec.p_exponent, spec.n_sites)
+    dec = x_spectral_decomposition(spec.n_sites, even_parity=spec.p_exponent % 2 == 0)
+    index, weight = dec.lift_index, dec.lift_weight
     ground = v[index] * weight
     if ground[np.argmax(np.abs(ground))] < 0:
         ground = -ground
