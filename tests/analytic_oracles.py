@@ -1,10 +1,15 @@
-"""Test oracles for the depth-1 derivation and the parameter-space symmetries.
+"""Test oracles for the depth-1 derivation, the parameter-space symmetries
+and the circuit's rounding.
 
 The package ships only the angles (`pspin_qaoa.analytic.exact_p1_params`);
 the decompositions p = 2^(k+1) + n 2^k, the modular power identity behind
 them, the closed-form depth-1 fidelity sum and the symmetry table live here,
 where the tests check the paper's derivation against the circuit; so does
 the split of a flat parameter vector into circuit angles.
+
+So do the closed forms of the circuit's ingredients, from exact integers:
+|+> as binomial weights, collective X's eigenvectors as the Wigner small-d
+matrix d^{N/2}(pi/2), and from them a 40-digit circuit energy.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, pi
 
+import mpmath
 import numpy as np
 
 from pspin_qaoa.engine import QaoaParams
@@ -152,3 +158,73 @@ def canonicalize(params: QaoaParams, p: int, n_sites: int) -> QaoaParams:
         gammas=np.mod(params.gammas, gamma_period),
         betas=np.mod(params.betas, beta_period),
     )
+
+
+def plus_amplitudes(n_sites: int, even_parity: bool = False) -> np.ndarray:
+    """The N+1 sector amplitudes of |+>, sqrt(C(N,k) / 2^N), each rounded
+    once from exact integers. With ``even_parity``, its floor(N/2)+1
+    amplitudes in the reflection-even block: sqrt(2) times amplitude k on a
+    pair state (|k> + |N-k>)/sqrt(2), k < N/2."""
+    n = n_sites
+    with mpmath.workdps(40):
+        return np.array([
+            float(mpmath.sqrt(mpmath.mpf(comb(n, k) * (2 if even_parity and 2 * k != n else 1)) / 2**n))
+            for k in range(n // 2 + 1 if even_parity else n + 1)
+        ])
+
+
+def x_eigenvectors_mp(n_sites: int, even_parity: bool) -> tuple[list[int], list[list]]:
+    """Collective X's eigenvalues and eigenvectors in closed form, at the
+    working precision: d^{N/2}(pi/2) (Varshalovich, Moskalev & Khersonskii
+    1988, ch. 4) in the Dicke basis |k>, k down spins along z.
+
+    The eigenvector of N - 2j, j spins down along x, has amplitude
+    2^(-N/2) sqrt(C(N,k) / C(N,j)) K_j(k) on |k>, with the Krawtchouk
+    number K_j(k) = sum_s (-1)^s C(k,s) C(N-k,j-s) an exact integer; its
+    amplitude on |0> is positive. Returns the eigenvalues ascending and V as
+    rows of mpf, column c for eigenvalue c. With ``even_parity``, the
+    eigenvalues N - 2j for even j in the reflection-even block: rows k <= N/2,
+    a pair state (|k> + |N-k>)/sqrt(2) taking sqrt(2) times amplitude k.
+    """
+    n = n_sites
+    js = range(n - n % 2, -1, -2) if even_parity else range(n, -1, -1)
+    rows = range(n // 2 + 1) if even_parity else range(n + 1)
+    scale = mpmath.mpf(2) ** (-mpmath.mpf(n) / 2)
+    vec = [[scale * mpmath.sqrt(mpmath.mpf(comb(n, k)) / comb(n, j))
+            * sum((-1) ** s * comb(k, s) * comb(n - k, j - s) for s in range(min(k, j) + 1))
+            * (mpmath.sqrt(2) if even_parity and 2 * k != n else 1)
+            for j in js] for k in rows]
+    return [n - 2 * j for j in js], vec
+
+
+def x_eigenvectors(n_sites: int, even_parity: bool) -> np.ndarray:
+    """``x_eigenvectors_mp``'s V, each entry rounded once to float64."""
+    with mpmath.workdps(40):
+        return np.array(x_eigenvectors_mp(n_sites, even_parity)[1], dtype=float)
+
+
+def circuit_energy_mp(n_sites: int, p: int, field: float, gammas, betas) -> mpmath.mpf:
+    """<psi|H|psi> of the circuit at 40 digits, in the whole sector, from
+    nothing the package computes: |+> from exact binomials, each phase
+    gamma hz_k from the exact integer hz_k = -(N - 2k)^p (the float gamma
+    times an integer of at most 80 bits is exact at 40 digits, and mpmath
+    reduces it mod 2 pi), and the mixer V diag(exp(i beta lam)) V^T from
+    ``x_eigenvectors_mp`` with integer lam."""
+    n = n_sites
+    with mpmath.workdps(40):
+        lam, vec = x_eigenvectors_mp(n, False)
+        psi = [mpmath.sqrt(mpmath.mpf(comb(n, k)) / 2**n) for k in range(n + 1)]
+        hz = [-((n - 2 * k) ** p) for k in range(n + 1)]
+        for gamma, beta in zip(gammas, betas):
+            psi = [a * mpmath.expj(-mpmath.mpf(float(gamma)) * v) for a, v in zip(psi, hz)]
+            coords = [mpmath.fdot([row[c] for row in vec], psi) * mpmath.expj(mpmath.mpf(float(beta)) * lam[c])
+                      for c in range(n + 1)]
+            psi = [mpmath.fdot(row, coords) for row in vec]
+        h = mpmath.mpf(float(field))
+        diag = [mpmath.mpf(v) / n ** (p - 1) for v in hz]
+        off = [-h * mpmath.sqrt((k + 1) * (n - k)) for k in range(n)]
+        h_psi = [d * a for d, a in zip(diag, psi)]
+        for k in range(n):
+            h_psi[k] += off[k] * psi[k + 1]
+            h_psi[k + 1] += off[k] * psi[k]
+        return mpmath.re(mpmath.fdot([mpmath.conj(a) for a in psi], h_psi))

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from hypothesis import example, given, settings, strategies as st
 
-from analytic_oracles import params_from_vector
+from analytic_oracles import circuit_energy_mp, params_from_vector, plus_amplitudes
 from fullspace import (
     collective_x_matrix,
     embed_sector_state,
@@ -32,7 +32,6 @@ from pspin_qaoa.optimizer import RandomInit, l_init, optimize, r_init
 from pspin_qaoa.sector import (
     ProblemSpec,
     diagonalize_target,
-    plus_state,
 )
 
 
@@ -304,7 +303,7 @@ class TestQaoaState:
     def test_zero_angles_give_plus(self):
         spec = ProblemSpec(7, 2, 0.3)
         psi = qaoa_state(spec, params_of([0.0, 0.0], [0.0, 0.0]))
-        np.testing.assert_allclose(psi, plus_state(7), atol=1e-12)
+        np.testing.assert_allclose(psi, plus_amplitudes(7), atol=1e-12)
 
     def test_exact_depth1_odd_p(self):
         spec = ProblemSpec(5, 3, 0.0)
@@ -355,6 +354,33 @@ class TestBruteForceOracle:
         sector = qaoa_state(spec, params)
         full = full_qaoa_state(n, p, params.gammas, params.betas)
         assert abs(sector_energy(spec, sector) - full_energy(n, p, h, full)) < 1e-10
+
+
+GOLDEN_FIELD = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class TestHighPrecisionOracle:
+    """The energy against ``circuit_energy_mp``, the circuit at 40 digits
+    from exact binomials, exact phases and the closed-form mixer, within
+    the bound ``energy_and_gradient`` states."""
+
+    @pytest.mark.parametrize("n,p,depth", [(13, 3, 5), (13, 3, 14), (16, 2, 10)])
+    @pytest.mark.parametrize("init", ["r", "l"])
+    def test_energy_within_the_stated_bound(self, n, p, depth, init):
+        spec = ProblemSpec(n, p, GOLDEN_FIELD)
+        unit = np.finfo(float).eps * engine.cached_spectrum(spec).norm_bound
+        for seed in range(3):
+            params = r_init(depth, seed) if init == "r" else l_init(depth, spec, seed=seed)
+            # the angles as drawn, and each gamma on a 2^-30 grid, where
+            # every product gamma hz_k is exact in float64: the bound's phase
+            # term is 0 there, and its 2 P must hold alone
+            dyadic = np.round(params.gammas * 2.0**30) / 2.0**30
+            for gammas, phase_term in ((params.gammas, n**p * np.sum(np.abs(params.gammas))), (dyadic, 0.0)):
+                x = np.concatenate([gammas, params.betas])
+                energy = energy_and_gradient(spec, x[None])[0][0]
+                assert evaluate(spec, params_from_vector(x)).energy == energy
+                exact = circuit_energy_mp(n, p, GOLDEN_FIELD, gammas, params.betas)
+                assert float(abs(mpmath.mpf(float(energy)) - exact)) <= (2 * depth + phase_term) * unit
 
 
 class DenseSectorCircuit:
@@ -469,7 +495,7 @@ class TestEnergy:
     def test_plus_state_odd_p(self):
         # odd moments of the symmetric magnetization distribution vanish
         spec = ProblemSpec(8, 3, 0.5)
-        assert abs(sector_energy(spec, plus_state(8)) + 4.0) < 1e-12
+        assert abs(sector_energy(spec, plus_amplitudes(8)) + 4.0) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 6, 9, 12])
     def test_plus_state_p2_brute_force(self, n):
@@ -479,7 +505,7 @@ class TestEnergy:
         ) / 2**n
         assert moment == n
         spec = ProblemSpec(n, 2, 0.0)
-        assert abs(sector_energy(spec, plus_state(n)) + 1.0) < 1e-12
+        assert abs(sector_energy(spec, plus_amplitudes(n)) + 1.0) < 1e-12
 
     def test_fully_polarized(self):
         spec = ProblemSpec(6, 3, 0.0)

@@ -432,13 +432,14 @@ class TestBoundedBrent:
         assert minimal_gap(n, p, h_center) == expected
 
 
-def run_fresh(*lines):
+def run_fresh(*lines, **env):
     """The standard output lines of ``lines`` run as a program in a fresh
-    interpreter that imports pspin_qaoa from this checkout."""
+    interpreter that imports pspin_qaoa from this checkout, with the
+    environment variables ``env`` on top of this one's."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", "\n".join(lines)], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
     assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()
@@ -460,6 +461,26 @@ def test_cold_import_skips_scipy_optimize_and_mpmath():
         "print(sorted(m for m in unused if m in sys.modules))",
     )
     assert lines == [str(["ok"] * 4), "[]"]
+
+
+def test_m_513_does_not_depend_on_the_blas_thread_count():
+    # energies and gradients at m = 513, odd p in the whole sector and even
+    # p in the block (P = 3, three rows), are bit-identical at 1 and 2
+    # OpenBLAS threads: collective X's basis takes no BLAS call, and an
+    # (m, m) x (m, 2) GEMM still splits no sum at this size (from m = 1025
+    # it does; see the README)
+    program = (
+        "import hashlib, numpy as np",
+        "from pspin_qaoa.engine import energy_and_gradient",
+        "from pspin_qaoa.optimizer import r_init",
+        "from pspin_qaoa.sector import ProblemSpec",
+        "rows = np.array([r_init(3, seed).to_vector() for seed in range(3)])",
+        "for n, p in ((512, 3), (1024, 2)):",
+        "    energies, grads = energy_and_gradient(ProblemSpec(n, p, 0.7), rows)",
+        "    print(hashlib.sha256(energies.tobytes() + grads.tobytes()).hexdigest())",
+    )
+    one, two = (run_fresh(*program, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    assert len(one) == 2 and one == two
 
 
 @pytest.mark.parametrize("first,second", [

@@ -10,6 +10,7 @@ from math import comb
 
 from hypothesis import example, given, settings, strategies as st
 
+from analytic_oracles import plus_amplitudes, x_eigenvectors
 from fullspace import (
     collective_x_matrix,
     dense_even_gap,
@@ -27,7 +28,6 @@ from pspin_qaoa.sector import (
     diagonalize_target,
     dynamical_gap,
     dynamics_block,
-    plus_state,
     reflection_even_tridiagonal,
     sector_table,
     target_tridiagonal,
@@ -123,7 +123,7 @@ class TestProblemSpec:
         target = diagonalize_target(spec)
         assert target.e_min == pytest.approx(-h * n, rel=1e-12)
         assert target.e_max == pytest.approx(h * n, rel=1e-12)
-        np.testing.assert_allclose(sector_ground_state(spec), plus_state(n), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sector_ground_state(spec), plus_amplitudes(n), rtol=0, atol=1e-12)
 
 
 def magnetizations(n: int) -> np.ndarray:
@@ -141,12 +141,12 @@ class TestBasis:
 
     def test_n5_odd_parity(self):
         mags = magnetizations(5)
-        assert mags.size == 6 == plus_state(5).size
+        assert mags.size == 6 == plus_amplitudes(5).size
         assert set(mags.tolist()) == {5, 3, 1, -1, -3, -5}
 
     def test_n64_endpoints(self):
         mags = magnetizations(64)
-        assert mags.size == 65 == plus_state(64).size
+        assert mags.size == 65 == plus_amplitudes(64).size
         assert mags[0] == 64
         assert mags[64] == -64
 
@@ -158,33 +158,63 @@ class TestBasis:
         assert np.all((mags % 2) == (n % 2))
 
 
+def package_plus(n: int) -> np.ndarray:
+    """|+> of N sites as the package builds it: the top column of the
+    whole sector's collective-X eigenvectors."""
+    return x_spectral_decomposition(n, False).plus
+
+
 class TestPlusState:
     def test_single_spin(self):
-        np.testing.assert_allclose(plus_state(1), [1 / np.sqrt(2)] * 2)
+        np.testing.assert_allclose(package_plus(1), [1 / np.sqrt(2)] * 2)
 
     def test_two_spins(self):
         np.testing.assert_allclose(
-            plus_state(2), [0.5, 1 / np.sqrt(2), 0.5], atol=1e-15
+            package_plus(2), [0.5, 1 / np.sqrt(2), 0.5], atol=1e-15
         )
 
     @pytest.mark.parametrize("n", [7, 30, 200, 1024])
     def test_norm(self, n):
-        assert abs(np.linalg.norm(plus_state(n)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(package_plus(n)) - 1.0) < 1e-12
 
     def test_norm_within_roundoff(self):
-        # the log-gamma weights alone were off by -2.2e-14 at N = 512 and
-        # -5.5e-13 at N = 4096; divided by their norm they are off by ulps
+        # the recurrence normalizes in extended precision and rounds once;
+        # at N = 4096 the block's |+>, of the same norm, keeps V at 33 MB
         eps = np.finfo(float).eps
-        for n in [*range(1, 65), 512, 1024, 4096]:
-            assert abs(np.linalg.norm(plus_state(n)) - 1.0) <= 4 * eps, n
+        for n in [*range(1, 65), 512, 1024]:
+            assert abs(np.linalg.norm(package_plus(n)) - 1.0) <= 4 * eps, n
+        block = x_spectral_decomposition.__wrapped__(4096, True)
+        assert abs(np.linalg.norm(block.plus) - 1.0) <= 4 * eps
 
     @pytest.mark.parametrize("n", [3, 11, 24, 30])
     def test_matches_exact_rational_binomials(self, n):
         # independent oracle: exact C(N,k)/2^N via Fraction
-        amp = plus_state(n).real
+        amp = package_plus(n).real
         for k in range(n + 1):
             exact = float(Fraction(comb(n, k), 2**n)) ** 0.5
             assert abs(amp[k] - exact) < 1e-14
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 2048])
+    @pytest.mark.parametrize("even_parity", [False, True])
+    def test_within_two_ulp_of_the_binomials(self, n, even_parity):
+        # within 0.51 eps of the exact values, so within 2 of their rounding
+        dec = x_spectral_decomposition.__wrapped__(n, even_parity)
+        exact = plus_amplitudes(n, even_parity)
+        assert np.max(np.abs(dec.plus - exact) / exact) <= 2 * np.finfo(float).eps
+
+
+def x_residual(n: int, even_parity: bool, vec: np.ndarray, lam: np.ndarray) -> float:
+    """max |X V - V diag(lam)|, in extended precision from the rounded V."""
+    work = np.longdouble
+    i = np.arange(n, dtype=work)
+    diag, off = np.zeros(n + 1, dtype=work), np.sqrt((i + 1) * (n - i))
+    if even_parity:
+        diag, off = reflection_even_tridiagonal(diag, off)
+    v = vec.astype(work)
+    xv = diag[:, None] * v - v * lam.astype(work)
+    xv[:-1] += off[:, None] * v[1:]
+    xv[1:] += off[:, None] * v[:-1]
+    return float(np.max(np.abs(xv)))
 
 
 class TestCollectiveX:
@@ -204,23 +234,24 @@ class TestCollectiveX:
     @given(st.integers(min_value=1, max_value=256))
     @settings(max_examples=25, deadline=None)
     def test_spectrum_equals_magnetizations(self, n):
-        dec = x_spectral_decomposition(n)
+        # exactly the integers, ascending
+        dec = x_spectral_decomposition(n, False)
         mags = np.sort(magnetizations(n))
-        np.testing.assert_allclose(np.sort(dec.eigenvalues), mags, atol=1e-10)
+        assert np.array_equal(dec.eigenvalues, mags)
         # the reflection-even block keeps the eigenvalues N - 2j with j even
-        even = x_spectral_decomposition(n, even_parity=True)
+        even = x_spectral_decomposition(n, True)
         even_mags = np.sort(magnetizations(n)[::2])
-        np.testing.assert_allclose(np.sort(even.eigenvalues), even_mags, atol=1e-10)
+        assert np.array_equal(even.eigenvalues, even_mags)
 
     def test_decomposition_reconstructs(self):
         for n in (1, 5, 40):
-            dec = x_spectral_decomposition(n)
+            dec = x_spectral_decomposition(n, False)
             rebuilt = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
             assert np.max(np.abs(rebuilt - collective_x_matrix(n))) < 1e-12
 
     def test_plus_state_is_top_eigenvector(self):
         for n in (2, 17, 100):
-            plus = plus_state(n).real
+            plus = plus_amplitudes(n)
             xmat = collective_x_matrix(n)
             assert np.linalg.norm(xmat @ plus - n * plus) < 1e-10
 
@@ -230,8 +261,8 @@ class TestCollectiveX:
         assert 8 * 11585**2 <= limit < 8 * 11586**2
         x_spectral_decomposition.cache_clear()
         monkeypatch.setattr(sector, "_MAX_MIXER_BYTES", 8 * 100**2)
-        assert x_spectral_decomposition(99).eigenvalues.size == 100
-        assert x_spectral_decomposition(199, even_parity=True).eigenvalues.size == 100
+        assert x_spectral_decomposition(99, False).eigenvalues.size == 100
+        assert x_spectral_decomposition(199, True).eigenvalues.size == 100
 
         def refuse(*args):
             raise AssertionError("built before the size check")
@@ -240,9 +271,9 @@ class TestCollectiveX:
         monkeypatch.setattr(sector, "_x_off_diagonal", refuse)
         monkeypatch.setattr(engine, "sector_table", refuse)
         with pytest.raises(ValueError, match=r"N = 100 \(m = 101 states\) would take 81608 bytes"):
-            x_spectral_decomposition(100)
+            x_spectral_decomposition(100, False)
         with pytest.raises(ValueError, match=r"N = 200 \(m = 101 states\)"):
-            x_spectral_decomposition(200, even_parity=True)
+            x_spectral_decomposition(200, True)
         with pytest.raises(ValueError, match=r"N = 101 \(m = 102 states\)"):
             CircuitContext(ProblemSpec(101, 3))
         with pytest.raises(ValueError, match=r"N = 200 \(m = 101 states\)"):
@@ -250,7 +281,50 @@ class TestCollectiveX:
         # at the real limit, odd p at N = 20001 would take 3.2 GB
         monkeypatch.setattr(sector, "_MAX_MIXER_BYTES", limit)
         with pytest.raises(ValueError, match=r"N = 20001 \(m = 20002 states\) would take 3200640032"):
-            x_spectral_decomposition(20001)
+            x_spectral_decomposition(20001, False)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 32, 63, 64])
+    @pytest.mark.parametrize("even_parity", [False, True])
+    def test_matches_the_closed_form(self, n, even_parity):
+        # every entry within 2 eps of d^{N/2}(pi/2) from exact integers
+        dec = x_spectral_decomposition(n, even_parity)
+        assert np.max(np.abs(dec.eigenvectors - x_eigenvectors(n, even_parity))) <= 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("even_parity", [False, True])
+    def test_orthogonal_with_a_small_residual(self, even_parity):
+        # orthogonality from float64 products, the residual in extended
+        # precision
+        n, eps = 1024, np.finfo(float).eps
+        dec = x_spectral_decomposition.__wrapped__(n, even_parity)
+        vec = dec.eigenvectors
+        assert np.max(np.abs(vec.T @ vec - np.eye(vec.shape[1]))) <= 8 * eps
+        assert x_residual(n, even_parity, vec, dec.eigenvalues) <= 0.5 * eps * n
+
+    def test_float64_recurrence_keeps_its_bound(self, monkeypatch):
+        # float64 is the working precision where longdouble is float64
+        # (Windows); column amplitudes span about 2^(N/2), past float64's
+        # range at N = 2048 without the rescaling, which must warn nowhere
+        n, eps = 2048, np.finfo(float).eps
+        monkeypatch.setattr(sector, "_RECURRENCE_DTYPE", np.float64)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            dec = x_spectral_decomposition.__wrapped__(n, False)
+        vec = dec.eigenvectors
+        assert np.isfinite(vec).all()
+        assert np.max(np.abs(vec.T @ vec - np.eye(n + 1))) <= 100 * eps
+        assert x_residual(n, False, vec, dec.eigenvalues) <= 10 * eps * n
+        exact = plus_amplitudes(n)
+        assert np.max(np.abs(dec.plus - exact) / exact) <= 200 * eps
+
+    def test_one_cache_entry_per_block(self):
+        with pytest.raises(TypeError):
+            x_spectral_decomposition(8, even_parity=True)
+        with pytest.raises(TypeError):
+            x_spectral_decomposition(8)
+        x_spectral_decomposition.cache_clear()
+        ctx = CircuitContext(ProblemSpec(23, 2, 0.5))
+        assert x_spectral_decomposition.cache_info().currsize == 1
+        assert x_spectral_decomposition(23, True) is ctx.xdec
+        assert x_spectral_decomposition.cache_info().currsize == 1
 
 
 class TestHzDiagonal:
@@ -337,17 +411,21 @@ class TestSectorTable:
         assert not np.array_equal(a.hz_float, b.hz_float)
 
     def test_plus_state_is_built_once_per_block(self, monkeypatch):
+        # |+> is the top column of the block's cached decomposition: a new
+        # h, and a new p of the same parity, reuse it without a rebuild
         n = 37
         block = CircuitContext(ProblemSpec(n, 2, 0.3)).xdec
-
-        def refuse(*args):
-            raise AssertionError("plus_state called")
-
-        monkeypatch.setattr(sector, "plus_state", refuse)
-        # a new h, and a new p of the same parity, reuse the block's |+>
+        built = x_spectral_decomposition.cache_info().misses
         for spec in (ProblemSpec(n, 2, 1.1), ProblemSpec(n, 4, 0.3)):
             assert CircuitContext(spec).plus is block.plus
+        assert x_spectral_decomposition.cache_info().misses == built
+        assert np.array_equal(block.plus, block.eigenvectors[:, -1])
+
+        def refuse(*args):
+            raise AssertionError("x_spectral_decomposition called")
+
         # the gap path never reads |+>
+        monkeypatch.setattr(sector, "x_spectral_decomposition", refuse)
         assert sector_table.__wrapped__(n, 3).hz[0] == -(n**3)
         assert dynamical_gap(ProblemSpec(n, 3, 1.3)) > 0
         assert dynamical_gap(ProblemSpec(n, 2, 1.9)) > 0
@@ -698,7 +776,7 @@ def scipy_sites(spec: ProblemSpec):
         for i in (0, spec.n_sites)
     )
     v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
-    dec = x_spectral_decomposition(spec.n_sites, even_parity=spec.p_exponent % 2 == 0)
+    dec = x_spectral_decomposition(spec.n_sites, spec.p_exponent % 2 == 0)
     index, weight = dec.lift_index, dec.lift_weight
     ground = v[index] * weight
     if ground[np.argmax(np.abs(ground))] < 0:
@@ -715,8 +793,9 @@ def scipy_x_decomposition(n: int, even_parity: bool):
 
 
 class TestLapackPath:
-    """``sector`` calls dstebz, dstein and dstevd itself, with the arguments
-    scipy's wrappers pick, so every number equals theirs bit for bit."""
+    """``sector`` calls dstebz and dstein itself, with the arguments scipy's
+    wrappers pick, so every number equals theirs bit for bit; collective X's
+    basis takes no LAPACK call."""
 
     @given(
         st.integers(min_value=1, max_value=200),
@@ -738,8 +817,6 @@ class TestLapackPath:
         for even_parity in (False, True):
             dec = x_spectral_decomposition.__wrapped__(n, even_parity)
             lam, vec = scipy_x_decomposition(n, even_parity)
-            assert np.array_equal(dec.eigenvalues, lam)
-            assert np.array_equal(dec.eigenvectors, vec)
             assert dec.eigenvectors.strides == vec.strides  # the mixer GEMMs see one layout
 
     @pytest.mark.parametrize("p", [2, 4])
@@ -749,7 +826,7 @@ class TestLapackPath:
         assert np.array_equal(diagonalize_target(spec).ground, [1.0])
         assert np.array_equal(sector_ground_state(spec), np.full(2, np.sqrt(0.5), dtype=complex))
         assert np.array_equal(sector_ground_state(spec), scipy_sites(spec)[2])
-        dec = x_spectral_decomposition(1, even_parity=True)
+        dec = x_spectral_decomposition(1, True)
         assert dec.eigenvalues.tolist() == [1.0] and dec.eigenvectors.tolist() == [[1.0]]
 
     def test_needs_no_scipy_wrapper(self, monkeypatch):
@@ -792,17 +869,27 @@ class TestLapackPath:
             def dstebz(self, d, e, *args):
                 return 0, np.zeros(d.size), None, None, 1
 
-            def dstevd(self, d, e, compute_v):
-                return np.zeros(d.size), np.eye(d.size), 1
-
         monkeypatch.setattr(sector, "lapack", Failing())
         spec = ProblemSpec(8, 3, 0.5)
         with pytest.raises(np.linalg.LinAlgError, match="dstebz found 0"):
             dynamical_gap(spec)
         with pytest.raises(RuntimeError, match="target eigensolver failed"):
             diagonalize_target(spec)
-        with pytest.raises(RuntimeError, match="collective-X eigensolver failed"):
-            x_spectral_decomposition.__wrapped__(8)
+
+    def test_collective_x_needs_no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dstevd called")
+
+        monkeypatch.setattr(sector.lapack, "dstevd", refuse)
+        x_spectral_decomposition.cache_clear()
+        engine.circuit_context.cache_clear()
+        for spec in (ProblemSpec(12, 3, 0.7), ProblemSpec(12, 2, 0.7)):
+            dec = x_spectral_decomposition(12, spec.p_exponent % 2 == 0)
+            assert engine.circuit_context(spec).xdec is dec
+            params = r_init(3, 0)
+            energy, _ = energy_and_gradient(spec, params.to_vector()[None])
+            assert engine.evaluate(spec, params).energy == energy[0]
+        engine.circuit_context.cache_clear()
 
     def test_short_eigenvalue_count_is_refused(self, monkeypatch):
         real = sector.lapack.dstebz
