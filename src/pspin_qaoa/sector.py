@@ -25,10 +25,10 @@ is the one path to LAPACK: bisection (dstebz) for eigenvalues selected by
 index, inverse iteration (dstein) for their vectors. These are the routines,
 with the arguments, that ``scipy.linalg.eigh_tridiagonal`` picks, so the
 numbers are the same bit for bit, without its per-call argument handling.
-Its guards are kept and the eigenvalue count is checked too: a non-finite
-entry, a nonzero LAPACK ``info`` or a short count raises ``LinAlgError``,
-which ``dynamical_gap`` passes on and ``diagonalize_target`` raises as
-``RuntimeError``. ``ProblemSpec`` refuses a field large enough to overflow
+Its guards are kept, as one dot product per array, and the eigenvalue
+count is checked too: a non-finite entry, a nonzero LAPACK ``info`` or a
+short count raises ``LinAlgError``, which ``dynamical_gap`` passes on and
+``diagonalize_target`` raises as ``RuntimeError``. ``ProblemSpec`` refuses a field large enough to overflow
 the solvers, so no accepted spec reaches those guards.
 
 ``lapack`` is scipy's compiled extension ``scipy.linalg._flapack``, the
@@ -117,19 +117,25 @@ class ProblemSpec:
     field: float = 0.0
 
     def __post_init__(self):
-        # plain ints, so that cache keys and ``sector_table`` see one type
-        for name in ("n_sites", "p_exponent"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.n_sites < 1:
-            raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
-        if self.p_exponent < 2:
-            raise ValueError(f"p_exponent must be >= 2, got {self.p_exponent}")
-        field = self.field  # a plain float, as N and p are plain ints
+        # plain ints and a plain float, so that cache keys and ``sector_table``
+        # see one type. An exact int or float (not a subclass: bool, np.float64)
+        # is one already and skips the ABC checks, which cost more than all
+        # the rest of this method
+        n, p, field = self.n_sites, self.p_exponent, self.field
+        if type(n) is not int or type(p) is not int:
+            for name, value in (("n_sites", n), ("p_exponent", p)):
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+            n, p = int(n), int(p)
+            object.__setattr__(self, "n_sites", n)
+            object.__setattr__(self, "p_exponent", p)
+        if n < 1:
+            raise ValueError(f"n_sites must be >= 1, got {n}")
+        if p < 2:
+            raise ValueError(f"p_exponent must be >= 2, got {p}")
         try:
-            finite = not isinstance(field, bool) and isinstance(field, Real) and isfinite(field)
+            real = type(field) is float or (not isinstance(field, bool) and isinstance(field, Real))
+            finite = real and isfinite(field)
         except OverflowError:  # an int or a Fraction past the float range
             raise OverflowError(
                 f"field must fit a float; this {type(field).__name__} is 2^1024 or more in magnitude"
@@ -137,20 +143,18 @@ class ProblemSpec:
         if not finite:
             raise ValueError(f"field must be finite, real and not a bool, got {field!r}")
         # + 0.0 turns -0.0 into 0.0, so a zero field has one value, and one seed
-        object.__setattr__(self, "field", float(field) + 0.0)
-        if self.field < 0:
-            raise ValueError(f"field must be >= 0, got {self.field}")
+        field = float(field) + 0.0
+        object.__setattr__(self, "field", field)
+        if field < 0:
+            raise ValueError(f"field must be >= 0, got {field}")
         # N >= 2^(bit_length - 1), so a large p is refused before the exact power
-        if (self.n_sites.bit_length() - 1) * self.p_exponent >= _MAX_PHASE_BITS or (
-            self.n_sites**self.p_exponent >= _MAX_PHASE_INT
-        ):
+        if (n.bit_length() - 1) * p >= _MAX_PHASE_BITS or n**p >= _MAX_PHASE_INT:
             raise OverflowError(
-                f"N^p = {self.n_sites}^{self.p_exponent} exceeds the supported "
-                "128-bit integer width for phase arithmetic"
+                f"N^p = {n}^{p} exceeds the supported 128-bit integer width for phase arithmetic"
             )
-        if self.field * (self.n_sites + 1) >= _MAX_FIELD_SCALE:
+        if field * (n + 1) >= _MAX_FIELD_SCALE:
             raise OverflowError(
-                f"h (N + 1) = {self.field} * {self.n_sites + 1} reaches 2^448, "
+                f"h (N + 1) = {field} * {n + 1} reaches 2^448, "
                 "past which the tridiagonal eigensolvers overflow"
             )
 
@@ -290,9 +294,16 @@ def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, index, vectors: bool = True)
     LinAlgError for a non-finite entry, a nonzero LAPACK ``info``, fewer
     eigenvalues than selected, or a non-finite dstein vector (dstein can
     overflow with info = 0).
+
+    The entry guard is one BLAS dot per array, d.d and e.e, in which NaN and
+    inf propagate. So it also refuses finite entries whose squares sum past
+    the float range (numpy warns of that overflow first); dstebz squares the
+    off-diagonal, so an entry of 2^512 or more is out of its range anyway.
+    No ``ProblemSpec`` reaches that: with h (N + 1) < 2^448 and N < 2^64
+    both sums stay below 2^960.
     """
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise LinAlgError("the tridiagonal has a non-finite entry")
+    if not (isfinite(d.dot(d)) and isfinite(e.dot(e))):
+        raise LinAlgError("the tridiagonal has a non-finite entry, or its squares overflow")
     if d.size == 1:
         w, v = d.copy(), np.ones((1, 1))
     else:
@@ -376,7 +387,15 @@ def dynamical_gap(spec: ProblemSpec) -> float:
     there is no such symmetry and it is the full-sector gap.
 
     Either way the block is tridiagonal, and its two lowest eigenvalues come
-    from one LAPACK bisection (dstebz) in O(N). Each is accurate to a few ulp of
+    from one LAPACK bisection (dstebz) in O(N). A call builds only the
+    block's off-diagonal, -h times the cached collective-X off-diagonal
+    over the block's couplings (and for odd N with even p a copy of the
+    diagonal, whose last entry takes the middle coupling); the diagonal is
+    a read-only view of ``sector_table``. It is ``dynamics_block`` of
+    ``target_tridiagonal`` bit for bit: -h multiplies each coupling before
+    the sqrt(2) of |N/2>, as there. It validates nothing the spec has not:
+    the only check is ``_tridiagonal_eigh``'s entry guard, one dot product
+    per array. Each eigenvalue is accurate to a few ulp of
     max|d| + 2 max|o|, with d and o the sector diagonal and off-diagonal of
     ``target_tridiagonal``: the Gershgorin bound on the norm. The tests hold
     the gap to 1e-13 times that bound against 40-digit mpmath and against
@@ -386,12 +405,22 @@ def dynamical_gap(spec: ProblemSpec) -> float:
     Raises ValueError for N = 1 with even p, whose block has one state, and
     LinAlgError if dstebz fails.
     """
-    d, e = dynamics_block(spec.p_exponent, *target_tridiagonal(spec))
+    n, p, h = spec.n_sites, spec.p_exponent, spec.field
+    table = sector_table(n, p)
+    if p % 2:
+        d, e = table.target_diag, -h * table.x_off
+    else:  # reflection_even_tridiagonal's arithmetic, on the block's entries only
+        half = n // 2
+        d, off = table.target_diag[: half + 1], -h * table.x_off[: half + n % 2]
+        if n % 2:  # the middle pair's coupling joins the last diagonal entry
+            d = d.copy()
+            d[-1] += off[-1]
+            e = off[:-1]
+        else:  # the coupling to |N/2>
+            e = off
+            e[-1] *= np.sqrt(2.0)
     if d.size < 2:
-        raise ValueError(
-            f"the dynamics block of N = {spec.n_sites}, p = {spec.p_exponent} "
-            "has one state, so there is no gap"
-        )
+        raise ValueError(f"the dynamics block of N = {n}, p = {p} has one state, so there is no gap")
     w = _tridiagonal_eigh(d, e, (0, 1), vectors=False)
     return float(w[1] - w[0])
 

@@ -22,6 +22,7 @@ from fullspace import (
 )
 from pspin_qaoa import engine, sector
 from pspin_qaoa.engine import CircuitContext, energy_and_gradient
+from pspin_qaoa.experiments import CRITICAL_FIELDS
 from pspin_qaoa.optimizer import r_init
 from pspin_qaoa.sector import (
     ProblemSpec,
@@ -35,6 +36,16 @@ from pspin_qaoa.sector import (
 )
 
 
+class Int(int):
+    """An int subclass: ``ProblemSpec`` checks it as any other non-int."""
+
+
+# An exact int and float take ProblemSpec's fast path; every other type of
+# the same value takes the ABC checks, and must meet the same refusals.
+INTS = [int, np.int64, np.int32, Int]
+FLOATS = [float, np.float64, Fraction]
+
+
 class TestProblemSpec:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -44,27 +55,48 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(4, 2, -0.5)
 
+    @pytest.mark.parametrize("as_int", INTS)
+    @pytest.mark.parametrize("as_float", FLOATS)
+    def test_rejects_bad_inputs_of_every_type(self, as_int, as_float):
+        with pytest.raises(ValueError, match="n_sites must be >= 1"):
+            ProblemSpec(as_int(0), 2)
+        with pytest.raises(ValueError, match="p_exponent must be >= 2"):
+            ProblemSpec(4, as_int(1))
+        with pytest.raises(ValueError, match="field must be >= 0"):
+            ProblemSpec(4, 2, as_float(-0.5))
+
     def test_rejects_phase_overflow(self):
-        with pytest.raises(OverflowError):
-            ProblemSpec(1024, 13)
+        for as_int in INTS:
+            with pytest.raises(OverflowError):
+                ProblemSpec(as_int(1024), as_int(13))
 
     @pytest.mark.parametrize("n,p", [(2, 126), (3, 80), (1, 10**9)])
     def test_accepts_powers_below_the_phase_width(self, n, p):
         assert ProblemSpec(n, p).p_exponent == p
 
-    @pytest.mark.parametrize("n,p", [(2, 127), (3, 81), (3, 10**18)])
+    @pytest.mark.parametrize("n,p", [
+        (2, 127), (3, 81), (3, 10**18),
+        pytest.param(np.int64(2), np.int64(127), id="int64"),
+        pytest.param(Int(3), Int(81), id="int-subclass"),
+    ])
     def test_refuses_powers_at_the_phase_width(self, n, p):
         # (3, 10**18) would never finish if the exact power came first
         with pytest.raises(OverflowError, match="128-bit"):
             ProblemSpec(n, p)
 
-    @pytest.mark.parametrize("field", [float("nan"), float("inf"), float("-inf"), True])
+    @pytest.mark.parametrize("field", [
+        float("nan"), float("inf"), float("-inf"), True,
+        pytest.param(np.float64("nan"), id="float64-nan"),
+        pytest.param(np.float64("-inf"), id="float64-inf"),
+        pytest.param(np.True_, id="numpy-bool"),
+    ])
     def test_rejects_non_finite_field(self, field):
         with pytest.raises(ValueError, match="field must be finite"):
             ProblemSpec(16, 2, field)
 
     @pytest.mark.parametrize(
-        "field", [10**400, Fraction(10**400, 3), -(10**400)], ids=["int", "fraction", "negative"]
+        "field", [10**400, Fraction(10**400, 3), -(10**400), Int(10**400)],
+        ids=["int", "fraction", "negative", "int-subclass"],
     )
     def test_refuses_a_field_past_the_float_range(self, field):
         # float(field) overflows; the error names the field, not isfinite's
@@ -74,6 +106,10 @@ class TestProblemSpec:
 
     @pytest.mark.parametrize("n,p,name", [
         (16.5, 2, "n_sites"), (16.0, 2, "n_sites"), (True, 2, "n_sites"), (16, 2.5, "p_exponent"),
+        pytest.param(np.float64(16.0), 2, "n_sites", id="float64"),
+        pytest.param(Fraction(16), 2, "n_sites", id="fraction"),
+        pytest.param(16, True, "p_exponent", id="bool-p"),
+        pytest.param(16, np.True_, "p_exponent", id="numpy-bool-p"),
     ])
     def test_rejects_non_integers(self, n, p, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
@@ -84,10 +120,27 @@ class TestProblemSpec:
         assert type(spec.n_sites) is int and type(spec.p_exponent) is int
         assert spec == ProblemSpec(16, 3, 1.0)
 
+    @pytest.mark.parametrize("as_int", INTS)
+    @pytest.mark.parametrize("as_float", [float, np.float64, np.float32, Fraction, Int])
+    def test_stores_exact_types(self, as_int, as_float):
+        spec = ProblemSpec(as_int(16), as_int(3), as_float(2))
+        assert (type(spec.n_sites), type(spec.p_exponent), type(spec.field)) == (int, int, float)
+        assert spec == ProblemSpec(16, 3, 2.0) and hash(spec) == hash(ProblemSpec(16, 3, 2.0))
+
+    @pytest.mark.parametrize("zero", [-0.0, np.float64(-0.0), 0.0, 0, Fraction(0)])
+    def test_a_zero_field_is_stored_as_plus_zero(self, zero):
+        # -0.0 is a plain float, so it takes the fast path; it must still be
+        # stored as 0.0, one value and one seed
+        spec = ProblemSpec(16, 3, zero)
+        assert type(spec.field) is float and spec.field.hex() == "0x0.0p+0"
+        assert hash(spec) == hash(ProblemSpec(16, 3))
+
     @pytest.mark.parametrize("field,stored", [
         (Fraction(1, 2), 0.5), (np.float32(0.5), 0.5), (np.float64(0.5), 0.5),
         (2, 2.0), (np.int64(2), 2.0),
         (np.True_, None), (Decimal("0.5"), None), ("0.5", None), (0.5 + 0j, None), (None, None),
+        pytest.param(Int(2), 2.0, id="int-subclass"),
+        pytest.param(0.5, 0.5, id="float"),
     ])
     def test_stores_the_field_as_a_float(self, field, stored):
         # any other field fails only later: a Fraction in the eigensolver's
@@ -104,12 +157,14 @@ class TestProblemSpec:
     @pytest.mark.parametrize("n", [7, 1023, 2**40 - 1])
     def test_field_bound(self, n):
         # h (N + 1) < 2^448; N + 1 is a power of two, so the products are exact.
-        # Checked in O(1): N = 2^40 - 1 builds no array.
+        # Checked in O(1): N = 2^40 - 1 builds no array. A plain float takes
+        # the fast path, an np.float64 the ABC checks.
         at = 2.0**448 / (n + 1)
-        assert ProblemSpec(n, 2, np.nextafter(at, 0.0)).field < at
-        for h in (at, np.nextafter(at, np.inf), 1e308):
-            with pytest.raises(OverflowError, match="2\\^448"):
-                ProblemSpec(n, 3, h)
+        for as_float in (float, np.float64):
+            assert ProblemSpec(n, 2, as_float(np.nextafter(at, 0.0))).field < at
+            for h in (at, np.nextafter(at, np.inf), 1e308):
+                with pytest.raises(OverflowError, match="2\\^448"):
+                    ProblemSpec(n, 3, as_float(h))
 
     @pytest.mark.parametrize("n", [7, 1023])
     @pytest.mark.parametrize("p", [2, 3])
@@ -757,8 +812,24 @@ class TestDynamicalGap:
         assert abs(dynamical_gap(spec) - 2 * np.sqrt(1 + h * h)) <= gap_bound(spec)
 
     def test_single_site_even_p_rejected(self):
-        with pytest.raises(ValueError, match="one state"):
-            dynamical_gap(ProblemSpec(1, 2, 1.0))
+        for p, h in ((2, 1.0), (4, 1.0), (2, 0.0)):
+            with pytest.raises(ValueError, match="one state"):
+                dynamical_gap(ProblemSpec(1, p, h))
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 128, 129, 1024])
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_equals_the_general_block_bit_for_bit(self, n, p, data):
+        # dynamical_gap builds only the block, from the table; it must give
+        # the bits of the general path, dynamics_block of the whole sector
+        # target, at every h that minimal_gap's brackets can visit
+        center = CRITICAL_FIELDS.get(p, 1.0)
+        h = data.draw(st.floats(min_value=0.5 * center, max_value=1.5 * center), label="h")
+        spec = ProblemSpec(n, p, h)
+        block = dynamics_block(p, *target_tridiagonal(spec))
+        w = sector._tridiagonal_eigh(*block, (0, 1), vectors=False)
+        assert dynamical_gap(spec).hex() == float(w[1] - w[0]).hex()
 
 
 def scipy_sites(spec: ProblemSpec):
@@ -840,12 +911,31 @@ class TestLapackPath:
         assert diagonalize_target(spec).e_min < 0
         assert x_spectral_decomposition.__wrapped__(33, True).eigenvalues.size == 17
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # the helper's modes: two eigenvalues, one eigenpair, and a 1x1 matrix
+    # (its own spectrum, with no LAPACK call)
+    MODES = [((0, 1), False, 4), ((0, 0), True, 4), ((0, 0), False, 1), ((0, 0), True, 1)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_refuses_non_finite_entries(self, bad):
-        d, e = np.zeros(4), np.ones(3)
-        for arrays in ((np.r_[d[:3], bad], e), (d, np.r_[e[:2], bad])):
-            for index, vectors in ((None, True), ((0, 1), False), ((0, 0), True)):
+        for index, vectors, size in self.MODES:
+            d, e = np.zeros(size), np.ones(size - 1)
+            cases = [(np.r_[d[:-1], bad], e)] + ([(d, np.r_[e[:-1], bad])] if size > 1 else [])
+            for arrays in cases:
                 with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                    sector._tridiagonal_eigh(*arrays, index, vectors)
+            # finite entries go through every mode
+            assert np.isfinite(sector._tridiagonal_eigh(d, e, index, vectors=False)).all()
+
+    @pytest.mark.parametrize("index,vectors,size", MODES)
+    def test_refuses_entries_whose_squares_overflow(self, index, vectors, size):
+        # the guard is one sum of squares per array, which numpy reports
+        # overflowing; dstebz squares the off-diagonal, so an entry of 2^512
+        # is out of its range anyway
+        d, e = np.zeros(size), np.ones(size - 1)
+        cases = [(np.r_[d[:-1], 2.0**512], e)] + ([(d, np.r_[e[:-1], 2.0**512])] if size > 1 else [])
+        for arrays in cases:
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                with pytest.raises(np.linalg.LinAlgError, match="squares overflow"):
                     sector._tridiagonal_eigh(*arrays, index, vectors)
 
     def test_refuses_a_non_finite_dstein_vector(self):
