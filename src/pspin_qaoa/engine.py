@@ -23,10 +23,7 @@ each row, as V is real; the kernels take those factors, computed once per
 sweep, never the angles. Each row's GEMMs and sums are the BLAS calls its
 batch of one makes, so a row's numbers never depend on the other rows. The
 forward sweep keeps, per layer, the factors, the post-phase state and its
-eigenbasis coordinates after the mixer factors. Where hz (odd p) or lam
-(the whole sector, or the block at even N) is antisymmetric, only the first
-half of each row of factors is exponentiated, and the rest are its
-conjugates, bit for bit. The reverse sweep carries
+eigenbasis coordinates after the mixer factors. The reverse sweep carries
 only the adjoint stack, one row per circuit, through the same two GEMM
 halves: the beta-derivative is an overlap with the stored coordinates in
 the eigenbasis, the gamma-derivative one with the stored post-phase state,
@@ -110,11 +107,6 @@ class CircuitContext:
         self.hz: tuple[int, ...] = table.hz[:dim]
         self.max_abs_hz: int = table.max_abs_hz
         self.hz_float = table.hz_float[:dim]
-        # the rows whose entry m-1-k is minus entry k, exactly (``_exp_outer``):
-        # hz_{N-k} = -hz_k for odd p; lam = N - 2j in the sector, and in the
-        # reflection-even block at even N
-        self._hz_mirrored = p % 2 == 1
-        self._lam_mirrored = p % 2 == 1 or n % 2 == 0
 
     def lift(self, state: np.ndarray) -> np.ndarray:
         """The N+1 sector amplitudes of a context-dimension state vector."""
@@ -125,28 +117,24 @@ class CircuitContext:
         gamma.shape + (m,).
 
         An angle whose phase |gamma| max|hz| exceeds 2^53 is reduced mod 2 pi
-        from the exact integers hz_k (``_exact_angles``), over the full row;
-        every other angle takes the float product, for odd p only at
-        k <= N/2 (``_exp_outer``).
+        from the exact integers hz_k (``_exact_angles``); every other angle
+        takes the float product.
         """
         gamma = np.asarray(gamma, dtype=float)
-        with np.errstate(over="ignore"):  # a huge angle's phase is inf here, still exact
+        # a huge angle overflows both products to inf, but its row is exact
+        # and replaced below, so the overflow is no error
+        with np.errstate(over="ignore"):
+            angles = np.multiply.outer(gamma, self.hz_float)
             exact = np.abs(gamma) * float(self.max_abs_hz) > _SAFE_DOUBLE
-        rows = np.flatnonzero(exact)
-        # an exact row is computed at angle 0, as its float product could
-        # overflow to inf, and then replaced over its full width: mpmath's
-        # fmod reduces -x to 2 pi - r, not to -r, so it has no mirror
-        factors = _exp_outer(-1j, np.where(exact, 0.0, gamma) if rows.size else gamma,
-                             self.hz_float, self._hz_mirrored)
-        flat = factors.reshape(-1, self.hz_float.size)  # a view, one row per angle
-        for r in rows:
-            flat[r] = np.exp(-1j * _exact_angles(float(gamma.flat[r]), self.hz, self.max_abs_hz))
-        return factors
+        if exact.any():
+            rows = angles.reshape(-1, self.hz_float.size)  # a view, one row per angle
+            for r in np.flatnonzero(exact):
+                rows[r] = _exact_angles(float(gamma.flat[r]), self.hz, self.max_abs_hz)
+        return np.exp(-1j * angles)
 
     def mixer_factors(self, beta) -> np.ndarray:
-        """exp(i beta lam) in the collective-X eigenbasis, shape beta.shape + (m,);
-        where lam is antisymmetric, only lam <= 0 is exponentiated (``_exp_outer``)."""
-        return _exp_outer(1j, beta, self.xdec.eigenvalues, self._lam_mirrored)
+        """exp(i beta lam) in the collective-X eigenbasis, shape beta.shape + (m,)."""
+        return np.exp(1j * np.multiply.outer(beta, self.xdec.eigenvalues))
 
     def apply_phase(self, state: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """exp(-i gamma Hz) on an (m,) state, given the (m,) ``phase_factors``
@@ -201,32 +189,6 @@ def circuit_context(spec: ProblemSpec) -> CircuitContext:
 def cached_spectrum(spec: ProblemSpec) -> TargetSpectrum:
     """The spec's ``diagonalize_target``, computed once per (N, p, h) per process."""
     return diagonalize_target(spec)
-
-
-def _exp_outer(scale: complex, theta, row: np.ndarray, mirrored: bool) -> np.ndarray:
-    """exp(scale theta_r row_k) for each angle theta_r and entry row_k, shape
-    theta.shape + (m,).
-
-    With ``mirrored``, row_{m-1-k} = -row_k exactly, so theta row_{m-1-k} =
-    -(theta row_k) in IEEE and exp(-ix) = conj(exp(ix)) bit for bit: only the
-    first ceil(m/2) columns are exponentiated, and the rest are their
-    conjugates, the same numbers at half the exponentials. ``scale`` is 1j
-    or -1j.
-    """
-    if not mirrored:
-        return np.exp(scale * np.multiply.outer(theta, row))
-    m, head = row.size, (row.size + 1) // 2
-    out = np.empty(np.shape(theta) + (m,), dtype=complex)
-    np.exp(scale * np.multiply.outer(theta, row[:head]), out=out[..., :head])
-    tail = out[..., head:]
-    np.conjugate(out[..., : m - head][..., ::-1], out=tail)
-    # scale x has imaginary part scale.real * 0.0 + scale.imag * x, which for
-    # 1j is +0.0 at x = -0.0 as well: so exp(1j * x) at a zero x is 1+0j
-    # whichever its sign, where the conjugate reads 1-0j. Adding
-    # scale.real * 0.0 (+0.0 for 1j, -0.0 for -1j) turns just that -0.0 to
-    # +0.0 and leaves every other value.
-    tail.imag += scale.real * 0.0
-    return out
 
 
 def _exact_angles(gamma: float, hz_ints, max_abs_hz: int) -> np.ndarray:

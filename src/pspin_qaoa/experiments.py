@@ -262,9 +262,9 @@ def minimal_gap(n_sites: int, p: int, h_center: float) -> tuple[float, float]:
     on the target, about N (1 + h).
 
     Each step validates a new ``ProblemSpec``, on its fast path for a plain
-    int N and p and float h, and calls ``dynamical_gap``, which builds only
-    the dynamics block's off-diagonal and makes one dstebz call: a step
-    costs that call plus a few microseconds.
+    int N and p and float h, and calls ``dynamical_gap``, which builds the
+    dynamics block from the cached sector table, guards it with one dot
+    product per array and makes one dstebz call.
     """
 
     def gap_at(h):

@@ -28,8 +28,9 @@ numbers are the same bit for bit, without its per-call argument handling.
 Its guards are kept, as one dot product per array, and the eigenvalue
 count is checked too: a non-finite entry, a nonzero LAPACK ``info`` or a
 short count raises ``LinAlgError``, which ``dynamical_gap`` passes on and
-``diagonalize_target`` raises as ``RuntimeError``. ``ProblemSpec`` refuses a field large enough to overflow
-the solvers, so no accepted spec reaches those guards.
+``diagonalize_target`` raises as ``RuntimeError``. ``ProblemSpec`` refuses
+a field large enough to overflow the solvers, so no accepted spec reaches
+those guards.
 
 ``lapack`` is scipy's compiled extension ``scipy.linalg._flapack``, the
 module whose routines ``scipy.linalg.lapack`` re-exports, loaded from its
@@ -387,15 +388,12 @@ def dynamical_gap(spec: ProblemSpec) -> float:
     there is no such symmetry and it is the full-sector gap.
 
     Either way the block is tridiagonal, and its two lowest eigenvalues come
-    from one LAPACK bisection (dstebz) in O(N). A call builds only the
-    block's off-diagonal, -h times the cached collective-X off-diagonal
-    over the block's couplings (and for odd N with even p a copy of the
-    diagonal, whose last entry takes the middle coupling); the diagonal is
-    a read-only view of ``sector_table``. It is ``dynamics_block`` of
-    ``target_tridiagonal`` bit for bit: -h multiplies each coupling before
-    the sqrt(2) of |N/2>, as there. It validates nothing the spec has not:
-    the only check is ``_tridiagonal_eigh``'s entry guard, one dot product
-    per array. Each eigenvalue is accurate to a few ulp of
+    from one LAPACK bisection (dstebz) in O(N). A call builds the sector
+    off-diagonal -h x_off from the cached ``sector_table`` (the diagonal is
+    its read-only array) and, for even p, the block's two arrays from those.
+    It validates nothing the spec has not: the only check is
+    ``_tridiagonal_eigh``'s entry guard, one dot product per array. Each
+    eigenvalue is accurate to a few ulp of
     max|d| + 2 max|o|, with d and o the sector diagonal and off-diagonal of
     ``target_tridiagonal``: the Gershgorin bound on the norm. The tests hold
     the gap to 1e-13 times that bound against 40-digit mpmath and against
@@ -405,22 +403,12 @@ def dynamical_gap(spec: ProblemSpec) -> float:
     Raises ValueError for N = 1 with even p, whose block has one state, and
     LinAlgError if dstebz fails.
     """
-    n, p, h = spec.n_sites, spec.p_exponent, spec.field
-    table = sector_table(n, p)
-    if p % 2:
-        d, e = table.target_diag, -h * table.x_off
-    else:  # reflection_even_tridiagonal's arithmetic, on the block's entries only
-        half = n // 2
-        d, off = table.target_diag[: half + 1], -h * table.x_off[: half + n % 2]
-        if n % 2:  # the middle pair's coupling joins the last diagonal entry
-            d = d.copy()
-            d[-1] += off[-1]
-            e = off[:-1]
-        else:  # the coupling to |N/2>
-            e = off
-            e[-1] *= np.sqrt(2.0)
+    d, e = dynamics_block(spec.p_exponent, *target_tridiagonal(spec))
     if d.size < 2:
-        raise ValueError(f"the dynamics block of N = {n}, p = {p} has one state, so there is no gap")
+        raise ValueError(
+            f"the dynamics block of N = {spec.n_sites}, p = {spec.p_exponent} "
+            "has one state, so there is no gap"
+        )
     w = _tridiagonal_eigh(d, e, (0, 1), vectors=False)
     return float(w[1] - w[0])
 

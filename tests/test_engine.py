@@ -128,59 +128,6 @@ class TestMixerLayer:
         np.testing.assert_allclose(out, np.exp(1j * 0.77 * 8) * plus, atol=1e-12)
 
 
-def same_bits(a, b) -> bool:
-    """Equal shapes and equal bits, signed zeros included."""
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-class TestMirroredFactors:
-    """Where a row is antisymmetric, entry m-1-k minus entry k (hz for odd p;
-    lam in the sector, and in the reflection-even block at even N), only its
-    first ceil(m/2) exponentials are taken and the rest are conjugates. The
-    factors must be the full-width formula's bit for bit."""
-
-    # every |gamma| max|hz| <= 2^53, so no phase row takes the exact path
-    ANGLES = np.array([[0.0, -0.0, 5e-324, -5e-324], [0.3, -1.7, 2.5, -3.1]])
-
-    @pytest.mark.parametrize("p", [2, 3, 4, 5])
-    @pytest.mark.parametrize("n", [1, 2, 5, 16, 17, 128, 513, 1024])
-    def test_equal_the_full_width_formula(self, n, p):
-        ctx = context(n, p)
-        lam = ctx.xdec.eigenvalues
-        assert ctx._hz_mirrored == np.array_equal(ctx.hz_float, -ctx.hz_float[::-1])
-        assert ctx._lam_mirrored == np.array_equal(lam, -lam[::-1])
-        for angles in (self.ANGLES, self.ANGLES[1, 0]):
-            expected = np.exp(-1j * np.multiply.outer(angles, ctx.hz_float))
-            assert same_bits(ctx.phase_factors(angles), expected)
-            expected = np.exp(1j * np.multiply.outer(angles, lam))
-            assert same_bits(ctx.mixer_factors(angles), expected)
-
-    @given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1, max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_random_angles(self, angles):
-        angles = np.array(angles)
-        for n, p in ((32, 3), (33, 3), (512, 2)):
-            ctx = context(n, p)
-            expected = np.exp(-1j * np.multiply.outer(angles, ctx.hz_float))
-            assert same_bits(ctx.phase_factors(angles), expected)
-            expected = np.exp(1j * np.multiply.outer(angles, ctx.xdec.eigenvalues))
-            assert same_bits(ctx.mixer_factors(angles), expected)
-
-    @pytest.mark.parametrize("n", [8, 9, 64])
-    def test_exact_rows_stay_full_width(self, n):
-        # a phase past 2^53 is reduced by mpmath over the whole row, not
-        # mirrored: its fmod maps -x to 2 pi - r, not to -r
-        ctx = context(n, 3)
-        gammas = np.array([[0.3, 1e300], [-1e300, -2.5e15]])
-        rows = ctx.phase_factors(gammas).reshape(4, -1)
-        for gamma, row in zip(gammas.ravel(), rows):
-            if abs(gamma) * ctx.max_abs_hz > 2.0**53:
-                angles = engine._exact_angles(gamma, ctx.hz, ctx.max_abs_hz)
-            else:
-                angles = gamma * ctx.hz_float
-            assert same_bits(row, np.exp(-1j * angles))
-
-
 LAYERS = ["apply_phase", "to_x_basis", "from_x_basis", "apply_mixer", "apply_x"]
 
 

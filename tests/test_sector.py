@@ -22,7 +22,6 @@ from fullspace import (
 )
 from pspin_qaoa import engine, sector
 from pspin_qaoa.engine import CircuitContext, energy_and_gradient
-from pspin_qaoa.experiments import CRITICAL_FIELDS
 from pspin_qaoa.optimizer import r_init
 from pspin_qaoa.sector import (
     ProblemSpec,
@@ -815,21 +814,6 @@ class TestDynamicalGap:
         for p, h in ((2, 1.0), (4, 1.0), (2, 0.0)):
             with pytest.raises(ValueError, match="one state"):
                 dynamical_gap(ProblemSpec(1, p, h))
-
-    @pytest.mark.parametrize("p", [2, 3, 4, 5])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 128, 129, 1024])
-    @given(data=st.data())
-    @settings(max_examples=12, deadline=None)
-    def test_equals_the_general_block_bit_for_bit(self, n, p, data):
-        # dynamical_gap builds only the block, from the table; it must give
-        # the bits of the general path, dynamics_block of the whole sector
-        # target, at every h that minimal_gap's brackets can visit
-        center = CRITICAL_FIELDS.get(p, 1.0)
-        h = data.draw(st.floats(min_value=0.5 * center, max_value=1.5 * center), label="h")
-        spec = ProblemSpec(n, p, h)
-        block = dynamics_block(p, *target_tridiagonal(spec))
-        w = sector._tridiagonal_eigh(*block, (0, 1), vectors=False)
-        assert dynamical_gap(spec).hex() == float(w[1] - w[0]).hex()
 
 
 def scipy_sites(spec: ProblemSpec):
