@@ -47,7 +47,17 @@ from .sector import (
     x_spectral_decomposition,
 )
 
-_SAFE_DOUBLE = 2.0**53
+# floor(2^1280 / (2 pi)): the leading bits of 1/(2 pi), stored the way
+# fdlibm stores those of 2/pi. Any finite gamma times any |hz| < 2^127 is
+# below 2^1151, so the cut-off tail moves a phase by under 2^-129 of a turn
+_INV_2PI = int(
+    "28be60db9391054a7f09d5f47d4d377036d8a5664f10e4107f9458eaf7aef158"
+    "6dc91b8e909374b801924bba827464873f877ac72c4a69cfba208d7d4baed121"
+    "3a671c09ad17df904e64758e60d4ce7d272117e2ef7e4a0ec7fe25fff7816603"
+    "fbcbc462d6829b47db4d9fb3c9f2c26dd3d18fd9a797fa8b5d49eeb1faf97c5e"
+    "cf41ce7de294a4ba9afed7ec47e357421580cc11bf1edaeafc33ef0826bd0d87",
+    16,
+)
 # Slack of every energy check, relative to the Gershgorin bound on ||H||
 _ROUNDOFF = 1e-12
 
@@ -106,6 +116,7 @@ class CircuitContext:
         dim = self.plus.size
         self.hz: tuple[int, ...] = table.hz[:dim]
         self.max_abs_hz: int = table.max_abs_hz
+        self.exact_gamma = 2.0**53 / self.max_abs_hz  # past it, |gamma hz| passes 2^53
         self.hz_float = table.hz_float[:dim]
 
     def lift(self, state: np.ndarray) -> np.ndarray:
@@ -116,20 +127,18 @@ class CircuitContext:
         """exp(-i gamma hz) for an angle or an array of angles, shape
         gamma.shape + (m,).
 
-        An angle whose phase |gamma| max|hz| exceeds 2^53 is reduced mod 2 pi
-        from the exact integers hz_k (``_exact_angles``); every other angle
-        takes the float product.
+        An angle with |gamma| > 2^53 / max|hz| (a rounded quotient: within an
+        ulp of it either path is valid) is reduced mod 2 pi from the exact
+        integers hz_k by ``_exact_angles``; every other takes the float product.
         """
         gamma = np.asarray(gamma, dtype=float)
-        # a huge angle overflows both products to inf, but its row is exact
-        # and replaced below, so the overflow is no error
-        with np.errstate(over="ignore"):
-            angles = np.multiply.outer(gamma, self.hz_float)
-            exact = np.abs(gamma) * float(self.max_abs_hz) > _SAFE_DOUBLE
-        if exact.any():
-            rows = angles.reshape(-1, self.hz_float.size)  # a view, one row per angle
-            for r in np.flatnonzero(exact):
-                rows[r] = _exact_angles(float(gamma.flat[r]), self.hz, self.max_abs_hz)
+        exact = np.abs(gamma) > self.exact_gamma
+        if not exact.any():
+            return np.exp(-1j * np.multiply.outer(gamma, self.hz_float))
+        angles = np.multiply.outer(np.where(exact, 0.0, gamma), self.hz_float)
+        rows = angles.reshape(-1, self.hz_float.size)  # a view, one row per angle
+        for r in np.flatnonzero(exact):
+            rows[r] = _exact_angles(float(gamma.flat[r]), self.hz)
         return np.exp(-1j * angles)
 
     def mixer_factors(self, beta) -> np.ndarray:
@@ -191,17 +200,17 @@ def cached_spectrum(spec: ProblemSpec) -> TargetSpectrum:
     return diagonalize_target(spec)
 
 
-def _exact_angles(gamma: float, hz_ints, max_abs_hz: int) -> np.ndarray:
-    """gamma hz_k mod 2 pi from the exact integers hz_k, in mpmath, with 64
-    bits over the exact product plus the bits of |gamma|'s integer part: 2 pi's
-    rounding grows with the quotient |gamma hz_k| / 2 pi, so the result keeps
-    about 2^-117 absolute whatever the size of gamma."""
-    import mpmath
-
-    with mpmath.workprec(max_abs_hz.bit_length() + 53 + 64 + int(abs(gamma)).bit_length()):
-        two_pi = 2 * mpmath.pi
-        g = mpmath.mpf(gamma)
-        return np.array([float(mpmath.fmod(g * v, two_pi)) for v in hz_ints])
+def _exact_angles(gamma: float, hz_ints) -> np.ndarray:
+    """gamma hz_k mod 2 pi, centred on zero, from the exact integers hz_k
+    (Payne and Hanek 1983): with gamma = num / den, the turn of hz_k is
+    num hz_k ``_INV_2PI`` mod den 2^1280, exact in integers, and one correctly
+    rounded division takes it to radians. Each angle is within 0.5 ulp plus
+    2^-126 rad of the exact one."""
+    num, den = gamma.as_integer_ratio()
+    turn = den << 1280
+    half, scale = turn >> 1, den * _INV_2PI
+    frac = num * _INV_2PI % turn  # gamma / (2 pi) mod 1, in units of 1 / turn
+    return np.array([((frac * v + half) % turn - half) / scale for v in hz_ints])
 
 
 def qaoa_state(spec: ProblemSpec, params: QaoaParams) -> np.ndarray:
@@ -309,7 +318,11 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     O(P m^2) per row, with m = floor(N/2)+1 for even p and N+1 for odd p.
     Each energy is within (2 P + max|hz| sum_l |gamma_l|) eps ``norm_bound``
     of exact arithmetic. The second term bounds the rounding of gamma hz; the
-    first was at most 0.9 P against a 40-digit oracle (m <= 17, P <= 14).
+    first was at most 0.9 P against a 40-digit oracle at m <= 17, P <= 14,
+    and at most 0.6 P at m = 65 and 129, P = 10 and 20. Each gradient
+    component is within (P + max|hz| sum_l |gamma_l|) eps ``norm_bound`` D,
+    D = max|hz| for a gamma and N for a beta; against 50-digit central
+    differences of the oracle the first term was at most 0.29 P (m <= 65).
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] % 2:

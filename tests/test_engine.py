@@ -7,7 +7,7 @@ import scipy.linalg
 
 from hypothesis import example, given, settings, strategies as st
 
-from analytic_oracles import circuit_energy_mp, params_from_vector, plus_amplitudes
+from analytic_oracles import circuit_energy_mp, circuit_gradient_mp, params_from_vector, plus_amplitudes
 from fullspace import (
     collective_x_matrix,
     embed_sector_state,
@@ -69,6 +69,17 @@ def energy_grad(spec, params):
     return energies[0], grads[0]
 
 
+@st.composite
+def accepted_shapes(draw):
+    """An (N, p) that ``ProblemSpec`` accepts, with m <= 65 states: N <= 64,
+    or N <= 129 for even p, and N^p < 2^127."""
+    n = draw(st.integers(min_value=1, max_value=129))
+    p_max = 127 if n == 1 else max(p for p in range(2, 128) if n**p < 2**127)
+    p = draw(st.integers(min_value=2, max_value=p_max).filter(lambda p: n <= 64 or p % 2 == 0))
+    ProblemSpec(n, p)  # raises if the shape is refused
+    return n, p
+
+
 class TestPhaseLayer:
     def test_zero_angle_is_identity(self):
         ctx = context(6, 2)
@@ -91,12 +102,12 @@ class TestPhaseLayer:
         (8, 2, 1e25), (8, 2, 1e30), (8, 2, 3.7e40), (8, 2, -1e300), (1000, 12, 1e300),
     ])
     def test_huge_phases_match_high_precision_reference(self, n, p, gamma):
-        # |gamma hz| far beyond 2^53 takes the mpmath fallback; a product of
-        # 53 + bit_length(N^p) bits must be reduced mod 2 pi without rounding,
-        # also where gamma alone is huge: the reduction's precision must grow
-        # with gamma's exponent (without it, 1e25 loses 2.8e-12 and 3.7e40
-        # every digit). At (1000, 12, 1e300) the float product overflows to
-        # inf before its row is replaced, which must raise no warning
+        # |gamma hz| far beyond 2^53 takes the exact integer reduction; a
+        # product of 53 + bit_length(N^p) bits must be reduced mod 2 pi
+        # without rounding, also where gamma alone is huge (a reduction at a
+        # fixed precision loses 2.8e-12 at 1e25 and every digit at 3.7e40).
+        # At (1000, 12, 1e300) the float product would overflow to inf, which
+        # must raise no warning
         ctx = context(n, p)
         assert abs(gamma) * ctx.max_abs_hz > 2.0**53
         out = phase(ctx, np.ones(ctx.plus.size, dtype=complex), gamma)
@@ -104,6 +115,36 @@ class TestPhaseLayer:
             g, two_pi = mpmath.mpf(gamma), 2 * mpmath.pi
             expected = np.array([complex(mpmath.expj(-mpmath.fmod(g * v, two_pi))) for v in ctx.hz])
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
+
+    def test_inverse_two_pi_is_its_leading_bits(self):
+        # floor(2^1280 / (2 pi)), with 200 bits to spare
+        with mpmath.workprec(1480):
+            turns = mpmath.mpf(2) ** 1280 / (2 * mpmath.pi)
+            assert engine._INV_2PI == int(mpmath.floor(turns))
+            assert 0 < turns - engine._INV_2PI < 1
+        assert engine._INV_2PI.bit_length() == 1278
+
+    @given(shape=accepted_shapes(), sign=st.sampled_from([1, -1]),
+           exponent=st.integers(min_value=-74, max_value=1023),
+           mantissa=st.integers(min_value=0, max_value=2**52 - 1))
+    @example(shape=(1000, 12), sign=1, exponent=996, mantissa=0)  # 1e300's binade, m = 501
+    @example(shape=(1, 127), sign=-1, exponent=-74, mantissa=2**52 - 1)
+    @example(shape=(64, 21), sign=1, exponent=1023, mantissa=2**52 - 1)
+    @settings(max_examples=150, deadline=None)
+    def test_exact_angles_within_half_an_ulp(self, shape, sign, exponent, mantissa):
+        # the stated bound, 0.5 ulp plus 2^-126 rad, against a reduction at
+        # 4096 bits, for every (N, p) that ProblemSpec accepts with m <= 65
+        # and every gamma that can take the exact path (|gamma| > 2^-74)
+        n, p = shape
+        gamma = sign * math.ldexp(2**52 + mantissa, exponent - 52)
+        hz = [-((n - 2 * k) ** p) for k in range(n // 2 + 1 if p % 2 == 0 else n + 1)]
+        angles = engine._exact_angles(gamma, hz)
+        with mpmath.workprec(4096):
+            two_pi = 2 * mpmath.pi
+            for angle, v in zip(angles, hz):
+                phase = mpmath.mpf(gamma) * v
+                exact = phase - two_pi * mpmath.nint(phase / two_pi)
+                assert abs(angle - exact) <= math.ulp(float(exact)) / 2 + 2.0**-126
 
 
 class TestMixerLayer:
@@ -200,9 +241,9 @@ class TestBatchedEvaluation:
 
     def test_exact_phase_fallback_per_row(self, monkeypatch):
         # max|hz| = 500^7: gamma = 1e-3 keeps the phase below 2^53 (float
-        # product), gamma = 0.5 takes it beyond (mpmath). In one batch each
-        # row must get exactly what it gets alone, and only the large row
-        # may go through mpmath
+        # product), gamma = 0.5 takes it beyond (exact integers). In one
+        # batch each row must get exactly what it gets alone, and only the
+        # large row may take the exact path
         spec = ProblemSpec(500, 7, 0.3)
         ctx = circuit_context(spec)
         rows = np.array([[1e-3, 0.4], [0.5, 0.4]])
@@ -364,12 +405,12 @@ class TestHighPrecisionOracle:
     from exact binomials, exact phases and the closed-form mixer, within
     the bound ``energy_and_gradient`` states."""
 
-    @pytest.mark.parametrize("n,p,depth", [(13, 3, 5), (13, 3, 14), (16, 2, 10)])
+    @pytest.mark.parametrize("n,p,depth", [(13, 3, 5), (13, 3, 14), (16, 2, 10), (64, 3, 10)])
     @pytest.mark.parametrize("init", ["r", "l"])
     def test_energy_within_the_stated_bound(self, n, p, depth, init):
         spec = ProblemSpec(n, p, GOLDEN_FIELD)
         unit = np.finfo(float).eps * engine.cached_spectrum(spec).norm_bound
-        for seed in range(3):
+        for seed in range(3 if n < 64 else 1):  # m = 65 costs 0.3-0.6 s a circuit
             params = r_init(depth, seed) if init == "r" else l_init(depth, spec, seed=seed)
             # the angles as drawn, and each gamma on a 2^-30 grid, where
             # every product gamma hz_k is exact in float64: the bound's phase
@@ -381,6 +422,22 @@ class TestHighPrecisionOracle:
                 assert evaluate(spec, params_from_vector(x)).energy == energy
                 exact = circuit_energy_mp(n, p, GOLDEN_FIELD, gammas, params.betas)
                 assert float(abs(mpmath.mpf(float(energy)) - exact)) <= (2 * depth + phase_term) * unit
+
+    @pytest.mark.parametrize("n,p,depth", [(13, 3, 5), (13, 3, 14), (16, 2, 10)])
+    @pytest.mark.parametrize("init", ["r", "l"])
+    def test_gradient_within_the_stated_bound(self, n, p, depth, init):
+        # against central differences of the oracle at 50 digits; a gamma
+        # component is held to D = N^p, a beta component to D = N
+        spec = ProblemSpec(n, p, GOLDEN_FIELD)
+        unit = np.finfo(float).eps * engine.cached_spectrum(spec).norm_bound
+        scale = np.array([n**p] * depth + [n] * depth, dtype=float)
+        for seed in range(2):
+            params = r_init(depth, seed) if init == "r" else l_init(depth, spec, seed=seed)
+            dyadic = np.round(params.gammas * 2.0**30) / 2.0**30  # phase term 0, as above
+            for gammas, phase_term in ((params.gammas, n**p * np.sum(np.abs(params.gammas))), (dyadic, 0.0)):
+                grad = energy_and_gradient(spec, np.concatenate([gammas, params.betas])[None])[1][0]
+                exact = np.array([float(v) for v in circuit_gradient_mp(n, p, GOLDEN_FIELD, gammas, params.betas)])
+                assert np.all(np.abs(grad - exact) <= (depth + phase_term) * unit * scale)
 
 
 class DenseSectorCircuit:

@@ -16,7 +16,7 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import pspin_qaoa
-from pspin_qaoa import cli as cli_module, experiments, optimizer
+from pspin_qaoa import cli as cli_module, engine, experiments, optimizer
 from pspin_qaoa.cli import (
     _KIND_BY_COMMAND, build_parser, config_from_args, main as cli_main, parse_grid,
 )
@@ -35,7 +35,7 @@ from pspin_qaoa.experiments import (
     p_star,
     run_experiment,
 )
-from pspin_qaoa.optimizer import RandomInit, multi_start
+from pspin_qaoa.optimizer import RandomInit, l_init, multi_start
 from pspin_qaoa.sector import ProblemSpec, dynamical_gap
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -448,8 +448,8 @@ def run_fresh(*lines, **env):
 def test_cold_import_skips_scipy_optimize_and_mpmath():
     # a fresh interpreter: the import cost every CLI run pays, and what a
     # serial gap scan and field sweep import lazily on top of it. LAPACK
-    # comes without scipy.linalg's package init, and a serial run starts no
-    # process pool
+    # comes without scipy.linalg's package init, a serial run starts no
+    # process pool, and a phase past 2^53 is reduced without mpmath
     lines = run_fresh(
         "import sys, pspin_qaoa, pspin_qaoa.cli",
         "from pspin_qaoa.experiments import ExperimentConfig, run_experiment",
@@ -457,10 +457,13 @@ def test_cold_import_skips_scipy_optimize_and_mpmath():
         "rows += run_experiment(ExperimentConfig(",
         "    kind='field-sweep', n_grid=(8,), depth_grid=(2,), h_grid=(0.5,), scheme='both', n_restarts=1))",
         "print([row.status for row in rows])",
+        "from pspin_qaoa.engine import circuit_context",
+        "ctx = circuit_context(pspin_qaoa.ProblemSpec(1000, 12, 0.5))",
+        "print(1e300 * ctx.max_abs_hz > 2**53, abs(ctx.phase_factors(1e300)).min() > 0.5)",
         "unused = ('scipy.optimize', 'mpmath', 'scipy.linalg', 'concurrent.futures.process')",
         "print(sorted(m for m in unused if m in sys.modules))",
     )
-    assert lines == [str(["ok"] * 4), "[]"]
+    assert lines == [str(["ok"] * 4), "True True", "[]"]
 
 
 def test_m_513_does_not_depend_on_the_blas_thread_count():
@@ -481,6 +484,29 @@ def test_m_513_does_not_depend_on_the_blas_thread_count():
     )
     one, two = (run_fresh(*program, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
     assert len(one) == 2 and one == two
+
+
+def test_m_1025_agrees_across_blas_thread_counts_within_the_stated_bounds():
+    # from m = 1025 the (m, m) x (m, 2) GEMM splits its sums by thread count,
+    # so the last bits may move; each run must stay within the bounds that
+    # energy_and_gradient states, so two runs may differ by twice them
+    spec = ProblemSpec(1024, 3, 0.7)
+    rows = np.array([l_init(3, spec, seed=seed).to_vector() for seed in range(2)])
+    program = (
+        "import json, numpy as np",
+        "from pspin_qaoa.engine import energy_and_gradient",
+        "from pspin_qaoa.sector import ProblemSpec",
+        f"rows = np.array({rows.tolist()!r})",
+        "energies, grads = energy_and_gradient(ProblemSpec(1024, 3, 0.7), rows)",
+        "print(json.dumps([energies.tolist(), grads.tolist()]))",
+    )
+    (one,), (two,) = (run_fresh(*program, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    (e_one, g_one), (e_two, g_two) = (map(np.array, json.loads(line)) for line in (one, two))
+    unit = np.finfo(float).eps * engine.cached_spectrum(spec).norm_bound
+    phase_term = 1024**3 * np.abs(rows[:, :3]).sum(axis=1)
+    assert np.all(np.abs(e_one - e_two) <= 2 * (2 * 3 + phase_term) * unit)
+    scale = np.array([1024.0**3] * 3 + [1024.0] * 3)
+    assert np.all(np.abs(g_one - g_two) <= 2 * (3 + phase_term[:, None]) * unit * scale)
 
 
 @pytest.mark.parametrize("first,second", [
