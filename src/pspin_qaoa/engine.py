@@ -115,8 +115,7 @@ class CircuitContext:
         table = sector_table(n, p)
         dim = self.plus.size
         self.hz: tuple[int, ...] = table.hz[:dim]
-        self.max_abs_hz: int = table.max_abs_hz
-        self.exact_gamma = 2.0**53 / self.max_abs_hz  # past it, |gamma hz| passes 2^53
+        self.exact_gamma = 2.0**53 / table.max_abs_hz  # past it, |gamma hz| passes 2^53
         self.hz_float = table.hz_float[:dim]
 
     def lift(self, state: np.ndarray) -> np.ndarray:

@@ -203,18 +203,17 @@ def x_eigenvectors(n_sites: int, even_parity: bool) -> np.ndarray:
         return np.array(x_eigenvectors_mp(n_sites, even_parity)[1], dtype=float)
 
 
-def circuit_energy_mp(n_sites: int, p: int, field: float, gammas, betas, dps: int = 40) -> mpmath.mpf:
-    """<psi|H|psi> of the circuit at ``dps`` digits, in the whole sector,
-    from nothing the package computes: |+> from exact binomials, each phase
-    gamma hz_k from the exact integer hz_k = -(N - 2k)^p (a float gamma
+def circuit_energy_mp(n_sites: int, p: int, field: float, gammas, betas) -> mpmath.mpf:
+    """<psi|H|psi> of the circuit at 40 digits, in the whole sector, from
+    nothing the package computes: |+> from exact binomials, each phase
+    gamma hz_k from the exact integer hz_k = -(N - 2k)^p (the float gamma
     times an integer of at most 80 bits is exact at 40 digits, and mpmath
     reduces it mod 2 pi), and the mixer V diag(exp(i beta lam)) V^T from
-    ``x_eigenvectors_mp`` with integer lam. An mpf angle is taken as it is;
-    any other is rounded to a float first."""
-    with mpmath.workdps(dps):
+    ``x_eigenvectors_mp`` with integer lam."""
+    with mpmath.workdps(40):
         psi, layer, energy = _circuit_mp(n_sites, p, field)
         for gamma, beta in zip(gammas, betas):
-            psi = layer(psi, gamma, beta)
+            psi = layer(psi, mpmath.mpf(float(gamma)), mpmath.mpf(float(beta)))
         return energy(psi)
 
 
@@ -245,7 +244,8 @@ def circuit_gradient_mp(n_sites: int, p: int, field: float, gammas, betas) -> li
 
 
 def _circuit_mp(n: int, p: int, field: float):
-    """|+>, one circuit layer and <psi|H|psi> at the working precision."""
+    """|+>, one circuit layer (at mpf angles) and <psi|H|psi> at the
+    working precision."""
     lam, vec = x_eigenvectors_mp(n, False)
     columns = [list(col) for col in zip(*vec)]
     hz = [-((n - 2 * k) ** p) for k in range(n + 1)]
@@ -255,7 +255,6 @@ def _circuit_mp(n: int, p: int, field: float):
     off = [-h * mpmath.sqrt((k + 1) * (n - k)) for k in range(n)]
 
     def layer(psi, gamma, beta):
-        gamma, beta = _mp_angle(gamma), _mp_angle(beta)
         psi = [a * mpmath.expj(-gamma * v) for a, v in zip(psi, hz)]
         coords = [mpmath.fdot(col, psi) * mpmath.expj(beta * mu) for col, mu in zip(columns, lam)]
         return [mpmath.fdot(row, coords) for row in vec]
@@ -268,7 +267,3 @@ def _circuit_mp(n: int, p: int, field: float):
         return mpmath.re(mpmath.fdot([mpmath.conj(a) for a in psi], h_psi))
 
     return plus, layer, energy
-
-
-def _mp_angle(angle):
-    return angle if isinstance(angle, mpmath.mpf) else mpmath.mpf(float(angle))

@@ -109,7 +109,7 @@ class TestPhaseLayer:
         # At (1000, 12, 1e300) the float product would overflow to inf, which
         # must raise no warning
         ctx = context(n, p)
-        assert abs(gamma) * ctx.max_abs_hz > 2.0**53
+        assert abs(gamma) > ctx.exact_gamma
         out = phase(ctx, np.ones(ctx.plus.size, dtype=complex), gamma)
         with mpmath.workprec(4096):
             g, two_pi = mpmath.mpf(gamma), 2 * mpmath.pi
@@ -247,7 +247,7 @@ class TestBatchedEvaluation:
         spec = ProblemSpec(500, 7, 0.3)
         ctx = circuit_context(spec)
         rows = np.array([[1e-3, 0.4], [0.5, 0.4]])
-        assert 1e-3 * ctx.max_abs_hz <= 2.0**53 < 0.5 * ctx.max_abs_hz
+        assert 1e-3 <= ctx.exact_gamma < 0.5
         exact_calls = []
         exact_angles = engine._exact_angles
 
