@@ -62,6 +62,16 @@ _INV_2PI = int(
 _ROUNDOFF = 1e-12
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array, refused unless numpy reads them as
+    integers or reals (dtype kinds i, u, f): a cast would drop a complex
+    part, and take bools, strings and objects, without an error."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be integers or reals, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class QaoaParams:
     """The 2P circuit angles (gamma_1..gamma_P, beta_1..beta_P)."""
@@ -70,8 +80,8 @@ class QaoaParams:
     betas: np.ndarray
 
     def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.gammas, dtype=float))
-        b = np.atleast_1d(np.asarray(self.betas, dtype=float))
+        g = np.atleast_1d(_real_array(self.gammas, "gammas"))
+        b = np.atleast_1d(_real_array(self.betas, "betas"))
         if g.shape != b.shape or g.ndim != 1 or g.size < 1:
             raise ValueError("gammas and betas must be equal-length 1-d sequences, P >= 1")
         for name, angles in (("gammas", g), ("betas", b)):
@@ -112,11 +122,8 @@ class CircuitContext:
         # first, so that a V too large to hold is refused before anything is built
         self.xdec = xdec = x_spectral_decomposition(n, p % 2 == 0)
         self.plus, self.lift_index, self.lift_weight = xdec.plus, xdec.lift_index, xdec.lift_weight
-        table = sector_table(n, p)
-        dim = self.plus.size
-        self.hz: tuple[int, ...] = table.hz[:dim]
-        self.exact_gamma = 2.0**53 / table.max_abs_hz  # past it, |gamma hz| passes 2^53
-        self.hz_float = table.hz_float[:dim]
+        self.exact_gamma = 2.0**53 / n**p  # past it, |gamma hz| passes 2^53: max|hz| = N^p
+        self.hz_float = sector_table(n, p).hz_float[: self.plus.size]
 
     def lift(self, state: np.ndarray) -> np.ndarray:
         """The N+1 sector amplitudes of a context-dimension state vector."""
@@ -128,7 +135,9 @@ class CircuitContext:
 
         An angle with |gamma| > 2^53 / max|hz| (a rounded quotient: within an
         ulp of it either path is valid) is reduced mod 2 pi from the exact
-        integers hz_k by ``_exact_angles``; every other takes the float product.
+        integers hz_k by ``_exact_angles``; every other takes the float
+        product. The integers are derived once per call that has such an
+        angle, from N and p.
         """
         gamma = np.asarray(gamma, dtype=float)
         exact = np.abs(gamma) > self.exact_gamma
@@ -136,8 +145,10 @@ class CircuitContext:
             return np.exp(-1j * np.multiply.outer(gamma, self.hz_float))
         angles = np.multiply.outer(np.where(exact, 0.0, gamma), self.hz_float)
         rows = angles.reshape(-1, self.hz_float.size)  # a view, one row per angle
+        n, p = self.spec.n_sites, self.spec.p_exponent
+        hz = [-((n - 2 * k) ** p) for k in range(self.hz_float.size)]
         for r in np.flatnonzero(exact):
-            rows[r] = _exact_angles(float(gamma.flat[r]), self.hz)
+            rows[r] = _exact_angles(float(gamma.flat[r]), hz)
         return np.exp(-1j * angles)
 
     def mixer_factors(self, beta) -> np.ndarray:
@@ -282,11 +293,6 @@ def residual_energy(spectrum: TargetSpectrum, energy_value: float) -> float:
     return min(max(res, 0.0), 1.0)
 
 
-def fidelity(state: np.ndarray, target: np.ndarray) -> float:
-    """Squared overlap |<target|state>|^2."""
-    return float(abs(np.vdot(target, state)) ** 2)
-
-
 def equivalent_annealing_time(spec: ProblemSpec, params: QaoaParams) -> float:
     """tau/hbar = sum_m [beta_m + (1-h) gamma_m N^(p-1)]."""
     scale = (1.0 - spec.field) * spec.n_sites ** (spec.p_exponent - 1)
@@ -302,8 +308,9 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     one stack through every kernel call, and each row's numbers are
     bit-identical to its own batch of one: the mixer makes one GEMM per row,
     and each sum over the sector is one BLAS dot per row. Anything that is
-    not a 2-d array of finite numbers with an even width of at least 2, a
-    ``QaoaParams`` included, is refused before any exponential.
+    not a 2-d array of finite integers or reals with an even width of at
+    least 2, a ``QaoaParams`` or a complex array included, is refused before
+    any exponential.
 
     The forward sweep keeps, per layer, its phase and mixer factors, the
     post-phase state a_l and its eigenbasis coordinates r_l = E_l V^T a_l
@@ -319,14 +326,17 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     of exact arithmetic. The second term bounds the rounding of gamma hz; the
     first was at most 0.9 P against a 40-digit oracle at m <= 17, P <= 14,
     and at most 0.6 P at m = 65 and 129, P = 10 and 20. Each gradient
-    component is within (P + max|hz| sum_l |gamma_l|) eps ``norm_bound`` D,
-    D = max|hz| for a gamma and N for a beta; against 50-digit central
-    differences of the oracle the first term was at most 0.29 P (m <= 65).
+    component is within (P max(1, N/64) + max|hz| sum_l |gamma_l|) eps
+    ``norm_bound`` D, D = max|hz| for a gamma and N for a beta. Against a
+    50-digit oracle at P = 5 and 10 the first term was at most 0.62 P for a
+    gamma; for a beta it was 0.48 P at N <= 64 and grew about as P N / 108
+    past it, to 1.19 P at N = 128 (p = 3) and 2.37 P at N = 256 (p = 2),
+    with r-init angles.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] % 2:
         raise ValueError(f"parameter rows must form an (R, 2P) array, P >= 1; got shape {x.shape}")
-    x = x.astype(float, copy=False)
+    x = _real_array(x, "parameter rows")
     if not np.isfinite(x).all():
         raise ValueError(f"parameter rows must be finite, got {x}")
     ctx = circuit_context(spec)
@@ -360,7 +370,7 @@ def evaluate(spec: ProblemSpec, params: QaoaParams) -> EvaluationRecord:
     The energy is ``energy_and_gradient``'s, bit for bit, within its bound
     (2 P + max|hz| sum_l |gamma_l|) eps ``norm_bound``; the fidelity is the
     block overlap with the ``cached_spectrum``'s ``ground``. The energy and
-    ``fidelity`` of the lifted state sum the same terms in another order; the
+    fidelity of the lifted state sum the same terms in another order; the
     tests hold the gaps to 1e-14 (for the energy, times ``norm_bound``).
     """
     target = cached_spectrum(spec)
@@ -369,6 +379,6 @@ def evaluate(spec: ProblemSpec, params: QaoaParams) -> EvaluationRecord:
     return EvaluationRecord(
         energy=e_val,
         residual=residual_energy(target, e_val),
-        fidelity=fidelity(phi[0], target.ground),
+        fidelity=float(abs(np.vdot(target.ground, phi[0])) ** 2),
         annealing_time=equivalent_annealing_time(spec, params),
     )

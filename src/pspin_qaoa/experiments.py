@@ -493,16 +493,3 @@ def emit_results(rows, out_format: str, path, config: Optional[ExperimentConfig]
         raise OSError(f"failed to write results to {path}: {exc}") from exc
     return path
 
-
-def load_results_json(path) -> tuple[Optional[ExperimentConfig], list[dict]]:
-    """Read back a JSON artifact written by emit_results; null row values
-    become nan again."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    config = None
-    if payload.get("config") is not None:
-        config = ExperimentConfig.from_dict(payload["config"])
-    rows = [
-        {k: math.nan if v is None else v for k, v in row.items()} for row in payload["rows"]
-    ]
-    return config, rows

@@ -86,7 +86,6 @@ class OptimizationResult:
     n_iters: int
     n_evals: int  # energy/gradient evaluations its own line searches asked for
     termination: Termination
-    scheme: InitScheme
     seed: int
 
     @property
@@ -400,7 +399,6 @@ def optimize(
             n_iters=res.n_iters,
             n_evals=res.n_evals,
             termination=res.termination,
-            scheme=scheme,
             seed=s,
         ))
     return tuple(results)

@@ -7,9 +7,9 @@ M_k = N - 2k, with k the number of down spins. In that basis the target is
 the tridiagonal ``target_tridiagonal(spec)``.
 
 Everything that does not depend on the field h is built once per (N, p) per
-process by the cached ``sector_table``: the exact integers -(M_k)^p, their
-float image, the target diagonal and the collective-X off-diagonal, all
-read-only. The target, the circuit context, the energy, the gap and the
+process by the cached ``sector_table``: the float image of the exact
+integers -(M_k)^p, the target diagonal and the collective-X off-diagonal,
+all read-only. The target, the circuit context, the energy, the gap and the
 spectrum read it instead of rebuilding it.
 
 For even p the target, the phase and the mixer also commute with the spin
@@ -180,14 +180,12 @@ class XSpectralDecomposition:
 class SectorTable:
     """The field-independent arrays of the (N, p) sector, all read-only.
 
-    ``hz`` holds the exact integers -(M_k)^p and ``hz_float`` their float
-    image; ``target_diag`` is hz / N^(p-1), the diagonal of the target, and
+    ``hz_float`` is the float image of the exact integers -(M_k)^p;
+    ``target_diag`` is hz_float / N^(p-1), the diagonal of the target, and
     ``x_off`` the off-diagonal of the collective-X matrix.
     """
 
-    hz: tuple[int, ...]
     hz_float: np.ndarray
-    max_abs_hz: int
     target_diag: np.ndarray
     x_off: np.ndarray
 
@@ -220,13 +218,13 @@ def sector_table(n_sites: int, p: int) -> SectorTable:
     -(M_k)^p, M_k = N - 2k. ``ProblemSpec`` checks N and p, and that N^p
     fits the phase accumulator, before any caller reaches this table.
     """
-    hz = tuple(-((n_sites - 2 * k) ** p) for k in range(n_sites + 1))
-    hz_float = np.array([float(v) for v in hz])
+    # float(-v), not -float(v): the middle state of an even N holds +0.0
+    hz_float = np.array([float(-((n_sites - 2 * k) ** p)) for k in range(n_sites + 1)])
     target_diag = hz_float / float(n_sites ** (p - 1))
     x_off = _x_off_diagonal(n_sites)
     for arr in (hz_float, target_diag, x_off):
         arr.setflags(write=False)
-    return SectorTable(hz, hz_float, max(abs(v) for v in hz), target_diag, x_off)
+    return SectorTable(hz_float, target_diag, x_off)
 
 
 def target_tridiagonal(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -9,12 +9,14 @@ the split of a flat parameter vector into circuit angles.
 
 So do the closed forms of the circuit's ingredients, from exact integers:
 |+> as binomial weights, collective X's eigenvectors as the Wigner small-d
-matrix d^{N/2}(pi/2), and from them a 40-digit circuit energy.
+matrix d^{N/2}(pi/2), and from them a 40-digit circuit energy and its
+50-digit gradient, by central differences and by an adjoint sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, pi
 
 import mpmath
@@ -186,15 +188,24 @@ def x_eigenvectors_mp(n_sites: int, even_parity: bool) -> tuple[list[int], list[
     eigenvalues N - 2j for even j in the reflection-even block: rows k <= N/2,
     a pair state (|k> + |N-k>)/sqrt(2) taking sqrt(2) times amplitude k.
     """
-    n = n_sites
+    n, krawtchouk = n_sites, _krawtchouk(n_sites)
     js = range(n - n % 2, -1, -2) if even_parity else range(n, -1, -1)
     rows = range(n // 2 + 1) if even_parity else range(n + 1)
     scale = mpmath.mpf(2) ** (-mpmath.mpf(n) / 2)
-    vec = [[scale * mpmath.sqrt(mpmath.mpf(comb(n, k)) / comb(n, j))
-            * sum((-1) ** s * comb(k, s) * comb(n - k, j - s) for s in range(min(k, j) + 1))
+    vec = [[scale * mpmath.sqrt(mpmath.mpf(comb(n, k)) / comb(n, j)) * krawtchouk[k][j]
             * (mpmath.sqrt(2) if even_parity and 2 * k != n else 1)
             for j in js] for k in rows]
     return [n - 2 * j for j in js], vec
+
+
+@lru_cache(maxsize=None)
+def _krawtchouk(n: int) -> tuple[tuple[int, ...], ...]:
+    """The Krawtchouk numbers K_j(k) of N, row k and column j: exact, so
+    one table serves every working precision."""
+    return tuple(
+        tuple(sum((-1) ** s * comb(k, s) * comb(n - k, j - s) for s in range(min(k, j) + 1)) for j in range(n + 1))
+        for k in range(n + 1)
+    )
 
 
 def x_eigenvectors(n_sites: int, even_parity: bool) -> np.ndarray:
@@ -211,10 +222,11 @@ def circuit_energy_mp(n_sites: int, p: int, field: float, gammas, betas) -> mpma
     reduces it mod 2 pi), and the mixer V diag(exp(i beta lam)) V^T from
     ``x_eigenvectors_mp`` with integer lam."""
     with mpmath.workdps(40):
-        psi, layer, energy = _circuit_mp(n_sites, p, field)
+        circuit = _CircuitMp(n_sites, p, field)
+        psi = circuit.plus
         for gamma, beta in zip(gammas, betas):
-            psi = layer(psi, mpmath.mpf(float(gamma)), mpmath.mpf(float(beta)))
-        return energy(psi)
+            psi = circuit.layer(psi, mpmath.mpf(float(gamma)), mpmath.mpf(float(beta)))
+        return circuit.energy(psi)
 
 
 def circuit_gradient_mp(n_sites: int, p: int, field: float, gammas, betas) -> list:
@@ -223,47 +235,103 @@ def circuit_gradient_mp(n_sites: int, p: int, field: float, gammas, betas) -> li
     step 1e-22, whose truncation (the step squared times the third
     derivative) and rounding (1e-50 over the step) both stay near 1e-28 of
     the gradient's scale, far below a float gradient's rounding. A moved
-    angle of layer l reruns layers l..P from the stored state before l."""
+    angle of layer l reruns layers l..P from the stored state before l:
+    about 2 P^2 layers in all. It shares no derivation with the package's
+    adjoint sweep, and checks ``circuit_gradient_adjoint_mp``."""
     with mpmath.workdps(50):
-        plus, layer, energy = _circuit_mp(n_sites, p, field)
+        circuit = _CircuitMp(n_sites, p, field)
         gammas, betas = [mpmath.mpf(float(v)) for v in gammas], [mpmath.mpf(float(v)) for v in betas]
-        before = [plus]
+        before = [circuit.plus]
         for gamma, beta in zip(gammas, betas):
-            before.append(layer(before[-1], gamma, beta))
+            before.append(circuit.layer(before[-1], gamma, beta))
         step = mpmath.mpf(10) ** -22
 
         def moved(l, d_gamma, d_beta):
-            psi = layer(before[l], gammas[l] + d_gamma, betas[l] + d_beta)
+            psi = circuit.layer(before[l], gammas[l] + d_gamma, betas[l] + d_beta)
             for gamma, beta in zip(gammas[l + 1:], betas[l + 1:]):
-                psi = layer(psi, gamma, beta)
-            return energy(psi)
+                psi = circuit.layer(psi, gamma, beta)
+            return circuit.energy(psi)
 
         depth = range(len(gammas))
         return ([(moved(l, step, 0) - moved(l, -step, 0)) / (2 * step) for l in depth]
                 + [(moved(l, 0, step) - moved(l, 0, -step)) / (2 * step) for l in depth])
 
 
-def _circuit_mp(n: int, p: int, field: float):
-    """|+>, one circuit layer (at mpf angles) and <psi|H|psi> at the
-    working precision."""
-    lam, vec = x_eigenvectors_mp(n, False)
-    columns = [list(col) for col in zip(*vec)]
-    hz = [-((n - 2 * k) ** p) for k in range(n + 1)]
-    plus = [mpmath.sqrt(mpmath.mpf(comb(n, k)) / 2**n) for k in range(n + 1)]
-    h = mpmath.mpf(float(field))
-    diag = [mpmath.mpf(v) / n ** (p - 1) for v in hz]
-    off = [-h * mpmath.sqrt((k + 1) * (n - k)) for k in range(n)]
+def circuit_gradient_adjoint_mp(n_sites: int, p: int, field: float, gammas, betas) -> list:
+    """The gradient of ``circuit_energy_mp`` at the float angles at 50
+    digits, ordered like ``QaoaParams.to_vector``, from one forward and one
+    reverse sweep: 2 P layers, against central differences' 2 P^2.
 
-    def layer(psi, gamma, beta):
-        psi = [a * mpmath.expj(-gamma * v) for a, v in zip(psi, hz)]
-        coords = [mpmath.fdot(col, psi) * mpmath.expj(beta * mu) for col, mu in zip(columns, lam)]
-        return [mpmath.fdot(row, coords) for row in vec]
+    With a_l the state after phase layer l, r_l = E_l V^T a_l its mixed
+    eigenbasis coordinates and adj = H psi carried back through the
+    layers: d/dbeta_l = 2 Re <V^T adj| i lam r_l>, then adj moves before
+    the mixer, d/dgamma_l = 2 Re <adj| -i hz a_l>, and adj moves before
+    the phase layer. The derivation is the package's, so
+    ``circuit_gradient_mp`` checks this oracle."""
+    with mpmath.workdps(50):
+        circuit = _CircuitMp(n_sites, p, field)
+        gammas, betas = [mpmath.mpf(float(v)) for v in gammas], [mpmath.mpf(float(v)) for v in betas]
+        psi, stored = circuit.plus, []
+        for gamma, beta in zip(gammas, betas):
+            post_phase = circuit.phase(psi, gamma)
+            coords = circuit.mix(circuit.to_x(post_phase), beta)
+            stored.append((post_phase, coords))
+            psi = circuit.from_x(coords)
+        adj = circuit.h_times(psi)
+        d_gammas, d_betas = [], []
+        for gamma, beta, (post_phase, coords) in reversed(list(zip(gammas, betas, stored))):
+            b = circuit.to_x(adj)
+            d_betas.append(2 * mpmath.re(mpmath.fdot(
+                [mpmath.conj(v) for v in b], [1j * mu * r for mu, r in zip(circuit.lam, coords)])))
+            adj = circuit.from_x(circuit.mix(b, -beta))
+            d_gammas.append(2 * mpmath.re(mpmath.fdot(
+                [mpmath.conj(v) for v in adj], [-1j * v * a for v, a in zip(circuit.hz, post_phase)])))
+            adj = circuit.phase(adj, -gamma)
+        return d_gammas[::-1] + d_betas[::-1]
 
-    def energy(psi):
-        h_psi = [d * a for d, a in zip(diag, psi)]
-        for k in range(n):
-            h_psi[k] += off[k] * psi[k + 1]
-            h_psi[k + 1] += off[k] * psi[k]
-        return mpmath.re(mpmath.fdot([mpmath.conj(a) for a in psi], h_psi))
 
-    return plus, layer, energy
+class _CircuitMp:
+    """The circuit's parts in the whole sector at the working precision:
+    |+>, the phase layer and the mixer's two halves at mpf angles, and the
+    target H. V is real, so its products need no conjugate."""
+
+    def __init__(self, n: int, p: int, field: float):
+        self.lam, self.vec = x_eigenvectors_mp(n, False)
+        self.columns = [list(col) for col in zip(*self.vec)]
+        self.hz = [-((n - 2 * k) ** p) for k in range(n + 1)]
+        self.plus = [mpmath.sqrt(mpmath.mpf(comb(n, k)) / 2**n) for k in range(n + 1)]
+        h = mpmath.mpf(float(field))
+        self.diag = [mpmath.mpf(v) / n ** (p - 1) for v in self.hz]
+        self.off = [-h * mpmath.sqrt((k + 1) * (n - k)) for k in range(n)]
+
+    def phase(self, psi, gamma):
+        """exp(-i gamma hz) psi."""
+        return [a * mpmath.expj(-gamma * v) for a, v in zip(psi, self.hz)]
+
+    def to_x(self, psi):
+        """V^T psi, the collective-X eigenbasis coordinates."""
+        return [mpmath.fdot(col, psi) for col in self.columns]
+
+    def mix(self, coords, beta):
+        """exp(i beta lam) times eigenbasis coordinates."""
+        return [c * mpmath.expj(beta * mu) for c, mu in zip(coords, self.lam)]
+
+    def from_x(self, coords):
+        """V coords, the state of eigenbasis coordinates."""
+        return [mpmath.fdot(row, coords) for row in self.vec]
+
+    def layer(self, psi, gamma, beta):
+        """One circuit layer, the phase first."""
+        return self.from_x(self.mix(self.to_x(self.phase(psi, gamma)), beta))
+
+    def h_times(self, psi):
+        """H psi, H the sector target tridiagonal."""
+        h_psi = [d * a for d, a in zip(self.diag, psi)]
+        for k, o in enumerate(self.off):
+            h_psi[k] += o * psi[k + 1]
+            h_psi[k + 1] += o * psi[k]
+        return h_psi
+
+    def energy(self, psi):
+        """<psi|H|psi>."""
+        return mpmath.re(mpmath.fdot([mpmath.conj(a) for a in psi], self.h_times(psi)))

@@ -7,7 +7,8 @@ dense sector matrices are the plain constructions that the tridiagonal
 production code replaced; they are kept as references, as is the sector
 tridiagonal written entry by entry from its formulas and the energy of N+1
 sector amplitudes taken from it. ``sector_ground_state`` is the one place
-the tests lift the package's block ground state to the sector.
+the tests lift the package's block ground state to the sector, and
+``fidelity`` the squared overlap they compare states by.
 """
 
 import numpy as np
@@ -129,6 +130,11 @@ def sector_energy(spec, state) -> float:
     h_state[:-1] += off * state[1:]
     h_state[1:] += off * state[:-1]
     return float(np.vdot(state, h_state).real)
+
+
+def fidelity(state: np.ndarray, target: np.ndarray) -> float:
+    """Squared overlap |<target|state>|^2."""
+    return float(abs(np.vdot(target, state)) ** 2)
 
 
 def sector_ground_state(spec) -> np.ndarray:

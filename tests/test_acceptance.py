@@ -14,13 +14,12 @@ from analytic_oracles import (
     symmetry_group,
     verify_power_identity,
 )
-from fullspace import embed_sector_state, full_qaoa_state, sector_energy, sector_ground_state
+from fullspace import embed_sector_state, fidelity, full_qaoa_state, sector_energy, sector_ground_state
 from pspin_qaoa.analytic import exact_p1_params
 from pspin_qaoa.engine import (
     QaoaParams,
     circuit_context,
     energy_and_gradient,
-    fidelity,
     qaoa_state,
 )
 from pspin_qaoa.experiments import (

@@ -15,8 +15,8 @@ from analytic_oracles import (
     verify_power_identity,
 )
 from pspin_qaoa.analytic import exact_p1_params
-from fullspace import sector_energy, sector_ground_state
-from pspin_qaoa.engine import QaoaParams, fidelity, qaoa_state
+from fullspace import fidelity, sector_energy, sector_ground_state
+from pspin_qaoa.engine import QaoaParams, qaoa_state
 from pspin_qaoa.optimizer import r_init
 from pspin_qaoa.sector import ProblemSpec
 

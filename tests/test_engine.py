@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,10 +8,17 @@ import scipy.linalg
 
 from hypothesis import example, given, settings, strategies as st
 
-from analytic_oracles import circuit_energy_mp, circuit_gradient_mp, params_from_vector, plus_amplitudes
+from analytic_oracles import (
+    circuit_energy_mp,
+    circuit_gradient_adjoint_mp,
+    circuit_gradient_mp,
+    params_from_vector,
+    plus_amplitudes,
+)
 from fullspace import (
     collective_x_matrix,
     embed_sector_state,
+    fidelity,
     full_energy,
     full_qaoa_state,
     sector_energy,
@@ -24,7 +32,6 @@ from pspin_qaoa.engine import (
     energy_and_gradient,
     equivalent_annealing_time,
     evaluate,
-    fidelity,
     qaoa_state,
     residual_energy,
 )
@@ -69,6 +76,20 @@ def energy_grad(spec, params):
     return energies[0], grads[0]
 
 
+# one (1, 2) parameter array of every numpy dtype kind but i, u and f; the
+# complex one ran as the energy of [[0.1, 0.2]], warning only
+NON_REAL_ROWS = {
+    "b": np.array([[True, False]]),
+    "c": np.array([[0.1 + 0.5j, 0.2]]),
+    "O": np.array([[0.1, 0.2]], dtype=object),
+    "U": np.array([["0.1", "0.2"]]),
+    "S": np.array([[b"0.1", b"0.2"]]),
+    "M": np.array([["2020-01-01", "2020-01-02"]], dtype="datetime64[D]"),
+    "m": np.array([[1, 2]], dtype="timedelta64[s]"),
+    "V": np.zeros((1, 2), dtype=[("gamma", float)]),
+}
+
+
 @st.composite
 def accepted_shapes(draw):
     """An (N, p) that ``ProblemSpec`` accepts, with m <= 65 states: N <= 64,
@@ -111,9 +132,10 @@ class TestPhaseLayer:
         ctx = context(n, p)
         assert abs(gamma) > ctx.exact_gamma
         out = phase(ctx, np.ones(ctx.plus.size, dtype=complex), gamma)
+        hz = [-((n - 2 * k) ** p) for k in range(ctx.plus.size)]
         with mpmath.workprec(4096):
             g, two_pi = mpmath.mpf(gamma), 2 * mpmath.pi
-            expected = np.array([complex(mpmath.expj(-mpmath.fmod(g * v, two_pi))) for v in ctx.hz])
+            expected = np.array([complex(mpmath.expj(-mpmath.fmod(g * v, two_pi))) for v in hz])
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
 
     def test_inverse_two_pi_is_its_leading_bits(self):
@@ -282,6 +304,28 @@ class TestBatchedEvaluation:
         with pytest.raises(ValueError, match="must be finite"):
             energy_and_gradient(ProblemSpec(8, 3, 0.5), x)
 
+    @pytest.mark.parametrize("kind", sorted(NON_REAL_ROWS))
+    def test_refuses_non_real_dtypes(self, monkeypatch, kind):
+        # a complex row would run as its real part (with only a
+        # ComplexWarning), a bool, string or object one as its cast
+        def refuse(*args):
+            raise AssertionError("the circuit ran")
+
+        monkeypatch.setattr(engine, "_forward", refuse)
+        x = NON_REAL_ROWS[kind]
+        assert x.dtype.kind == kind and x.shape == (1, 2)
+        with pytest.raises(ValueError, match="parameter rows must be integers or reals"):
+            energy_and_gradient(ProblemSpec(8, 2, 0.5), x)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.float32])
+    def test_accepts_integer_and_real_dtypes(self, dtype):
+        spec = ProblemSpec(8, 2, 0.5)
+        x = np.array([[1, 2, 0, 1]], dtype=dtype)
+        (e_val,), (grad,) = energy_and_gradient(spec, x)
+        (e_ref,), (grad_ref,) = energy_and_gradient(spec, x.astype(float))
+        assert e_val == e_ref
+        np.testing.assert_array_equal(grad, grad_ref)
+
     def test_refuses_qaoa_params(self):
         # one parameter vector is the batch of one, x[None]
         with pytest.raises(ValueError, match=r"shape \(\)"):
@@ -402,8 +446,9 @@ GOLDEN_FIELD = (math.sqrt(5.0) - 1.0) / 2.0
 
 class TestHighPrecisionOracle:
     """The energy against ``circuit_energy_mp``, the circuit at 40 digits
-    from exact binomials, exact phases and the closed-form mixer, within
-    the bound ``energy_and_gradient`` states."""
+    from exact binomials, exact phases and the closed-form mixer, and the
+    gradient against its 50-digit adjoint sweep, within the bounds
+    ``energy_and_gradient`` states."""
 
     @pytest.mark.parametrize("n,p,depth", [(13, 3, 5), (13, 3, 14), (16, 2, 10), (64, 3, 10)])
     @pytest.mark.parametrize("init", ["r", "l"])
@@ -423,21 +468,37 @@ class TestHighPrecisionOracle:
                 exact = circuit_energy_mp(n, p, GOLDEN_FIELD, gammas, params.betas)
                 assert float(abs(mpmath.mpf(float(energy)) - exact)) <= (2 * depth + phase_term) * unit
 
-    @pytest.mark.parametrize("n,p,depth", [(13, 3, 5), (13, 3, 14), (16, 2, 10)])
+    @pytest.mark.parametrize("n,p,depth", [(13, 3, 5), (13, 3, 14), (16, 2, 10), (128, 3, 5)])
     @pytest.mark.parametrize("init", ["r", "l"])
     def test_gradient_within_the_stated_bound(self, n, p, depth, init):
-        # against central differences of the oracle at 50 digits; a gamma
-        # component is held to D = N^p, a beta component to D = N
+        # against the 50-digit adjoint oracle; a gamma component is held to
+        # D = N^p, a beta component to D = N. From N = 64 on the first term
+        # grows as N: at (128, 3, 5) a beta's reached 1.19 P (r-init, seed 0)
         spec = ProblemSpec(n, p, GOLDEN_FIELD)
+        first = depth * max(1, n / 64)
         unit = np.finfo(float).eps * engine.cached_spectrum(spec).norm_bound
         scale = np.array([n**p] * depth + [n] * depth, dtype=float)
-        for seed in range(2):
+        for seed in range(2 if n < 128 else 1):  # m = 129 costs about 1 s an oracle call
             params = r_init(depth, seed) if init == "r" else l_init(depth, spec, seed=seed)
             dyadic = np.round(params.gammas * 2.0**30) / 2.0**30  # phase term 0, as above
             for gammas, phase_term in ((params.gammas, n**p * np.sum(np.abs(params.gammas))), (dyadic, 0.0)):
                 grad = energy_and_gradient(spec, np.concatenate([gammas, params.betas])[None])[1][0]
-                exact = np.array([float(v) for v in circuit_gradient_mp(n, p, GOLDEN_FIELD, gammas, params.betas)])
-                assert np.all(np.abs(grad - exact) <= (depth + phase_term) * unit * scale)
+                exact = circuit_gradient_adjoint_mp(n, p, GOLDEN_FIELD, gammas, params.betas)
+                exact = np.array([float(v) for v in exact])
+                assert np.all(np.abs(grad - exact) <= (first + phase_term) * unit * scale)
+
+    @pytest.mark.parametrize("n,p,depth,init", [(13, 3, 5, "l"), (16, 2, 4, "r")])
+    def test_adjoint_oracle_matches_central_differences(self, n, p, depth, init):
+        # the adjoint oracle follows the package's derivation; central
+        # differences of the circuit oracle share none of it. The two
+        # agreed to 2.4e-29 of the largest component at m <= 17
+        spec = ProblemSpec(n, p, GOLDEN_FIELD)
+        params = r_init(depth, 0) if init == "r" else l_init(depth, spec, seed=0)
+        adjoint = circuit_gradient_adjoint_mp(n, p, GOLDEN_FIELD, params.gammas, params.betas)
+        central = circuit_gradient_mp(n, p, GOLDEN_FIELD, params.gammas, params.betas)
+        with mpmath.workdps(50):
+            largest = max(abs(v) for v in central)
+            assert max(abs(a - c) for a, c in zip(adjoint, central)) <= mpmath.mpf("1e-25") * largest
 
 
 class DenseSectorCircuit:
@@ -693,6 +754,21 @@ class TestSymmetries:
 
 
 class TestQaoaParams:
+    @pytest.mark.parametrize("kind", sorted(NON_REAL_ROWS))
+    def test_refuses_non_real_dtypes(self, kind):
+        bad, good = NON_REAL_ROWS[kind][0, :1], np.array([0.1])
+        with pytest.raises(ValueError, match="gammas must be integers or reals"):
+            QaoaParams(bad, good)
+        with pytest.raises(ValueError, match="betas must be integers or reals"):
+            QaoaParams(good, bad)
+
+    @pytest.mark.parametrize("bad", [["0.1"], [0.1 + 0.5j], [True], [Fraction(1, 10)]], ids=repr)
+    def test_refuses_non_real_sequences(self, bad):
+        # a list is read as numpy reads it: a string would be parsed, a
+        # complex angle lose its imaginary part
+        with pytest.raises(ValueError, match="gammas must be integers or reals"):
+            QaoaParams(bad, [0.2])
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=str)
     def test_refuses_non_finite_angles(self, bad):
         # refused at construction: in the kernels an inf angle warns and

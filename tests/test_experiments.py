@@ -30,7 +30,6 @@ from pspin_qaoa.experiments import (
     fit_gap_exponent,
     fit_iteration_slope,
     fit_scaling_exponent,
-    load_results_json,
     minimal_gap,
     p_star,
     run_experiment,
@@ -40,6 +39,15 @@ from pspin_qaoa.sector import ProblemSpec, dynamical_gap
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
+
+
+def load_results_json(path):
+    """Read back a JSON artifact written by ``emit_results``: its config, or
+    None, and its rows as dicts, whose null numbers become nan again."""
+    payload = json.loads(Path(path).read_text())
+    config = payload["config"]
+    rows = [{k: math.nan if v is None else v for k, v in row.items()} for row in payload["rows"]]
+    return None if config is None else ExperimentConfig.from_dict(config), rows
 
 
 def synthetic_rows(b, n_sites=20, p=2, depths=range(2, 11)):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from analytic_oracles import params_from_vector
-from fullspace import sector_ground_state
-from pspin_qaoa.engine import energy_and_gradient, fidelity, qaoa_state
+from fullspace import fidelity, sector_ground_state
+from pspin_qaoa.engine import energy_and_gradient, qaoa_state
 from pspin_qaoa import optimizer
 from pspin_qaoa.optimizer import (
     LinearInit,

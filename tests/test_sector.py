@@ -21,7 +21,7 @@ from fullspace import (
     target_matrix,
 )
 from pspin_qaoa import engine, sector
-from pspin_qaoa.engine import CircuitContext, energy_and_gradient
+from pspin_qaoa.engine import CircuitContext, circuit_context, energy_and_gradient
 from pspin_qaoa.optimizer import r_init
 from pspin_qaoa.sector import (
     ProblemSpec,
@@ -181,11 +181,12 @@ class TestProblemSpec:
 
 
 def magnetizations(n: int) -> np.ndarray:
-    """The labels M_k of the sector, read back from the exact p = 3 diagonal
-    -(M_k)^3 of ``sector_table``; the cube roots are checked to be exact."""
-    hz = sector_table(n, 3).hz
-    mags = [-round(np.cbrt(float(v))) for v in hz]
-    assert all(-(m**3) == v for m, v in zip(mags, hz))
+    """The labels M_k of the sector, read back from the p = 3 diagonal
+    -(M_k)^3 of ``sector_table``, exact in float64 for N <= 2^17; each entry
+    is checked to be the exact integer -(M_k)^3 of its cube root."""
+    hz = sector_table(n, 3).hz_float
+    mags = [-round(np.cbrt(v)) for v in hz]
+    assert all(-(m**3) == int(v) == v for m, v in zip(mags, hz))
     return np.array(mags)
 
 
@@ -383,13 +384,17 @@ class TestCollectiveX:
 
 class TestHzDiagonal:
     def test_values(self):
-        assert sector_table(3, 3).hz[0] == -27
-        assert sector_table(4, 2).hz[magnetizations(4).tolist().index(-2)] == -4
-        assert sector_table(5, 3).hz[-1] == 125
+        assert sector_table(3, 3).hz_float[0] == -27
+        assert sector_table(4, 2).hz_float[magnetizations(4).tolist().index(-2)] == -4
+        assert sector_table(5, 3).hz_float[-1] == 125
 
     def test_exact_integers(self):
-        vals = sector_table(9, 7).hz
-        assert all(isinstance(v, int) for v in vals)
+        # 9^7 < 2^53: every entry is an integer, and exactly -(N - 2k)^p
+        n, p = 9, 7
+        exact = [-((n - 2 * k) ** p) for k in range(n + 1)]
+        assert all(isinstance(v, int) for v in exact)
+        vals = sector_table(n, p).hz_float
+        assert all(v.is_integer() and int(v) == e for v, e in zip(vals, exact))
         assert vals[0] == -(9**7)
 
 
@@ -407,17 +412,22 @@ class TestSectorTable:
         assert np.array_equal(off, ref_off)
 
     def test_exact_integers_near_the_width_cap(self):
-        # 1000^12 = 1e36 is within a factor 200 of 2^127; 1000^13 is not
-        n, p = 1000, 12
-        table = sector_table(n, p)
-        exact = [-((n - 2 * k) ** p) for k in range(n + 1)]
-        assert table.hz == tuple(exact)
-        assert all(type(v) is int for v in table.hz)
-        assert table.max_abs_hz == n**p
-        assert np.array_equal(table.hz_float, [float(v) for v in exact])
-        assert np.array_equal(table.target_diag, sector_tridiagonal(n, p, 0.0)[0])
+        # 1000^12 = 1e36 is within a factor 200 of 2^127; 1000^13 is not.
+        # The table is each exact integer -(N - 2k)^p rounded once, compared
+        # as bytes: np.array_equal takes -0.0 for 0.0, and the middle state
+        # of an even N has the diagonal +0.0, not the -0.0 of -float(0)
+        for n, p in [(1000, 12), (999, 12), (8, 2), (9, 3), (1024, 3)]:
+            table = sector_table(n, p)
+            exact = [-((n - 2 * k) ** p) for k in range(n + 1)]
+            assert all(type(v) is int for v in exact)
+            hz_float = np.array([float(v) for v in exact])
+            assert table.hz_float.tobytes() == hz_float.tobytes(), (n, p)
+            assert table.target_diag.tobytes() == (hz_float / float(n ** (p - 1))).tobytes(), (n, p)
+            assert np.array_equal(table.target_diag, sector_tridiagonal(n, p, 0.0)[0])
+            # the exact path starts where |gamma| N^p passes 2^53: max|hz| = N^p
+            assert circuit_context(ProblemSpec(n, p)).exact_gamma == 2.0**53 / n**p
         with pytest.raises(OverflowError):
-            ProblemSpec(n, p + 1)
+            ProblemSpec(1000, 13)
 
     def test_cached_arrays_are_read_only(self):
         spec = ProblemSpec(9, 3, 0.5)
@@ -480,7 +490,7 @@ class TestSectorTable:
 
         # the gap path never reads |+>
         monkeypatch.setattr(sector, "x_spectral_decomposition", refuse)
-        assert sector_table.__wrapped__(n, 3).hz[0] == -(n**3)
+        assert sector_table.__wrapped__(n, 3).hz_float[0] == -(n**3)
         assert dynamical_gap(ProblemSpec(n, 3, 1.3)) > 0
         assert dynamical_gap(ProblemSpec(n, 2, 1.9)) > 0
 
