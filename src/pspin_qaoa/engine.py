@@ -62,33 +62,34 @@ _INV_2PI = int(
 _ROUNDOFF = 1e-12
 
 
-def _real_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array, refused unless numpy reads them as
-    integers or reals (dtype kinds i, u, f): a cast would drop a complex
-    part, and take bools, strings and objects, without an error."""
+def _angles(values, name: str) -> np.ndarray:
+    """``values`` as a new read-only float64 array, refused unless numpy
+    reads them as integers or reals (dtype kinds i, u, f), all finite: a
+    cast would drop a complex part, and take bools, strings and objects,
+    without an error. The copy leaves the caller's array as it was."""
     values = np.asarray(values)
     if values.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be integers or reals, got dtype {values.dtype}")
-    return values.astype(float, copy=False)
+    values = values.astype(float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, got {values}")
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
 class QaoaParams:
-    """The 2P circuit angles (gamma_1..gamma_P, beta_1..beta_P)."""
+    """The 2P circuit angles (gamma_1..gamma_P, beta_1..beta_P), each a
+    read-only copy of what the caller passed."""
 
     gammas: np.ndarray
     betas: np.ndarray
 
     def __post_init__(self):
-        g = np.atleast_1d(_real_array(self.gammas, "gammas"))
-        b = np.atleast_1d(_real_array(self.betas, "betas"))
+        g = np.atleast_1d(_angles(self.gammas, "gammas"))
+        b = np.atleast_1d(_angles(self.betas, "betas"))
         if g.shape != b.shape or g.ndim != 1 or g.size < 1:
             raise ValueError("gammas and betas must be equal-length 1-d sequences, P >= 1")
-        for name, angles in (("gammas", g), ("betas", b)):
-            if not np.all(np.isfinite(angles)):
-                raise ValueError(f"{name} must be finite, got {angles}")
-        g.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "gammas", g)
         object.__setattr__(self, "betas", b)
 
@@ -336,9 +337,7 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] % 2:
         raise ValueError(f"parameter rows must form an (R, 2P) array, P >= 1; got shape {x.shape}")
-    x = _real_array(x, "parameter rows")
-    if not np.isfinite(x).all():
-        raise ValueError(f"parameter rows must be finite, got {x}")
+    x = _angles(x, "parameter rows")
     ctx = circuit_context(spec)
     depth = x.shape[1] // 2
     # d/dgamma of the phase layer brings down +i M^p = -i hz, d/dbeta of

@@ -416,42 +416,43 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
     the ends of the sector spectrum and the ground state the circuit can
     reach, all that the circuit reads of h.
 
-    e_min and e_max are the ends of the full-sector spectrum (for odd N the
-    top state is reflection-odd, so the even block would miss e_max), each
-    one LAPACK bisection (dstebz) in O(N), without eigenvectors. Each is
-    accurate to a few ulp of ``norm_bound``, the ``gershgorin_bound`` of the
-    sector diagonal and off-diagonal; the tests hold them to 1e-13 times that
-    bound against 40-digit mpmath.
-
     The ground state is the lowest eigenvector of ``dynamics_block`` (dstebz,
     then inverse iteration, dstein), kept in block coordinates and signed so
-    that its largest amplitude is positive. For even p it is the
-    reflection-even ground state, which lifts to an exactly mirror-symmetric
-    sector state like the circuit state: below the
-    critical field the full sector's even and odd ground states split by an
+    that its largest amplitude is positive; e_min is its eigenvalue. For
+    even p it is the reflection-even ground state, which lifts to an exactly
+    mirror-symmetric sector state like the circuit state: below the critical
+    field the full sector's even and odd ground states split by an
     exponentially small amount, so its lowest eigenvector would be an
-    arbitrary mix of the two. For h > 0 the block is
-    an irreducible tridiagonal with negative off-diagonal, so its ground
-    state is unique and positive (Perron-Frobenius); at h = 0 it is block
-    state 0, which for even p lifts to the cat state (|0> + |N>)/sqrt(2).
+    arbitrary mix of the two. Either way the block holds a ground state of
+    the sector, so e_min is the sector's. For h > 0 the sector and the block
+    are irreducible tridiagonals with negative off-diagonal, whose ground
+    states are unique and positive (Perron-Frobenius), so reflection-even;
+    at h = 0 it is block state 0, of energy -N, which for even p lifts to
+    the cat state (|0> + |N>)/sqrt(2). e_max is the top of the sector, one
+    more bisection without eigenvectors: for even p and odd N the top state
+    is reflection-odd, so the block would miss it.
 
-    The ground state is accurate to about eps ||H|| / gap_block in norm, with
-    gap_block the ``dynamical_gap``. For odd p near the critical field that
-    gap is exponentially small, so the ground state, and any fidelity taken
-    against it, is ill-conditioned there. A LAPACK failure raises RuntimeError.
+    Both ends are accurate to a few ulp of ``norm_bound``, the
+    ``gershgorin_bound`` of the sector diagonal and off-diagonal; the tests
+    hold them to 1e-13 times that bound against 40-digit mpmath, and e_min
+    within 2 eps ``norm_bound`` of the sector's own bisection (bit for bit
+    for odd p, where the block is the sector). The ground state is within
+    about eps ||H|| / ``dynamical_gap`` in norm; for odd p near the critical
+    field that gap is exponentially small, so the ground state, and any
+    fidelity taken against it, is ill-conditioned there. A LAPACK failure
+    raises RuntimeError.
     """
     diag, off = target_tridiagonal(spec)
     d, e = dynamics_block(spec.p_exponent, diag, off)
     try:
-        e_min, e_max = (
-            float(_tridiagonal_eigh(diag, off, (i, i), vectors=False)[0]) for i in (0, spec.n_sites)
-        )
-        v = _tridiagonal_eigh(d, e, (0, 0))[1][:, 0]
+        e_max = float(_tridiagonal_eigh(diag, off, (spec.n_sites,) * 2, vectors=False)[0])
+        w, v = _tridiagonal_eigh(d, e, (0, 0))
     except LinAlgError as exc:
         raise RuntimeError(
             f"target eigensolver failed for N={spec.n_sites}, "
             f"p={spec.p_exponent}, h={spec.field}"
         ) from exc
+    e_min, v = float(w[0]), v[:, 0]
     ground = (-v if v[np.argmax(np.abs(v))] < 0 else v).astype(complex)
     for arr in (d, e, ground):
         arr.setflags(write=False)

@@ -769,6 +769,16 @@ class TestQaoaParams:
         with pytest.raises(ValueError, match="gammas must be integers or reals"):
             QaoaParams(bad, [0.2])
 
+    def test_keeps_its_own_read_only_copy(self):
+        # the caller's float64 arrays stay writable, and writing to them
+        # moves no angle of the params
+        g, b = np.array([0.1, 0.2]), np.array([0.3, 0.4])
+        params = QaoaParams(g, b)
+        assert g.flags.writeable and b.flags.writeable
+        assert not params.gammas.flags.writeable and not params.betas.flags.writeable
+        g[0], b[1] = 1.0, 2.0
+        assert params.gammas.tolist() == [0.1, 0.2] and params.betas.tolist() == [0.3, 0.4]
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=str)
     def test_refuses_non_finite_angles(self, bad):
         # refused at construction: in the kernels an inf angle warns and

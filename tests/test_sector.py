@@ -829,18 +829,19 @@ class TestDynamicalGap:
 def scipy_sites(spec: ProblemSpec):
     """The gap, the spectrum ends and the signed, lifted ground state by
     scipy's tridiagonal wrappers: the reference ``sector`` must equal bit
-    for bit."""
+    for bit. The lowest end is the eigenvalue of the block's ground state,
+    the top end the whole sector's."""
     diag, off = target_tridiagonal(spec)
     d, e = dynamics_block(spec.p_exponent, diag, off)
     gap = None
     if d.size > 1:
         w = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 1))
         gap = float(w[1] - w[0])
-    ends = tuple(
-        float(scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(i, i))[0])
-        for i in (0, spec.n_sites)
-    )
-    v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
+    w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    top = (spec.n_sites, spec.n_sites)
+    e_max = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=top)[0]
+    ends = (float(w[0]), float(e_max))
+    v = v[:, 0]
     dec = x_spectral_decomposition(spec.n_sites, spec.p_exponent % 2 == 0)
     index, weight = dec.lift_index, dec.lift_weight
     ground = v[index] * weight
@@ -855,6 +856,23 @@ def scipy_x_decomposition(n: int, even_parity: bool):
     if even_parity:
         diag, off = reflection_even_tridiagonal(diag, off)
     return scipy.linalg.eigh_tridiagonal(diag, off)
+
+
+def count_lapack_calls(monkeypatch) -> list:
+    """The names of the ``sector.lapack`` routines called from now on, in
+    call order, through a wrapper around each."""
+    calls, module = [], sector.lapack
+
+    class Counting:
+        def __getattr__(self, name):
+            def routine(*args):
+                calls.append(name)
+                return getattr(module, name)(*args)
+
+            return routine
+
+    monkeypatch.setattr(sector, "lapack", Counting())
+    return calls
 
 
 class TestLapackPath:
@@ -893,6 +911,41 @@ class TestLapackPath:
         assert np.array_equal(sector_ground_state(spec), scipy_sites(spec)[2])
         dec = x_spectral_decomposition(1, True)
         assert dec.eigenvalues.tolist() == [1.0] and dec.eigenvectors.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize(
+        "n,p,h", [(2, 2, 0.5), (8, 2, 0.7), (9, 4, 0.7), (8, 3, 0.7), (1, 3, 0.5), (5, 2, 0.0)]
+    )
+    def test_two_bisections_and_one_inverse_iteration(self, monkeypatch, n, p, h):
+        # e_min comes with the ground state from one block solve; only e_max
+        # takes a second, eigenvalue-only bisection of the whole sector
+        calls = count_lapack_calls(monkeypatch)
+        diagonalize_target(ProblemSpec(n, p, h))
+        assert sorted(calls) == ["dstebz", "dstebz", "dstein"]
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_one_state_block_takes_one_bisection(self, monkeypatch, p):
+        # N = 1, even p: the 1x1 block is its own spectrum, so only e_max
+        # calls LAPACK
+        calls = count_lapack_calls(monkeypatch)
+        diagonalize_target(ProblemSpec(1, p, 0.8))
+        assert calls == ["dstebz"]
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    @pytest.mark.parametrize("h", [0.0, 0.3, 1.0, 1.3, 5.0])
+    def test_ground_energy_is_the_sector_bisection(self, p, h):
+        # the block holds a sector ground state (Perron-Frobenius for h > 0,
+        # block state 0 at h = 0), so its lowest eigenvalue is the sector's:
+        # the same bisection for odd p, to 2 eps of the norm bound for even p
+        eps = np.finfo(float).eps
+        for n in (1, 2, 3, 16, 17, 128, 129, 512, 513):
+            spec = ProblemSpec(n, p, h)
+            target = diagonalize_target(spec)
+            diag, off = target_tridiagonal(spec)
+            sector_min = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+            if p % 2:
+                assert target.e_min == sector_min
+            else:
+                assert abs(target.e_min - sector_min) <= 2 * eps * target.norm_bound
 
     def test_needs_no_scipy_wrapper(self, monkeypatch):
         def refuse(*args, **kwargs):
