@@ -6,30 +6,25 @@ target commute with the spin flip k -> N - k and |+> is even under it, so
 the circuit runs in the reflection-even block of the sector: the
 floor(N/2)+1 states (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for even N
 (``sector.dynamics_block``). For odd p it runs in the whole sector of N+1
-states. Either way the per-(N, p) context holds, m the dimension, the
-phases and the per-(N, parity) ``x_spectral_decomposition``: |+>, the lift
-and collective-X as V diag(lam) V^T. The field h enters only through the
-target, the per-(N, p, h) ``cached_spectrum``: the block tridiagonal and
-ground state.
+states. Either way the per-(N, p) context holds the phases and the
+per-(N, parity) ``x_spectral_decomposition``: |+>, the lift and collective
+X in the parity-folded basis F. The field h enters only through the target,
+the per-(N, p, h) ``cached_spectrum``: the block tridiagonal and ground state.
 
-A state's last axis holds its m amplitudes: (m,) for one state, (R, m) for
-a stack. One kernel serves the state, the energy and the adjoint gradient,
-for R parameter vectors at once: R circuits run as an (R, m) stack, row r
-with its own angles, and a lone circuit is the stack of one. The phase
-layer multiplies row r by the factors exp(-i gamma_r hz), the mixer by
-exp(i beta_r lam) between its two halves, the real GEMMs V^T (into the
-collective-X eigenbasis) and V (back out) on the (m, 2) float64 view of
-each row, as V is real; the kernels take those factors, computed once per
-sweep, never the angles. Each row's GEMMs and sums are the BLAS calls its
-batch of one makes, so a row's numbers never depend on the other rows. The
-forward sweep keeps, per layer, the factors, the post-phase state and its
-eigenbasis coordinates after the mixer factors. The reverse sweep carries
-only the adjoint stack, one row per circuit, through the same two GEMM
-halves: the beta-derivative is an overlap with the stored coordinates in
-the eigenbasis, the gamma-derivative one with the stored post-phase state,
-so a reverse layer makes no exponential and no collective-X product.
-``evaluate`` takes its energy and fidelity from the same forward sweep, in
-the block; only ``qaoa_state`` lifts a state back to the N+1 sector amplitudes.
+A state's m amplitudes are stored folded, as s halves of h (even k, then
+odd k; s = 1 for even p at odd N), its last axis n = s h long: (n,) for one
+state, (R, n) for the stack of R circuits, row r with its own angles. One
+kernel serves the state, the energy and the adjoint gradient, a lone circuit
+as the stack of one. The phase layer multiplies row r by exp(-i gamma_r hz);
+the mixer is F^T, half by half, the rotation cos(beta lam) c + i sin(beta
+lam) swap(c), swap exchanging the halves, and F: real GEMMs of h^2 on the
+(h, 2) float64 views, the BLAS calls a row's batch of one makes, so a row's
+numbers never depend on the other rows. The forward sweep keeps, per layer,
+the factors, the post-phase state and its coordinates after the mixer; the
+reverse sweep carries only the adjoint stack through the same GEMMs and
+takes its derivatives as overlaps with those, so it makes no exponential and
+no collective-X product. The energy gathers the final state into block
+order; only ``qaoa_state`` lifts it to the N+1 sector amplitudes.
 """
 
 from __future__ import annotations
@@ -111,35 +106,35 @@ class CircuitContext:
     """Per-(N, p) immutable workspace shared by many evaluations.
 
     For even p every field describes the reflection-even block, for odd p the
-    whole sector; the kernels do not tell the two apart. Sector amplitude k
-    is block amplitude ``lift_index[k]`` times ``lift_weight[k]``. Of
-    ``spec`` only N and p are read: no attribute depends on h. It builds no
-    array: it holds ``xdec``'s arrays and views of ``sector_table``'s.
+    whole sector; the kernels do not tell the two apart. States are stored
+    folded (``XSpectralDecomposition``). Of ``spec`` only N and p are read:
+    no attribute depends on h. It holds ``xdec``'s arrays, and hz in the
+    stored order, 0 on the padding.
     """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         n, p = spec.n_sites, spec.p_exponent
-        # first, so that a V too large to hold is refused before anything is built
+        # first, so that a basis too large to hold is refused before anything is built
         self.xdec = xdec = x_spectral_decomposition(n, p % 2 == 0)
         self.plus, self.lift_index, self.lift_weight = xdec.plus, xdec.lift_index, xdec.lift_weight
+        self.order, self.halves = xdec.order, xdec.folded.shape[:2]  # halves: (s, h)
+        self._basis_t = xdec.folded.transpose(0, 2, 1)
         self.exact_gamma = 2.0**53 / n**p  # past it, |gamma hz| passes 2^53: max|hz| = N^p
-        self.hz_float = sector_table(n, p).hz_float[: self.plus.size]
+        self.hz_float = np.zeros(self.plus.size)
+        self.hz_float[self.order] = sector_table(n, p).hz_float[: self.order.size]
+        self.hz_float.setflags(write=False)
 
     def lift(self, state: np.ndarray) -> np.ndarray:
-        """The N+1 sector amplitudes of a context-dimension state vector."""
+        """The N+1 sector amplitudes of a stored state vector."""
         return state[self.lift_index] * self.lift_weight
 
     def phase_factors(self, gamma) -> np.ndarray:
         """exp(-i gamma hz) for an angle or an array of angles, shape
-        gamma.shape + (m,).
-
-        An angle with |gamma| > 2^53 / max|hz| (a rounded quotient: within an
-        ulp of it either path is valid) is reduced mod 2 pi from the exact
-        integers hz_k by ``_exact_angles``; every other takes the float
-        product. The integers are derived once per call that has such an
-        angle, from N and p.
-        """
+        gamma.shape + (n,). An angle with |gamma| > 2^53 / max|hz| (a rounded
+        quotient: within an ulp of it either path is valid) is reduced mod
+        2 pi from the exact integers hz_k, derived from N and p, by
+        ``_exact_angles``; every other takes the float product."""
         gamma = np.asarray(gamma, dtype=float)
         exact = np.abs(gamma) > self.exact_gamma
         if not exact.any():
@@ -147,57 +142,85 @@ class CircuitContext:
         angles = np.multiply.outer(np.where(exact, 0.0, gamma), self.hz_float)
         rows = angles.reshape(-1, self.hz_float.size)  # a view, one row per angle
         n, p = self.spec.n_sites, self.spec.p_exponent
-        hz = [-((n - 2 * k) ** p) for k in range(self.hz_float.size)]
+        hz = np.zeros(self.hz_float.size, dtype=object)
+        hz[self.order] = [-((n - 2 * k) ** p) for k in range(self.order.size)]
         for r in np.flatnonzero(exact):
             rows[r] = _exact_angles(float(gamma.flat[r]), hz)
         return np.exp(-1j * angles)
 
     def mixer_factors(self, beta) -> np.ndarray:
-        """exp(i beta lam) in the collective-X eigenbasis, shape beta.shape + (m,)."""
+        """exp(i beta lam) of F's h eigenvalues, shape beta.shape + (h,)."""
         return np.exp(1j * np.multiply.outer(beta, self.xdec.eigenvalues))
 
     def apply_phase(self, state: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """exp(-i gamma Hz) on an (m,) state, given the (m,) ``phase_factors``
-        of gamma, or on an (R, m) stack, given the (R, m) factors of R
+        """exp(-i gamma Hz) on an (n,) state, given the (n,) ``phase_factors``
+        of gamma, or on an (R, n) stack, given the (R, n) factors of R
         angles, row r for state r."""
         return self._checked(state) * factors
 
     def to_x_basis(self, state: np.ndarray) -> np.ndarray:
-        """V^T times an (m,) state or each row of an (R, m) stack: its
-        coordinates in the collective-X eigenbasis."""
-        return self._real_gemm(self.xdec.eigenvectors.T, state)
+        """F^T, half by half, on an (n,) state or each row of (R, n): X-eigenbasis coordinates."""
+        return self._gemm(self._to_x, state)
 
     def from_x_basis(self, coords: np.ndarray) -> np.ndarray:
-        """V times an (m,) state or each row of an (R, m) stack of
-        collective-X eigenbasis coordinates: the states they describe."""
-        return self._real_gemm(self.xdec.eigenvectors, coords)
+        """F, half by half, on folded coordinates, (n,) or each row of (R, n): their states."""
+        return self._gemm(self._from_x, coords)
 
     def apply_mixer(self, state: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """exp(-i beta Hx) = V diag(``factors``) V^T on an (m,) state, given
-        the (m,) ``mixer_factors`` of beta, or on an (R, m) stack, given the
-        (R, m) factors of R angles, row r for state r."""
-        return self.from_x_basis(self.to_x_basis(state) * factors)
+        """exp(-i beta Hx) = exp(i beta X) on an (n,) state, given the (h,)
+        ``mixer_factors`` of beta, or on an (R, n) stack, given the (R, h)
+        factors of R angles, row r for state r."""
+        coords = _store_views(self, self.to_x_basis(state))[1]
+        mixed = np.empty_like(coords)
+        _rotate(coords, *_cos_isin(np.expand_dims(factors, -2)), mixed, np.empty_like(coords))
+        return self.from_x_basis(mixed[..., ::-1, :].reshape(state.shape))
 
     # kept only for bench/, goes with ROADMAP item 2
     def apply_x(self, state: np.ndarray) -> np.ndarray:
-        return self.from_x_basis(self.xdec.eigenvalues * self.to_x_basis(state))
+        coords = _store_views(self, self.to_x_basis(state))[1]
+        return self.from_x_basis((self.xdec.eigenvalues * coords[..., ::-1, :]).reshape(state.shape))
 
-    def _real_gemm(self, matrix: np.ndarray, state: np.ndarray) -> np.ndarray:
-        """The real (m, m) ``matrix`` times each state, as a real GEMM on its
-        (m, 2) float64 view: a stack makes one GEMM per row, rounded exactly
-        as if that row came alone."""
+    # F^T and F on the (..., s, h, 2) float64 pairs of states: one real GEMM
+    # per half and row, rounded exactly as if that row came alone
+    def _to_x(self, pairs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.matmul(self._basis_t, pairs, out=out)
+
+    def _from_x(self, pairs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.matmul(self.xdec.folded, pairs, out=out)
+
+    def _gemm(self, kernel, state: np.ndarray) -> np.ndarray:
         state = np.ascontiguousarray(self._checked(state), dtype=complex)
-        pairs = state.view(np.float64).reshape(*state.shape, 2)
-        return (matrix @ pairs).view(complex).reshape(state.shape)
+        kernel(_store_views(self, state)[2], _store_views(self, out := np.empty_like(state))[2])
+        return out
 
     def _checked(self, state: np.ndarray) -> np.ndarray:
-        """``state``, refused unless its last axis holds the m amplitudes: an
-        (m, 1) column would broadcast against the (m,) factors into an
-        (m, m) array."""
+        """``state``, refused unless its last axis holds the n stored amplitudes:
+        an (n, 1) column would broadcast against (n,) factors to (n, n)."""
         if state.shape[-1:] != self.plus.shape:
-            m = self.plus.size
-            raise ValueError(f"a layer acts on a last axis of m = {m}, got shape {state.shape}")
+            n = self.plus.size
+            raise ValueError(f"a layer acts on a last axis of n = {n}, got shape {state.shape}")
         return state
+
+
+def _store_views(ctx: CircuitContext, flat: np.ndarray) -> tuple:
+    """A C-contiguous complex (..., n) array, its (..., s, h) halves and
+    their (..., s, h, 2) float64 pairs, all views of one memory."""
+    halves = flat.reshape(flat.shape[:-1] + ctx.halves)
+    return flat, halves, halves.view(np.float64).reshape(halves.shape + (2,))
+
+
+def _cos_isin(factors: np.ndarray):
+    """cos and i sin of mixer factors exp(i x), as complex arrays: exactly
+    their real part and the rest."""
+    return (cos := factors.real.astype(complex)), factors - cos
+
+
+def _rotate(coords, cos, isin, out, work) -> None:
+    """out = swap(cos c + isin swap(c)) = cos swap(c) + isin c, c the (..., s,
+    h) halves ``coords``: the mixed coordinates with their halves exchanged,
+    which the beta-derivative reads unswapped. swap is the identity at s = 1."""
+    np.multiply(coords, isin, out=out)
+    out += np.multiply(coords[..., ::-1, :], cos, out=work)
 
 
 @lru_cache(maxsize=None)
@@ -236,34 +259,34 @@ def qaoa_state(spec: ProblemSpec, params: QaoaParams) -> np.ndarray:
 
 
 def _forward(ctx: CircuitContext, gammas: np.ndarray, betas: np.ndarray):
-    """The circuit for R angle sets at once, row r of ``gammas`` and
-    ``betas`` (each (R, P)) for circuit r.
-
-    Returns the final states as an (R, m) stack, the phase and mixer
-    factors of every layer, each (R, P, m), and per layer l the pair
-    (a_l, r_l): the post-phase states a_l and their eigenbasis coordinates
-    after the mixer factors, r_l = E_l V^T a_l with E_l = exp(i beta_l lam),
-    each (R, m). The next layer's input is V r_l.
-    """
-    phases, mixers = ctx.phase_factors(gammas), ctx.mixer_factors(betas)
-    psi = ctx.plus  # the first phase layer broadcasts it to (R, m)
-    layers = []
-    for layer in range(gammas.shape[1]):
-        post_phase = ctx.apply_phase(psi, phases[:, layer])
-        coords = ctx.to_x_basis(post_phase)
-        coords *= mixers[:, layer]
-        psi = ctx.from_x_basis(coords)
-        layers.append((post_phase, coords))
-    return psi, phases, mixers, layers
+    """The circuit for R angle sets, row r of ``gammas`` and ``betas`` (each
+    (R, P)) for circuit r. Returns the final (R, n) stack and, per layer, the
+    phase factors (P, R, n), the mixer's cos and i sin, (P, R, 1, h), the
+    post-phase states a_l, (P, R, n), and the (P, R, s, h) halves of swap(r_l)
+    (``_rotate``), r_l = cos c + i sin swap(c) of c = F^T a_l, with the
+    float64 pairs of r_l that F reads: the next layer's input is F r_l."""
+    (depth, rows), n = gammas.T.shape, ctx.plus.size
+    phases = ctx.phase_factors(gammas.T)
+    cos, isin = _cos_isin(ctx.mixer_factors(betas.T)[:, :, None])
+    post_phase, _, post_pairs = _store_views(ctx, np.empty((depth, rows, n), complex))
+    swapped, mixed, mixed_pairs = _store_views(ctx, np.empty((depth, rows, n), complex))
+    psi, _, psi_pairs = _store_views(ctx, np.empty((rows, n), complex))
+    _, c, c_pairs = _store_views(ctx, np.empty((rows, n), complex))
+    work, state, unswapped = np.empty_like(c), ctx.plus, mixed_pairs[:, :, ::-1]
+    for layer in range(depth):  # the first phase layer broadcasts |+> to (R, n)
+        np.multiply(state, phases[layer], out=post_phase[layer])
+        ctx._to_x(post_pairs[layer], c_pairs)
+        _rotate(c, cos[layer], isin[layer], mixed[layer], work)
+        ctx._from_x(unswapped[layer], psi_pairs)
+        state = psi
+    return psi, phases, cos, isin, post_phase, (swapped, mixed, unswapped)
 
 
 def _block_energy(target: TargetSpectrum, phi: np.ndarray):
-    """<phi|H|phi> of each row of an (R, m) stack, as an (R,) real array, and
-    the (R, m) stack H|phi>.
-
-    For a normalized state of m amplitudes the imaginary part of <phi|H|phi>
-    is at most about m eps ||H||, and the spectrum's ``norm_bound`` bounds
-    ||H||; an imaginary part of 1e-12 times the bound or more is refused.
+    """<phi|H|phi> of each row of an (R, m) stack in block order, as an (R,)
+    real array, and the (R, m) stack H|phi>. For a normalized state the
+    imaginary part of <phi|H|phi> is at most about m eps ||H||, and
+    ``norm_bound`` bounds ||H||: 1e-12 times the bound or more is refused.
     """
     h_phi = target.diag * phi  # the block tridiagonal (diag, off) times phi
     h_phi[..., :-1] += target.off * phi[..., 1:]
@@ -285,9 +308,7 @@ def residual_energy(spectrum: TargetSpectrum, energy_value: float) -> float:
     """
     slack = _ROUNDOFF * spectrum.norm_bound
     if not (spectrum.e_min - slack <= energy_value <= spectrum.e_max + slack):
-        raise ValueError(
-            f"energy {energy_value} outside spectrum [{spectrum.e_min}, {spectrum.e_max}]"
-        )
+        raise ValueError(f"energy {energy_value} outside spectrum [{spectrum.e_min}, {spectrum.e_max}]")
     if spectrum.e_max <= spectrum.e_min:
         return 0.0
     res = (energy_value - spectrum.e_min) / (spectrum.e_max - spectrum.e_min)
@@ -307,73 +328,72 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     ``QaoaParams.to_vector``; returns ``(energies (R,), gradients (R, 2P))``.
     A single vector is the batch of one, ``x[None]``. The R circuits run as
     one stack through every kernel call, and each row's numbers are
-    bit-identical to its own batch of one: the mixer makes one GEMM per row,
-    and each sum over the sector is one BLAS dot per row. Anything that is
-    not a 2-d array of finite integers or reals with an even width of at
-    least 2, a ``QaoaParams`` or a complex array included, is refused before
-    any exponential.
+    bit-identical to its own batch of one: the mixer makes one GEMM per half
+    and row, and each sum over the block is one BLAS dot per row. Anything
+    that is not a 2-d array of finite integers or reals with an even width
+    of at least 2, a ``QaoaParams`` or a complex array included, is refused
+    before any exponential.
 
-    The forward sweep keeps, per layer, its phase and mixer factors, the
-    post-phase state a_l and its eigenbasis coordinates r_l = E_l V^T a_l
-    (see ``_forward``), each an (R, m) stack: 64 P m R bytes, 16.9 MB at
-    m = 513, P = 514, R = 1. The reverse sweep carries only the (R, m)
-    adjoint stack, starting from H|psi>. Per layer, from the last:
-    b = V^T adj gives d/dbeta_l as 2 Re <b| i lam r_l>; adj = V conj(E_l) b
-    moves it before the mixer, where 2 Re <adj| -i hz a_l> is d/dgamma_l;
-    then adj is multiplied by the conjugated phase factors. So each reverse
-    layer is two GEMMs per row and no exponential, and the cost is
-    O(P m^2) per row, with m = floor(N/2)+1 for even p and N+1 for odd p.
+    The forward sweep keeps per layer the phase factors, the mixer's cos and
+    i sin, a_l and r_l (``_forward``): 64 P s h R bytes for s = 2, 16.9 MB
+    at m = 513, P = 514, R = 1; 80 P m R for s = 1. The reverse sweep carries
+    only the adjoint stack, from H|psi>. Per layer, from the last: b = F^T adj
+    gives d/dbeta_l as 2 Re <b| i lam swap(r_l)>; adj = F (cos b - i sin
+    swap(b)) moves it before the mixer, where 2 Re <adj| -i hz a_l> is
+    d/dgamma_l; then adj takes the conjugated phase factors. Each layer is
+    2 s GEMMs of h^2 per row, a reverse one with no exponential: O(P m^2 / s)
+    per row, m = floor(N/2)+1 for even p and N+1 for odd p.
     Each energy is within (2 P + max|hz| sum_l |gamma_l|) eps ``norm_bound``
     of exact arithmetic. The second term bounds the rounding of gamma hz; the
-    first was at most 0.9 P against a 40-digit oracle at m <= 17, P <= 14,
-    and at most 0.6 P at m = 65 and 129, P = 10 and 20. Each gradient
-    component is within (P max(1, N/64) + max|hz| sum_l |gamma_l|) eps
-    ``norm_bound`` D, D = max|hz| for a gamma and N for a beta. Against a
-    50-digit oracle at P = 5 and 10 the first term was at most 0.62 P for a
-    gamma; for a beta it was 0.48 P at N <= 64 and grew about as P N / 108
-    past it, to 1.19 P at N = 128 (p = 3) and 2.37 P at N = 256 (p = 2),
-    with r-init angles.
+    first was at most 0.28 P against a 40-digit oracle at m <= 17, P <= 14,
+    and 0.39 P at m = 65 and 129, P = 10 and 20. Each gradient component is
+    within (P max(1, N/64) + max|hz| sum_l |gamma_l|) eps ``norm_bound`` D,
+    D = max|hz| for a gamma and N for a beta. Against a 50-digit oracle at
+    P = 5 and 10 the first term was at most 0.33 P for a gamma; for a beta
+    0.44 P at N <= 64, 1.09 P at N = 128 (p = 3) and 2.40 P at N = 256
+    (p = 2), with r-init angles.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] % 2:
         raise ValueError(f"parameter rows must form an (R, 2P) array, P >= 1; got shape {x.shape}")
     x = _angles(x, "parameter rows")
-    ctx = circuit_context(spec)
-    depth = x.shape[1] // 2
+    ctx, depth = circuit_context(spec), x.shape[1] // 2
     # d/dgamma of the phase layer brings down +i M^p = -i hz, d/dbeta of
-    # the mixer i lam in the eigenbasis
+    # the mixer i lam swap(r)
     d_phase, d_mixer = 1j * -ctx.hz_float, 1j * ctx.xdec.eigenvalues
 
-    phi, phases, mixers, layers = _forward(ctx, x[:, :depth], x[:, depth:])
-    e_val, adj = _block_energy(cached_spectrum(spec), phi)
+    psi, phases, cos, isin, post_phase, (swapped, mixed, unswapped) = _forward(ctx, x[:, :depth], x[:, depth:])
+    e_val, h_phi = _block_energy(cached_spectrum(spec), psi.take(ctx.order, axis=-1))
+    adj, _, adj_pairs = _store_views(ctx, np.zeros_like(psi))
+    adj[:, ctx.order] = h_phi
 
     # row r: <adj|d/dgamma_l psi>, then <adj|d/dbeta_l psi>, l = 1..P
     overlaps = np.empty(x.shape, dtype=complex)
-    # conjugated in place, so the reverse sweep holds no second copy
-    undo_phase = np.conjugate(phases, out=phases)
-    undo_mixer = np.conjugate(mixers, out=mixers)
+    # in place, every layer at once, so the reverse sweep holds no second
+    # copy: the conjugated factors, -i hz a_l, and i lam swap(r_l) in swapped
+    undo_phase, undo_isin = np.conjugate(phases, out=phases), np.negative(isin, out=isin)
+    d_gamma = np.multiply(post_phase, d_phase, out=post_phase)
+    np.multiply(mixed, d_mixer, out=mixed)
+    b, b_halves, b_pairs = _store_views(ctx, np.empty_like(psi))
+    work = np.empty_like(b_halves)
     for layer in reversed(range(depth)):
-        post_phase, coords = layers[layer]
-        b = ctx.to_x_basis(adj)
-        overlaps[:, depth + layer] = np.vecdot(b, d_mixer * coords)
-        b *= undo_mixer[:, layer]
-        adj = ctx.from_x_basis(b)
-        overlaps[:, layer] = np.vecdot(adj, d_phase * post_phase)
-        adj *= undo_phase[:, layer]
+        ctx._to_x(adj_pairs, b_pairs)
+        overlaps[:, depth + layer] = np.vecdot(b, swapped[layer])
+        _rotate(b_halves, cos[layer], undo_isin[layer], mixed[layer], work)
+        ctx._from_x(unswapped[layer], adj_pairs)
+        overlaps[:, layer] = np.vecdot(adj, d_gamma[layer])
+        adj *= undo_phase[layer]
     return e_val, 2.0 * overlaps.real
 
 
 def evaluate(spec: ProblemSpec, params: QaoaParams) -> EvaluationRecord:
     """Energy, residual, fidelity and equivalent annealing time in one record.
-
-    The energy is ``energy_and_gradient``'s, bit for bit, within its bound
-    (2 P + max|hz| sum_l |gamma_l|) eps ``norm_bound``; the fidelity is the
-    block overlap with the ``cached_spectrum``'s ``ground``. The energy and
-    fidelity of the lifted state sum the same terms in another order; the
-    tests hold the gaps to 1e-14 (for the energy, times ``norm_bound``).
-    """
-    target = cached_spectrum(spec)
-    phi = _forward(circuit_context(spec), params.gammas[None], params.betas[None])[0]
+    The energy is ``energy_and_gradient``'s, bit for bit; the fidelity is the
+    block overlap with the ``cached_spectrum``'s ``ground``. Those of the
+    lifted state sum the same terms in another order; the tests hold the
+    gaps to 1e-14 (for the energy, times ``norm_bound``)."""
+    target, ctx = cached_spectrum(spec), circuit_context(spec)
+    phi = _forward(ctx, params.gammas[None], params.betas[None])[0].take(ctx.order, axis=-1)
     e_val = float(_block_energy(target, phi)[0][0])
     return EvaluationRecord(
         energy=e_val,

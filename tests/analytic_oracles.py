@@ -214,6 +214,26 @@ def x_eigenvectors(n_sites: int, even_parity: bool) -> np.ndarray:
         return np.array(x_eigenvectors_mp(n_sites, even_parity)[1], dtype=float)
 
 
+def folded_x_eigenvectors(n_sites: int, even_parity: bool) -> np.ndarray:
+    """``x_eigenvectors_mp``'s V in the package's parity-folded layout, each
+    entry rounded once to float64: an (s, h, h) stack. For even p at odd N
+    (``even_parity`` and odd N) it is V itself, s = 1. Otherwise s = 2:
+    column c of half 0 holds the even rows k of the c-th eigenvector of
+    eigenvalue >= 0 (ascending), of half 1 its odd rows, at row floor(k/2),
+    each times sqrt(2) but for eigenvalue 0; a half short of h rows ends in
+    a zero row."""
+    with mpmath.workdps(40):
+        lam, vec = x_eigenvectors_mp(n_sites, even_parity)
+        if even_parity and n_sites % 2:
+            return np.array(vec, dtype=float)[None]
+        cols = [c for c, mu in enumerate(lam) if mu >= 0]
+        folded = np.zeros((2, len(cols), len(cols)))
+        for k, row in enumerate(vec):
+            for i, c in enumerate(cols):
+                folded[k % 2, k // 2, i] = float(row[c] * (mpmath.sqrt(2) if lam[c] else 1))
+        return folded
+
+
 def circuit_energy_mp(n_sites: int, p: int, field: float, gammas, betas) -> mpmath.mpf:
     """<psi|H|psi> of the circuit at 40 digits, in the whole sector, from
     nothing the package computes: |+> from exact binomials, each phase

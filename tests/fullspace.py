@@ -6,16 +6,16 @@ know nothing about the Dicke-sector code paths they are used to check. The
 dense sector matrices are the plain constructions that the tridiagonal
 production code replaced; they are kept as references, as is the sector
 tridiagonal written entry by entry from its formulas and the energy of N+1
-sector amplitudes taken from it. ``sector_ground_state`` is the one place
-the tests lift the package's block ground state to the sector, and
-``fidelity`` the squared overlap they compare states by.
+sector amplitudes taken from it. ``block_to_sector`` lifts a vector of
+``dynamics_block`` amplitudes, in their natural order, to the sector, and
+``sector_ground_state`` lifts the package's block ground state with it;
+``fidelity`` is the squared overlap the tests compare states by.
 """
 
 import numpy as np
 import scipy.linalg
 from math import comb, sqrt
 
-from pspin_qaoa.engine import circuit_context
 from pspin_qaoa.sector import diagonalize_target
 
 
@@ -137,7 +137,18 @@ def fidelity(state: np.ndarray, target: np.ndarray) -> float:
     return float(abs(np.vdot(target, state)) ** 2)
 
 
+def block_to_sector(n: int, p: int, block: np.ndarray) -> np.ndarray:
+    """The N+1 sector amplitudes of ``dynamics_block`` amplitudes in their
+    natural order: the vector itself for odd p; for even p amplitude k is
+    block amplitude min(k, N - k), over sqrt(2) from a pair state
+    (|k> + |N-k>)/sqrt(2)."""
+    if p % 2:
+        return block * 1.0
+    k = np.arange(n + 1)
+    return block[np.minimum(k, n - k)] * np.where(2 * k == n, 1.0, np.sqrt(0.5))
+
+
 def sector_ground_state(spec) -> np.ndarray:
     """The N+1 sector amplitudes of the target ground state: the block vector
-    of ``diagonalize_target``, lifted by the spec's circuit context."""
-    return circuit_context(spec).lift(diagonalize_target(spec).ground)
+    of ``diagonalize_target``, lifted by ``block_to_sector``."""
+    return block_to_sector(spec.n_sites, spec.p_exponent, diagonalize_target(spec).ground)

@@ -13,6 +13,8 @@ from analytic_oracles import (
     params_from_vector,
     symmetry_group,
     verify_power_identity,
+    x_eigenvectors,
+    x_eigenvectors_mp,
 )
 from fullspace import embed_sector_state, fidelity, full_qaoa_state, sector_energy, sector_ground_state
 from pspin_qaoa.analytic import exact_p1_params
@@ -82,14 +84,15 @@ def test_criterion_03_even_sites_need_depth_2():
         # the cat ground state, in the reflection-even block the even-p
         # context works in
         targ = diagonalize_target(spec).ground
-        lam, vec = ctx.xdec.eigenvalues, ctx.xdec.eigenvectors
+        # collective X's eigenvectors in the block, in closed form
+        lam, vec = x_eigenvectors_mp(n, True)[0], x_eigenvectors(n, True)
         grid = np.linspace(0.0, np.pi, 256)
         # overlap(gamma, beta) = sum_j conj(t)V_j e^{i beta lam_j} (V^T phi)_j
         t_side = vec.T @ targ.conj()
         mixers = np.exp(1j * np.outer(grid, lam))  # (n_beta, N+1)
         best = 0.0
         for gamma in grid:
-            phi = ctx.apply_phase(ctx.plus, ctx.phase_factors(gamma))
+            phi = ctx.apply_phase(ctx.plus, ctx.phase_factors(gamma))[ctx.order]
             weights = t_side * (vec.T @ phi)
             best = max(best, float(np.max(np.abs(mixers @ weights) ** 2)))
         stats = multi_start(spec, 2, RandomInit(), n_restarts=10, base_seed=0)

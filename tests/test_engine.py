@@ -5,6 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from analytic_oracles import (
     circuit_gradient_mp,
     params_from_vector,
     plus_amplitudes,
+    x_eigenvectors,
 )
 from fullspace import (
     collective_x_matrix,
@@ -39,6 +42,7 @@ from pspin_qaoa.optimizer import RandomInit, l_init, optimize, r_init
 from pspin_qaoa.sector import (
     ProblemSpec,
     diagonalize_target,
+    reflection_even_tridiagonal,
 )
 
 
@@ -131,8 +135,8 @@ class TestPhaseLayer:
         # must raise no warning
         ctx = context(n, p)
         assert abs(gamma) > ctx.exact_gamma
-        out = phase(ctx, np.ones(ctx.plus.size, dtype=complex), gamma)
-        hz = [-((n - 2 * k) ** p) for k in range(ctx.plus.size)]
+        out = phase(ctx, np.ones(ctx.plus.size, dtype=complex), gamma)[ctx.order]
+        hz = [-((n - 2 * k) ** p) for k in range(ctx.order.size)]
         with mpmath.workprec(4096):
             g, two_pi = mpmath.mpf(gamma), 2 * mpmath.pi
             expected = np.array([complex(mpmath.expj(-mpmath.fmod(g * v, two_pi))) for v in hz])
@@ -208,11 +212,12 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("method", LAYERS)
     def test_refuses_a_column(self, method):
-        # an (m, 1) column would broadcast against the (m,) factors:
-        # apply_phase returned an (m, m) array
+        # an (n, 1) column would broadcast against the (n,) factors:
+        # apply_phase returned an (n, n) array. N = 8, p = 3 stores its
+        # m = 9 amplitudes as two halves of 5, the odd one padded
         ctx = context(8, 3)
         column = random_vector(ctx.plus.size, 12)[:, None]
-        with pytest.raises(ValueError, match=r"shape \(9, 1\)"):
+        with pytest.raises(ValueError, match=r"shape \(10, 1\)"):
             getattr(ctx, method)(column, *layer_factors(ctx, method, 0.3))
 
     @pytest.mark.parametrize("method", LAYERS)
@@ -238,7 +243,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n", [1, 8, 129])
     def test_phase_stack_matches_rows(self, n):
         ctx = context(n, 3)
-        stack = np.stack([random_state(n, seed) for seed in (9, 10, 11)])
+        stack = np.stack([random_vector(ctx.plus.size, seed) for seed in (9, 10, 11)])
         gammas = np.array([0.23, 1.7, -0.05])
         out = ctx.apply_phase(stack, ctx.phase_factors(gammas))
         assert out.shape == stack.shape
@@ -250,7 +255,10 @@ class TestBatchedEvaluation:
     """R parameter vectors evaluate as one stack; every row's numbers are
     exactly those of the same row run as a batch of one."""
 
-    @pytest.mark.parametrize("n,p", [(13, 3), (32, 3), (512, 2), (512, 3)])
+    # m = 14, 33, 257 (block and sector), 258, 513 and 1025 (sector, and the
+    # block unfolded at odd N)
+    @pytest.mark.parametrize("n,p", [(13, 3), (32, 3), (512, 2), (256, 3), (257, 3), (512, 3),
+                                     (1024, 3), (2049, 2)])
     def test_rows_match_single_calls(self, n, p):
         spec = ProblemSpec(n, p, 0.7)
         rows = np.array([random_angles(spec, 3, seed) for seed in range(5)])
@@ -363,9 +371,12 @@ class TestAdjointSweep:
 
     @pytest.mark.parametrize("n,p,depth", [(9, 3, 1), (12, 2, 4), (33, 3, 15)])
     def test_calls_each_mixer_half_twice_per_layer(self, monkeypatch, n, p, depth):
+        # the sweeps make their GEMMs on the stores' float64 pairs, through
+        # the kernels that to_x_basis and from_x_basis wrap
         spec = ProblemSpec(n, p, 0.7)
         circuit_context(spec)
-        calls = {name: 0 for name in ("to_x_basis", "from_x_basis", "apply_mixer", "apply_x")}
+        names = ("_to_x", "_from_x", "to_x_basis", "from_x_basis", "apply_mixer", "apply_x")
+        calls = {name: 0 for name in names}
 
         def counting(name):
             method = getattr(engine.CircuitContext, name)
@@ -380,8 +391,143 @@ class TestAdjointSweep:
             monkeypatch.setattr(engine.CircuitContext, name, counting(name))
         rows = np.array([random_angles(spec, depth, seed) for seed in range(2)])
         energy_and_gradient(spec, rows)
-        assert calls == {"to_x_basis": 2 * depth, "from_x_basis": 2 * depth,
-                         "apply_mixer": 0, "apply_x": 0}
+        assert calls == {"_to_x": 2 * depth, "_from_x": 2 * depth, "to_x_basis": 0,
+                         "from_x_basis": 0, "apply_mixer": 0, "apply_x": 0}
+
+
+def dense_energy_and_gradient(spec, x):
+    """Energy and gradient of one parameter row by dense matrices in the
+    whole sector, in natural order: |+> from exact binomials, the mixer
+    V diag(exp(i beta lam)) V^T from ``x_eigenvectors`` (the closed form,
+    rounded once), H the dense ``target_matrix``, the gradient by an
+    adjoint sweep that inserts -i hz and i X. No block and no fold."""
+    n, p = spec.n_sites, spec.p_exponent
+    vec = x_eigenvectors(n, False)
+    lam = np.arange(-n, n + 1, 2, dtype=float)
+    hz = np.array([-float((n - 2 * k) ** p) for k in range(n + 1)])
+    hmat = target_matrix(spec)
+    depth = x.size // 2
+    psi, stored = plus_amplitudes(n).astype(complex), []
+    for gamma, beta in zip(x[:depth], x[depth:]):
+        post_phase = np.exp(-1j * gamma * hz) * psi
+        coords = np.exp(1j * beta * lam) * (vec.T @ post_phase)
+        stored.append((post_phase, coords))
+        psi = vec @ coords
+    adj, grad = hmat @ psi, np.empty(2 * depth)
+    for layer in reversed(range(depth)):
+        post_phase, coords = stored[layer]
+        b = vec.T @ adj
+        grad[depth + layer] = 2 * np.vdot(b, 1j * lam * coords).real
+        adj = vec @ (np.exp(-1j * x[depth + layer] * lam) * b)
+        grad[layer] = 2 * np.vdot(adj, -1j * hz * post_phase).real
+        adj = np.exp(1j * x[layer] * hz) * adj
+    return float(np.vdot(psi, hmat @ psi).real), grad
+
+
+def stated_bounds(spec, x):
+    """The bounds ``energy_and_gradient`` states, on the energy and on each
+    gradient component, in that order."""
+    n, p, depth = spec.n_sites, spec.p_exponent, x.size // 2
+    unit = np.finfo(float).eps * engine.cached_spectrum(spec).norm_bound
+    phase_term = n**p * np.sum(np.abs(x[:depth]))
+    scale = np.array([n**p] * depth + [n] * depth, dtype=float)
+    return (2 * depth + phase_term) * unit, (depth * max(1, n / 64) + phase_term) * unit * scale
+
+
+# every structural case of the folded layout: an (N, p) at small N for the
+# full 2^N space, one at m of about 33 for the dense sector circuit, the
+# number s of halves, whether lam = 0 is in the block, and whether a half
+# is padded
+FOLD_CASES = {
+    "even p, N = 0 mod 4": ([(8, 2), (64, 2)], 2, True, True),
+    "even p, N = 2 mod 4": ([(10, 4), (66, 2)], 2, False, False),
+    "even p, odd N": ([(9, 2), (33, 2)], 1, False, False),
+    "odd p, even N": ([(8, 3), (32, 3)], 2, True, True),
+    "odd p, odd N": ([(9, 3), (33, 5)], 2, False, False),
+}
+
+
+class TestFoldedLayout:
+    """Each (N, p) runs in one of five structural cases of the fold; each
+    agrees with the full 2^N space and with a dense sector circuit that
+    never folds."""
+
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_layout(self, case):
+        shapes, fold, zero, padded = FOLD_CASES[case]
+        for n, p in shapes:
+            ctx = context(n, p)
+            m = ctx.order.size
+            assert ctx.halves == (fold, -(-m // fold)), (n, p)
+            assert (0.0 in ctx.xdec.eigenvalues) == zero and (ctx.plus.size > m) == padded, (n, p)
+
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_matches_the_full_space(self, case):
+        n, p = FOLD_CASES[case][0][0]
+        spec = ProblemSpec(n, p, GOLDEN_FIELD)
+        x = random_angles(spec, 3, n + p)
+        (e_val,), (grad,) = energy_and_gradient(spec, x[None])
+        params = params_from_vector(x)
+
+        def full(y):
+            return full_energy(n, p, GOLDEN_FIELD, full_qaoa_state(n, p, y[:3], y[3:]))
+
+        assert abs(e_val - full(x)) <= stated_bounds(spec, x)[0] + 1e-14 * abs(e_val)
+        assert e_val == evaluate(spec, params).energy
+        unit, step = natural_units(spec, 3), 1e-4
+        for i in range(x.size):
+            d = np.zeros_like(x)
+            d[i] = step * unit[i]
+            fd = (8 * (full(x + d) - full(x - d)) - (full(x + 2 * d) - full(x - 2 * d))) / (12 * step)
+            assert abs(grad[i] * unit[i] - fd) <= 1e-8 * max(1.0, abs(e_val)), (i, grad[i] * unit[i], fd)
+
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_matches_the_dense_sector_circuit(self, case):
+        # each side is within the stated bounds of exact arithmetic, so the
+        # two are within twice them
+        n, p = FOLD_CASES[case][0][1]
+        spec = ProblemSpec(n, p, GOLDEN_FIELD)
+        for seed in range(3):
+            x = random_angles(spec, 4, seed) if seed else l_init(4, spec, seed=0).to_vector()
+            (e_val,), (grad,) = energy_and_gradient(spec, x[None])
+            e_dense, grad_dense = dense_energy_and_gradient(spec, x)
+            e_bound, grad_bound = stated_bounds(spec, x)
+            assert abs(e_val - e_dense) <= 2 * e_bound
+            assert np.all(np.abs(grad - grad_dense) <= 2 * grad_bound)
+
+    def test_odd_n_even_p_block_is_not_folded(self):
+        # prod sigma^z does not map the reflection-even block of an odd N to
+        # itself, so its lam has no +- pairs: folded as if it had, the energy
+        # at (33, 2, 1) read -34.74 where the circuit gives -35.10
+        spec = ProblemSpec(33, 2, 1.0)
+        assert circuit_context(spec).halves == (1, 17)
+        x = l_init(4, spec, seed=0).to_vector()
+        e_dense = dense_energy_and_gradient(spec, x)[0]
+        assert abs(energy_and_gradient(spec, x[None])[0][0] - e_dense) <= 2 * stated_bounds(spec, x)[0]
+
+    @pytest.mark.parametrize("n,even_parity", [(512, False), (1024, True), (1024, False), (2048, True),
+                                               (2049, True)])
+    def test_mixer_layer_against_expm_multiply(self, n, even_parity):
+        """One mixer layer at m = 513 and m = 1025 (the sector, the block
+        folded at even N and unfolded at odd N) against scipy's
+        expm_multiply on the sparse collective-X tridiagonal, which takes no
+        eigendecomposition. Bound: every amplitude of a unit state within
+        24 eps. It is the oracle's: with |beta| N <= 21 its Taylor steps
+        were up to 12 eps off a dense scaling-and-squaring expm, which the
+        layer matched to 0.7 eps."""
+        ctx = context(n, 2 if even_parity else 3)
+        diag, off = np.zeros(n + 1), np.sqrt((np.arange(n) + 1.0) * (n - np.arange(n)))
+        if even_parity:
+            diag, off = reflection_even_tridiagonal(diag, off)
+        xmat = scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
+        psi = random_vector(diag.size, n)
+        stored = np.zeros(ctx.plus.size, dtype=complex)
+        stored[ctx.order] = psi
+        for beta in (0.01, -0.007):
+            out = ctx.apply_mixer(stored, ctx.mixer_factors(beta))
+            exact = scipy.sparse.linalg.expm_multiply(1j * beta * xmat, psi)
+            assert np.max(np.abs(out[ctx.order] - exact)) <= 24 * np.finfo(float).eps
+            assert not out[np.setdiff1d(np.arange(out.size), ctx.order)].any()
 
 
 class TestQaoaState:

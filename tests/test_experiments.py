@@ -478,43 +478,47 @@ def test_m_513_does_not_depend_on_the_blas_thread_count():
     # energies and gradients at m = 513, odd p in the whole sector and even
     # p in the block (P = 3, three rows), are bit-identical at 1 and 2
     # OpenBLAS threads: collective X's basis takes no BLAS call, and an
-    # (m, m) x (m, 2) GEMM still splits no sum at this size (from m = 1025
-    # it does; see the README)
+    # (h, h) x (h, 2) GEMM still splits no sum at h <= 513. So are those at
+    # m = 1025 where the fold halves the GEMMs to h = 513 (odd p, and even
+    # p at even N); unfolded, from h = 1025 on, it does (see the README)
     program = (
         "import hashlib, numpy as np",
         "from pspin_qaoa.engine import energy_and_gradient",
         "from pspin_qaoa.optimizer import r_init",
         "from pspin_qaoa.sector import ProblemSpec",
         "rows = np.array([r_init(3, seed).to_vector() for seed in range(3)])",
-        "for n, p in ((512, 3), (1024, 2)):",
+        "for n, p in ((512, 3), (1024, 2), (1024, 3), (2048, 2)):",
         "    energies, grads = energy_and_gradient(ProblemSpec(n, p, 0.7), rows)",
         "    print(hashlib.sha256(energies.tobytes() + grads.tobytes()).hexdigest())",
     )
     one, two = (run_fresh(*program, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
-    assert len(one) == 2 and one == two
+    assert len(one) == 4 and one == two
 
 
 def test_m_1025_agrees_across_blas_thread_counts_within_the_stated_bounds():
-    # from m = 1025 the (m, m) x (m, 2) GEMM splits its sums by thread count,
-    # so the last bits may move; each run must stay within the bounds that
-    # energy_and_gradient states, so two runs may differ by twice them
-    spec = ProblemSpec(1024, 3, 0.7)
-    rows = np.array([l_init(3, spec, seed=seed).to_vector() for seed in range(2)])
-    program = (
-        "import json, numpy as np",
-        "from pspin_qaoa.engine import energy_and_gradient",
-        "from pspin_qaoa.sector import ProblemSpec",
-        f"rows = np.array({rows.tolist()!r})",
-        "energies, grads = energy_and_gradient(ProblemSpec(1024, 3, 0.7), rows)",
-        "print(json.dumps([energies.tolist(), grads.tolist()]))",
-    )
-    (one,), (two,) = (run_fresh(*program, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
-    (e_one, g_one), (e_two, g_two) = (map(np.array, json.loads(line)) for line in (one, two))
-    unit = np.finfo(float).eps * engine.cached_spectrum(spec).norm_bound
-    phase_term = 1024**3 * np.abs(rows[:, :3]).sum(axis=1)
-    assert np.all(np.abs(e_one - e_two) <= 2 * (2 * 3 + phase_term) * unit)
-    scale = np.array([1024.0**3] * 3 + [1024.0] * 3)
-    assert np.all(np.abs(g_one - g_two) <= 2 * (3 + phase_term[:, None]) * unit * scale)
+    # from h = 1025 (the unfolded block of even p at odd N, N = 2049) the
+    # (h, h) x (h, 2) GEMM splits its sums by thread count, so the last bits
+    # may move; each run must stay within the bounds that
+    # energy_and_gradient states, so two runs may differ by twice them. The
+    # folded m = 1025 of N = 1024, p = 3 is held to the same
+    for n, p in ((1024, 3), (2049, 2)):
+        spec = ProblemSpec(n, p, 0.7)
+        rows = np.array([l_init(3, spec, seed=seed).to_vector() for seed in range(2)])
+        program = (
+            "import json, numpy as np",
+            "from pspin_qaoa.engine import energy_and_gradient",
+            "from pspin_qaoa.sector import ProblemSpec",
+            f"rows = np.array({rows.tolist()!r})",
+            f"energies, grads = energy_and_gradient(ProblemSpec({n}, {p}, 0.7), rows)",
+            "print(json.dumps([energies.tolist(), grads.tolist()]))",
+        )
+        (one,), (two,) = (run_fresh(*program, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+        (e_one, g_one), (e_two, g_two) = (map(np.array, json.loads(line)) for line in (one, two))
+        unit = np.finfo(float).eps * engine.cached_spectrum(spec).norm_bound
+        phase_term = n**p * np.abs(rows[:, :3]).sum(axis=1)
+        assert np.all(np.abs(e_one - e_two) <= 2 * (2 * 3 + phase_term) * unit)
+        scale = np.array([float(n**p)] * 3 + [float(n)] * 3)
+        assert np.all(np.abs(g_one - g_two) <= 2 * (3 + phase_term[:, None]) * unit * scale)
 
 
 @pytest.mark.parametrize("first,second", [

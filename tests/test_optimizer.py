@@ -210,6 +210,23 @@ class TestBfgs:
             assert (res.n_iters, res.n_evals, res.converged, res.termination) == (
                 alone.n_iters, alone.n_evals, alone.converged, alone.termination)
 
+    @pytest.mark.parametrize("n,p", [(512, 2), (256, 3), (257, 3), (1024, 3)])
+    def test_lockstep_circuit_runs_match_lone_runs(self, monkeypatch, n, p):
+        # the same on the circuit kernel, bit for bit, at m = 257 (the
+        # folded block and the sector, each with a padded odd half),
+        # m = 258 (no padding) and m = 1025; six steps per run keep it short
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 6)
+        spec = ProblemSpec(n, p, 1.0)
+        starts = np.array([l_init(2, spec, seed=seed).to_vector() for seed in range(3)])
+
+        def objective(points):
+            return energy_and_gradient(spec, points)
+
+        for start, res in zip(starts, bfgs_minimize(objective, starts, 0.0)):
+            (alone,) = bfgs_minimize(objective, start[None], 0.0)
+            np.testing.assert_array_equal(res.x, alone.x)
+            assert (res.n_iters, res.n_evals, res.termination) == (alone.n_iters, alone.n_evals, alone.termination)
+
     @pytest.mark.parametrize("x0", [[-1.2, 1.0], -1.2, [[[-1.2, 1.0]]], np.zeros((0, 2)), np.zeros((1, 0))],
                              ids=lambda x0: str(np.shape(x0)))
     def test_refuses_anything_but_a_start_array(self, x0):

@@ -10,8 +10,9 @@ from math import comb
 
 from hypothesis import example, given, settings, strategies as st
 
-from analytic_oracles import plus_amplitudes, x_eigenvectors
+from analytic_oracles import folded_x_eigenvectors, plus_amplitudes, x_eigenvectors
 from fullspace import (
+    block_to_sector,
     collective_x_matrix,
     dense_even_gap,
     embed_sector_state,
@@ -214,9 +215,10 @@ class TestBasis:
 
 
 def package_plus(n: int) -> np.ndarray:
-    """|+> of N sites as the package builds it: the top column of the
-    whole sector's collective-X eigenvectors."""
-    return x_spectral_decomposition(n, False).plus
+    """|+> of N sites as the package builds it, the top eigenvector of the
+    whole sector's collective X, in the natural order of its amplitudes."""
+    dec = x_spectral_decomposition(n, False)
+    return dec.plus[dec.order]
 
 
 class TestPlusState:
@@ -255,11 +257,31 @@ class TestPlusState:
         # within 0.51 eps of the exact values, so within 2 of their rounding
         dec = x_spectral_decomposition.__wrapped__(n, even_parity)
         exact = plus_amplitudes(n, even_parity)
-        assert np.max(np.abs(dec.plus - exact) / exact) <= 2 * np.finfo(float).eps
+        assert np.max(np.abs(dec.plus[dec.order] - exact) / exact) <= 2 * np.finfo(float).eps
+
+
+def unfolded(dec, dtype=float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues ascending and the dense V, rows in natural block
+    order, that a decomposition's folded F describes, computed in
+    ``dtype``: for s = 2, v_lam is (F_0 c, F_1 c) / sqrt(2) and v_-lam is
+    (F_0 c, -F_1 c) / sqrt(2) for column c of eigenvalue lam > 0, and the
+    lam = 0 column F_0 c; for s = 1, F_0 itself."""
+    folded, lam, order = dec.folded.astype(dtype), dec.eigenvalues, dec.order
+    if folded.shape[0] == 1:
+        return lam, folded[0][order]
+    even, odd = folded[0], folded[1]
+    positive = lam > 0
+    root = np.sqrt(dtype(2))
+    halves = np.concatenate([np.concatenate([even[:, positive], even[:, positive]], axis=1) / root,
+                             np.concatenate([odd[:, positive], -odd[:, positive]], axis=1) / root])
+    vec = np.concatenate([halves, np.concatenate([even[:, ~positive], odd[:, ~positive]])], axis=1)
+    mags = np.concatenate([lam[positive], -lam[positive], lam[~positive]])
+    rank = np.argsort(mags)
+    return mags[rank], vec[order][:, rank]
 
 
 def x_residual(n: int, even_parity: bool, vec: np.ndarray, lam: np.ndarray) -> float:
-    """max |X V - V diag(lam)|, in extended precision from the rounded V."""
+    """max |X V - V diag(lam)|, in extended precision from V."""
     work = np.longdouble
     i = np.arange(n, dtype=work)
     diag, off = np.zeros(n + 1, dtype=work), np.sqrt((i + 1) * (n - i))
@@ -289,20 +311,45 @@ class TestCollectiveX:
     @given(st.integers(min_value=1, max_value=256))
     @settings(max_examples=25, deadline=None)
     def test_spectrum_equals_magnetizations(self, n):
-        # exactly the integers, ascending
+        # exactly the integers, ascending: F's eigenvalues are those >= 0
+        # wherever the block is folded, and with their negatives they are
+        # the whole spectrum
         dec = x_spectral_decomposition(n, False)
         mags = np.sort(magnetizations(n))
-        assert np.array_equal(dec.eigenvalues, mags)
-        # the reflection-even block keeps the eigenvalues N - 2j with j even
+        assert np.array_equal(dec.eigenvalues, mags[mags >= 0])
+        assert np.array_equal(unfolded(dec)[0], mags)
+        # the reflection-even block keeps the eigenvalues N - 2j with j even;
+        # at odd N it has no +- pairs and is not folded
         even = x_spectral_decomposition(n, True)
         even_mags = np.sort(magnetizations(n)[::2])
-        assert np.array_equal(even.eigenvalues, even_mags)
+        assert np.array_equal(even.eigenvalues, even_mags if n % 2 else even_mags[even_mags >= 0])
+        assert np.array_equal(unfolded(even)[0], even_mags)
 
     def test_decomposition_reconstructs(self):
-        for n in (1, 5, 40):
-            dec = x_spectral_decomposition(n, False)
-            rebuilt = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
-            assert np.max(np.abs(rebuilt - collective_x_matrix(n))) < 1e-12
+        # collective X is lam swap(F^T x) in the folded layout: the halves'
+        # products F_s diag(lam) F_1-s^T rebuild it, in the stored order.
+        # Every case of the fold: odd p at odd and even N (a padded odd
+        # half), even p at N = 0 and 2 mod 4 (with and without lam = 0) and
+        # at odd N (unfolded)
+        for n, even_parity in [(1, False), (5, False), (40, False), (41, False), (1, True),
+                               (2, True), (4, True), (5, True), (6, True), (40, True), (41, True)]:
+            dec = x_spectral_decomposition(n, even_parity)
+            xmat = collective_x_matrix(n)
+            if even_parity:
+                d, e = reflection_even_tridiagonal(np.zeros(n + 1), np.diag(xmat, 1))
+                xmat = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            folded, lam, h = dec.folded, dec.eigenvalues, dec.eigenvalues.size
+            if folded.shape[0] == 1:
+                rebuilt = (folded[0] * lam) @ folded[0].T
+            else:
+                rebuilt = np.zeros((2 * h, 2 * h))
+                rebuilt[:h, h:] = (folded[0] * lam) @ folded[1].T
+                rebuilt[h:, :h] = (folded[1] * lam) @ folded[0].T
+            assert np.max(np.abs(rebuilt[np.ix_(dec.order, dec.order)] - xmat)) < 1e-12, (n, even_parity)
+            # the padding row, where there is one, is zero in F and in |+>
+            padding = np.setdiff1d(np.arange(dec.plus.size), dec.order)
+            assert padding.size == dec.plus.size - dec.order.size <= 1
+            assert not folded.reshape(dec.plus.size, -1)[padding].any() and not dec.plus[padding].any()
 
     def test_plus_state_is_top_eigenvector(self):
         for n in (2, 17, 100):
@@ -311,13 +358,20 @@ class TestCollectiveX:
             assert np.linalg.norm(xmat @ plus - n * plus) < 1e-10
 
     def test_refuses_an_oversized_decomposition(self, monkeypatch):
-        # V holds m^2 float64: 2^30 bytes admit m = 11585 states
-        limit = sector._MAX_MIXER_BYTES
-        assert 8 * 11585**2 <= limit < 8 * 11586**2
+        # F holds s h^2 float64 and the recurrence (N/2 + 2) rows of h
+        # longdouble: 2^30 bytes admit odd p up to N = 11583 (m = 11584),
+        # even p up to N = 18914 (m = 9458) and, unfolded, N = 13375 (m = 6688)
+        limit, wide = sector._MAX_MIXER_BYTES, np.dtype(sector._RECURRENCE_DTYPE).itemsize
+
+        def nbytes(n, fold, width):
+            return 8 * fold * width**2 + wide * (n // 2 + 2) * width
+
+        assert nbytes(11583, 2, 5792) <= limit < nbytes(11585, 2, 5793)
+        assert nbytes(18914, 2, 4729) <= limit < nbytes(18916, 2, 4730)
+        assert nbytes(13375, 1, 6688) <= limit < nbytes(13377, 1, 6689)
         x_spectral_decomposition.cache_clear()
-        monkeypatch.setattr(sector, "_MAX_MIXER_BYTES", 8 * 100**2)
-        assert x_spectral_decomposition(99, False).eigenvalues.size == 100
-        assert x_spectral_decomposition(199, True).eigenvalues.size == 100
+        monkeypatch.setattr(sector, "_MAX_MIXER_BYTES", nbytes(99, 2, 50))
+        assert x_spectral_decomposition(99, False).folded.shape == (2, 50, 50)
 
         def refuse(*args):
             raise AssertionError("built before the size check")
@@ -325,35 +379,47 @@ class TestCollectiveX:
         # refused before any array is built, the context's included
         monkeypatch.setattr(sector, "_x_off_diagonal", refuse)
         monkeypatch.setattr(engine, "sector_table", refuse)
-        with pytest.raises(ValueError, match=r"N = 100 \(m = 101 states\) would take 81608 bytes"):
-            x_spectral_decomposition(100, False)
-        with pytest.raises(ValueError, match=r"N = 200 \(m = 101 states\)"):
-            x_spectral_decomposition(200, True)
-        with pytest.raises(ValueError, match=r"N = 101 \(m = 102 states\)"):
-            CircuitContext(ProblemSpec(101, 3))
-        with pytest.raises(ValueError, match=r"N = 200 \(m = 101 states\)"):
-            CircuitContext(ProblemSpec(200, 2, 0.5))
+        cases = [
+            (lambda: x_spectral_decomposition(100, False), 100, 101, (2, 51, 51)),
+            (lambda: x_spectral_decomposition(200, True), 200, 101, (2, 51, 51)),
+            (lambda: x_spectral_decomposition(199, True), 199, 100, (1, 100, 100)),  # unfolded
+            (lambda: CircuitContext(ProblemSpec(101, 3)), 101, 102, (2, 51, 51)),
+            (lambda: CircuitContext(ProblemSpec(200, 2, 0.5)), 200, 101, (2, 51, 51)),
+        ]
+        for build, n, m, shape in cases:
+            message = f"N = {n} (m = {m} states) would take {nbytes(n, *shape[:2])} bytes, F of shape {shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
         # at the real limit, odd p at N = 20001 would take 3.2 GB
         monkeypatch.setattr(sector, "_MAX_MIXER_BYTES", limit)
-        with pytest.raises(ValueError, match=r"N = 20001 \(m = 20002 states\) would take 3200640032"):
+        with pytest.raises(ValueError, match=rf"N = 20001 \(m = 20002 states\) would take {nbytes(20001, 2, 10001)}"):
             x_spectral_decomposition(20001, False)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 32, 63, 64])
     @pytest.mark.parametrize("even_parity", [False, True])
     def test_matches_the_closed_form(self, n, even_parity):
-        # every entry within 2 eps of d^{N/2}(pi/2) from exact integers
+        # every entry of F within 2 eps of its half-column of d^{N/2}(pi/2)
+        # from exact integers, and |+> of its top column
         dec = x_spectral_decomposition(n, even_parity)
-        assert np.max(np.abs(dec.eigenvectors - x_eigenvectors(n, even_parity))) <= 2 * np.finfo(float).eps
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(dec.folded - folded_x_eigenvectors(n, even_parity))) <= 2 * eps
+        assert np.max(np.abs(dec.plus[dec.order] - x_eigenvectors(n, even_parity)[:, -1])) <= 2 * eps
 
     @pytest.mark.parametrize("even_parity", [False, True])
     def test_orthogonal_with_a_small_residual(self, even_parity):
         # orthogonality from float64 products, the residual in extended
         # precision
+        # of the rounded F: each half is orthonormal but for the zero
+        # half-column of lam = 0, and the V it describes, unfolded in
+        # extended precision, keeps the residual bound
         n, eps = 1024, np.finfo(float).eps
         dec = x_spectral_decomposition.__wrapped__(n, even_parity)
-        vec = dec.eigenvectors
-        assert np.max(np.abs(vec.T @ vec - np.eye(vec.shape[1]))) <= 8 * eps
-        assert x_residual(n, even_parity, vec, dec.eigenvalues) <= 0.5 * eps * n
+        for half in dec.folded:
+            gram = half.T @ half
+            assert np.max(np.abs(gram - np.diag(np.round(np.diag(gram))))) <= 8 * eps
+            assert np.sum(np.round(np.diag(gram))) >= half.shape[1] - 1
+        lam, vec = unfolded(dec, np.longdouble)
+        assert x_residual(n, even_parity, vec, lam) <= 0.5 * eps * n
 
     def test_float64_recurrence_keeps_its_bound(self, monkeypatch):
         # float64 is the working precision where longdouble is float64
@@ -363,12 +429,14 @@ class TestCollectiveX:
         monkeypatch.setattr(sector, "_RECURRENCE_DTYPE", np.float64)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             dec = x_spectral_decomposition.__wrapped__(n, False)
-        vec = dec.eigenvectors
-        assert np.isfinite(vec).all()
-        assert np.max(np.abs(vec.T @ vec - np.eye(n + 1))) <= 100 * eps
-        assert x_residual(n, False, vec, dec.eigenvalues) <= 10 * eps * n
+        assert np.isfinite(dec.folded).all()
+        for half in dec.folded:
+            gram = half.T @ half
+            assert np.max(np.abs(gram - np.diag(np.round(np.diag(gram))))) <= 100 * eps
+        lam, vec = unfolded(dec, np.longdouble)
+        assert x_residual(n, False, vec, lam) <= 10 * eps * n
         exact = plus_amplitudes(n)
-        assert np.max(np.abs(dec.plus - exact) / exact) <= 200 * eps
+        assert np.max(np.abs(dec.plus[dec.order] - exact) / exact) <= 200 * eps
 
     def test_one_cache_entry_per_block(self):
         with pytest.raises(TypeError):
@@ -483,7 +551,8 @@ class TestSectorTable:
         for spec in (ProblemSpec(n, 2, 1.1), ProblemSpec(n, 4, 0.3)):
             assert CircuitContext(spec).plus is block.plus
         assert x_spectral_decomposition.cache_info().misses == built
-        assert np.array_equal(block.plus, block.eigenvectors[:, -1])
+        assert block.folded.shape[0] == 1  # N odd: V itself, |+> its top column
+        assert np.array_equal(block.plus, block.folded[0, :, -1])
 
         def refuse(*args):
             raise AssertionError("x_spectral_decomposition called")
@@ -841,21 +910,10 @@ def scipy_sites(spec: ProblemSpec):
     top = (spec.n_sites, spec.n_sites)
     e_max = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=top)[0]
     ends = (float(w[0]), float(e_max))
-    v = v[:, 0]
-    dec = x_spectral_decomposition(spec.n_sites, spec.p_exponent % 2 == 0)
-    index, weight = dec.lift_index, dec.lift_weight
-    ground = v[index] * weight
+    ground = block_to_sector(spec.n_sites, spec.p_exponent, v[:, 0])
     if ground[np.argmax(np.abs(ground))] < 0:
         ground = -ground
     return gap, ends, ground.astype(complex)
-
-
-def scipy_x_decomposition(n: int, even_parity: bool):
-    """The collective-X eigendecomposition by scipy's ``eigh_tridiagonal``."""
-    diag, off = np.zeros(n + 1), np.sqrt((np.arange(n) + 1.0) * (n - np.arange(n)))
-    if even_parity:
-        diag, off = reflection_even_tridiagonal(diag, off)
-    return scipy.linalg.eigh_tridiagonal(diag, off)
 
 
 def count_lapack_calls(monkeypatch) -> list:
@@ -899,8 +957,7 @@ class TestLapackPath:
         assert np.array_equal(sector_ground_state(spec), ground)
         for even_parity in (False, True):
             dec = x_spectral_decomposition.__wrapped__(n, even_parity)
-            lam, vec = scipy_x_decomposition(n, even_parity)
-            assert dec.eigenvectors.strides == vec.strides  # the mixer GEMMs see one layout
+            assert dec.folded.flags.c_contiguous  # the mixer GEMMs see one layout
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_one_state_block(self, p):
@@ -910,7 +967,7 @@ class TestLapackPath:
         assert np.array_equal(sector_ground_state(spec), np.full(2, np.sqrt(0.5), dtype=complex))
         assert np.array_equal(sector_ground_state(spec), scipy_sites(spec)[2])
         dec = x_spectral_decomposition(1, True)
-        assert dec.eigenvalues.tolist() == [1.0] and dec.eigenvectors.tolist() == [[1.0]]
+        assert dec.eigenvalues.tolist() == [1.0] and dec.folded.tolist() == [[[1.0]]]
 
     @pytest.mark.parametrize(
         "n,p,h", [(2, 2, 0.5), (8, 2, 0.7), (9, 4, 0.7), (8, 3, 0.7), (1, 3, 0.5), (5, 2, 0.0)]
