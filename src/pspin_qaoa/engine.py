@@ -107,9 +107,10 @@ class CircuitContext:
 
     For even p every field describes the reflection-even block, for odd p the
     whole sector; the kernels do not tell the two apart. States are stored
-    folded (``XSpectralDecomposition``). Of ``spec`` only N and p are read:
-    no attribute depends on h. It holds ``xdec``'s arrays, and hz in the
-    stored order, 0 on the padding.
+    folded (``XSpectralDecomposition``): sector amplitude k is stored
+    amplitude ``lift_index[k]`` times ``lift_weight[k]``. Of ``spec`` only N
+    and p are read: no attribute depends on h. It holds ``xdec``'s arrays,
+    and builds one of its own: hz in the stored order, 0 on the padding.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -131,10 +132,14 @@ class CircuitContext:
 
     def phase_factors(self, gamma) -> np.ndarray:
         """exp(-i gamma hz) for an angle or an array of angles, shape
-        gamma.shape + (n,). An angle with |gamma| > 2^53 / max|hz| (a rounded
-        quotient: within an ulp of it either path is valid) is reduced mod
-        2 pi from the exact integers hz_k, derived from N and p, by
-        ``_exact_angles``; every other takes the float product."""
+        gamma.shape + (n,).
+
+        An angle with |gamma| > 2^53 / max|hz| (a rounded quotient: within an
+        ulp of it either path is valid) is reduced mod 2 pi from the exact
+        integers hz_k by ``_exact_angles``; every other takes the float
+        product. The integers are derived once per call that has such an
+        angle, from N and p, in the stored order.
+        """
         gamma = np.asarray(gamma, dtype=float)
         exact = np.abs(gamma) > self.exact_gamma
         if not exact.any():
@@ -158,44 +163,42 @@ class CircuitContext:
         angles, row r for state r."""
         return self._checked(state) * factors
 
-    def to_x_basis(self, state: np.ndarray) -> np.ndarray:
-        """F^T, half by half, on an (n,) state or each row of (R, n): X-eigenbasis coordinates."""
-        return self._gemm(self._to_x, state)
+    # F^T and F on the (..., s, h, 2) float64 pairs of stored states
+    # (``_store_views``), into the pairs ``out``: one real GEMM per half and
+    # row, rounded exactly as if that row came alone
+    def to_x_basis(self, pairs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.matmul(self._basis_t, pairs, out=out)
 
-    def from_x_basis(self, coords: np.ndarray) -> np.ndarray:
-        """F, half by half, on folded coordinates, (n,) or each row of (R, n): their states."""
-        return self._gemm(self._from_x, coords)
+    def from_x_basis(self, pairs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.matmul(self.xdec.folded, pairs, out=out)
 
     def apply_mixer(self, state: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """exp(-i beta Hx) = exp(i beta X) on an (n,) state, given the (h,)
         ``mixer_factors`` of beta, or on an (R, n) stack, given the (R, h)
         factors of R angles, row r for state r."""
-        coords = _store_views(self, self.to_x_basis(state))[1]
-        mixed = np.empty_like(coords)
-        _rotate(coords, *_cos_isin(np.expand_dims(factors, -2)), mixed, np.empty_like(coords))
-        return self.from_x_basis(mixed[..., ::-1, :].reshape(state.shape))
+        cos, isin = _cos_isin(np.expand_dims(factors, -2))
+        return self._through_x(
+            state, lambda c: _rotate(c, cos, isin, np.empty_like(c), np.empty_like(c))
+        )
 
     # kept only for bench/, goes with ROADMAP item 2
     def apply_x(self, state: np.ndarray) -> np.ndarray:
-        coords = _store_views(self, self.to_x_basis(state))[1]
-        return self.from_x_basis((self.xdec.eigenvalues * coords[..., ::-1, :]).reshape(state.shape))
+        return self._through_x(state, lambda c: self.xdec.eigenvalues * c)
 
-    # F^T and F on the (..., s, h, 2) float64 pairs of states: one real GEMM
-    # per half and row, rounded exactly as if that row came alone
-    def _to_x(self, pairs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return np.matmul(self._basis_t, pairs, out=out)
-
-    def _from_x(self, pairs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return np.matmul(self.xdec.folded, pairs, out=out)
-
-    def _gemm(self, kernel, state: np.ndarray) -> np.ndarray:
-        state = np.ascontiguousarray(self._checked(state), dtype=complex)
-        kernel(_store_views(self, state)[2], _store_views(self, out := np.empty_like(state))[2])
+    def _through_x(self, state: np.ndarray, layer) -> np.ndarray:
+        """F swap(layer(c)), c the (..., s, h) halves of F^T on an (n,) state
+        or (R, n) stack: ``layer`` maps them to new halves."""
+        state = np.ascontiguousarray(state, dtype=complex)
+        out, coords, pairs = _store_views(self, np.empty_like(state))
+        self.to_x_basis(_store_views(self, state)[2], pairs)
+        new = layer(coords)
+        self.from_x_basis(new.view(np.float64).reshape(new.shape + (2,))[..., ::-1, :, :], pairs)
         return out
 
     def _checked(self, state: np.ndarray) -> np.ndarray:
-        """``state``, refused unless its last axis holds the n stored amplitudes:
-        an (n, 1) column would broadcast against (n,) factors to (n, n)."""
+        """``state``, refused unless its last axis holds the n stored
+        amplitudes: an (n, 1) column would broadcast against the (n,) factors
+        into an (n, n) array."""
         if state.shape[-1:] != self.plus.shape:
             n = self.plus.size
             raise ValueError(f"a layer acts on a last axis of n = {n}, got shape {state.shape}")
@@ -204,8 +207,9 @@ class CircuitContext:
 
 def _store_views(ctx: CircuitContext, flat: np.ndarray) -> tuple:
     """A C-contiguous complex (..., n) array, its (..., s, h) halves and
-    their (..., s, h, 2) float64 pairs, all views of one memory."""
-    halves = flat.reshape(flat.shape[:-1] + ctx.halves)
+    their (..., s, h, 2) float64 pairs, all views of one memory; refused
+    like a layer's state unless the last axis holds the n amplitudes."""
+    halves = ctx._checked(flat).reshape(flat.shape[:-1] + ctx.halves)
     return flat, halves, halves.view(np.float64).reshape(halves.shape + (2,))
 
 
@@ -215,12 +219,13 @@ def _cos_isin(factors: np.ndarray):
     return (cos := factors.real.astype(complex)), factors - cos
 
 
-def _rotate(coords, cos, isin, out, work) -> None:
+def _rotate(coords, cos, isin, out, work) -> np.ndarray:
     """out = swap(cos c + isin swap(c)) = cos swap(c) + isin c, c the (..., s,
     h) halves ``coords``: the mixed coordinates with their halves exchanged,
     which the beta-derivative reads unswapped. swap is the identity at s = 1."""
     np.multiply(coords, isin, out=out)
     out += np.multiply(coords[..., ::-1, :], cos, out=work)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -275,18 +280,20 @@ def _forward(ctx: CircuitContext, gammas: np.ndarray, betas: np.ndarray):
     work, state, unswapped = np.empty_like(c), ctx.plus, mixed_pairs[:, :, ::-1]
     for layer in range(depth):  # the first phase layer broadcasts |+> to (R, n)
         np.multiply(state, phases[layer], out=post_phase[layer])
-        ctx._to_x(post_pairs[layer], c_pairs)
+        ctx.to_x_basis(post_pairs[layer], c_pairs)
         _rotate(c, cos[layer], isin[layer], mixed[layer], work)
-        ctx._from_x(unswapped[layer], psi_pairs)
+        ctx.from_x_basis(unswapped[layer], psi_pairs)
         state = psi
     return psi, phases, cos, isin, post_phase, (swapped, mixed, unswapped)
 
 
 def _block_energy(target: TargetSpectrum, phi: np.ndarray):
     """<phi|H|phi> of each row of an (R, m) stack in block order, as an (R,)
-    real array, and the (R, m) stack H|phi>. For a normalized state the
-    imaginary part of <phi|H|phi> is at most about m eps ||H||, and
-    ``norm_bound`` bounds ||H||: 1e-12 times the bound or more is refused.
+    real array, and the (R, m) stack H|phi>.
+
+    For a normalized state of m amplitudes the imaginary part of <phi|H|phi>
+    is at most about m eps ||H||, and the spectrum's ``norm_bound`` bounds
+    ||H||; an imaginary part of 1e-12 times the bound or more is refused.
     """
     h_phi = target.diag * phi  # the block tridiagonal (diag, off) times phi
     h_phi[..., :-1] += target.off * phi[..., 1:]
@@ -308,7 +315,9 @@ def residual_energy(spectrum: TargetSpectrum, energy_value: float) -> float:
     """
     slack = _ROUNDOFF * spectrum.norm_bound
     if not (spectrum.e_min - slack <= energy_value <= spectrum.e_max + slack):
-        raise ValueError(f"energy {energy_value} outside spectrum [{spectrum.e_min}, {spectrum.e_max}]")
+        raise ValueError(
+            f"energy {energy_value} outside spectrum [{spectrum.e_min}, {spectrum.e_max}]"
+        )
     if spectrum.e_max <= spectrum.e_min:
         return 0.0
     res = (energy_value - spectrum.e_min) / (spectrum.e_max - spectrum.e_min)
@@ -357,12 +366,14 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] % 2:
         raise ValueError(f"parameter rows must form an (R, 2P) array, P >= 1; got shape {x.shape}")
     x = _angles(x, "parameter rows")
-    ctx, depth = circuit_context(spec), x.shape[1] // 2
+    ctx = circuit_context(spec)
+    depth = x.shape[1] // 2
     # d/dgamma of the phase layer brings down +i M^p = -i hz, d/dbeta of
     # the mixer i lam swap(r)
     d_phase, d_mixer = 1j * -ctx.hz_float, 1j * ctx.xdec.eigenvalues
 
-    psi, phases, cos, isin, post_phase, (swapped, mixed, unswapped) = _forward(ctx, x[:, :depth], x[:, depth:])
+    forward = _forward(ctx, x[:, :depth], x[:, depth:])
+    psi, phases, cos, isin, post_phase, (swapped, mixed, unswapped) = forward
     e_val, h_phi = _block_energy(cached_spectrum(spec), psi.take(ctx.order, axis=-1))
     adj, _, adj_pairs = _store_views(ctx, np.zeros_like(psi))
     adj[:, ctx.order] = h_phi
@@ -377,10 +388,10 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
     b, b_halves, b_pairs = _store_views(ctx, np.empty_like(psi))
     work = np.empty_like(b_halves)
     for layer in reversed(range(depth)):
-        ctx._to_x(adj_pairs, b_pairs)
+        ctx.to_x_basis(adj_pairs, b_pairs)
         overlaps[:, depth + layer] = np.vecdot(b, swapped[layer])
         _rotate(b_halves, cos[layer], undo_isin[layer], mixed[layer], work)
-        ctx._from_x(unswapped[layer], adj_pairs)
+        ctx.from_x_basis(unswapped[layer], adj_pairs)
         overlaps[:, layer] = np.vecdot(adj, d_gamma[layer])
         adj *= undo_phase[layer]
     return e_val, 2.0 * overlaps.real
@@ -388,10 +399,13 @@ def energy_and_gradient(spec: ProblemSpec, x: np.ndarray):
 
 def evaluate(spec: ProblemSpec, params: QaoaParams) -> EvaluationRecord:
     """Energy, residual, fidelity and equivalent annealing time in one record.
-    The energy is ``energy_and_gradient``'s, bit for bit; the fidelity is the
-    block overlap with the ``cached_spectrum``'s ``ground``. Those of the
-    lifted state sum the same terms in another order; the tests hold the
-    gaps to 1e-14 (for the energy, times ``norm_bound``)."""
+
+    The energy is ``energy_and_gradient``'s, bit for bit, within its bound
+    (2 P + max|hz| sum_l |gamma_l|) eps ``norm_bound``; the fidelity is the
+    block overlap with the ``cached_spectrum``'s ``ground``. The energy and
+    fidelity of the lifted state sum the same terms in another order; the
+    tests hold the gaps to 1e-14 (for the energy, times ``norm_bound``).
+    """
     target, ctx = cached_spectrum(spec), circuit_context(spec)
     phi = _forward(ctx, params.gammas[None], params.betas[None])[0].take(ctx.order, axis=-1)
     e_val = float(_block_energy(target, phi)[0][0])

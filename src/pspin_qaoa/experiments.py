@@ -259,9 +259,12 @@ def minimal_gap(n_sites: int, p: int, h_center: float) -> tuple[float, float]:
     where Brent's relative term sqrt(eps) |u| is negligible, and the smaller
     of the two gaps is returned. Either way no gap is finer than LAPACK's
     floor: each eigenvalue is accurate to a few ulp of the Gershgorin bound
-    on the target, about N (1 + h). Each step validates a new
-    ``ProblemSpec`` (its fast path) and makes one ``dynamical_gap`` call: one
-    dstebz call on the block built from the cached sector table.
+    on the target, about N (1 + h).
+
+    Each step validates a new ``ProblemSpec``, on its fast path for a plain
+    int N and p and float h, and calls ``dynamical_gap``, which builds the
+    dynamics block from the cached sector table, guards it with one dot
+    product per array and makes one dstebz call.
     """
 
     def gap_at(h):

@@ -5,13 +5,17 @@ zoom, Nocedal-Wright style), written from scratch so that termination,
 iteration counts and determinism are fully under our control. Each run is a
 generator of trial points, so the restarts of a multi-start step in
 lock-step and share one batched energy/gradient call per round; a single
-run is the batch of one. Every run reports why it stopped (``Termination``,
-see ``bfgs_minimize``): an Armijo comparison cannot tell a decrease below the
-rounding scatter of f from the scatter itself, so a zoom whose next trial
-step predicts such a decrease ends ("roundoff") instead of bisecting on noise
-until it fails (compare Shi, Xie, Byrd & Nocedal, SIAM J. Optim. 2022, on
-BFGS with noisy function values); a run gives up only where steepest descent
-fails.
+run is the batch of one.
+
+Every run reports why it stopped (``Termination``, see ``bfgs_minimize``).
+An Armijo comparison cannot tell a decrease below the rounding scatter of f
+from the scatter itself, so a zoom whose next trial step predicts such a
+decrease ends ("roundoff") instead of bisecting on noise until it fails
+(compare Shi, Xie, Byrd & Nocedal, SIAM J. Optim. 2022, on BFGS with noisy
+function values). A noise-free objective has scatter 0. A run counts as
+converged when it stops "grad_tol" or "roundoff". A search that fails
+along a quasi-Newton direction, a non-descent one included, is retried once
+along -g from the identity: a run gives up only where steepest descent fails.
 """
 
 from __future__ import annotations
@@ -336,16 +340,20 @@ def _bfgs(x0: np.ndarray, noise_floor: float):
 
 def _noise_floor(spec: ProblemSpec) -> float:
     """The rounding scatter of ``energy_and_gradient``'s energy near
-    optimized points: 4 eps ||H||, ||H|| bounded by ``norm_bound``. Measured
-    as the standard deviation of E(x + d) - E(x) - g.d over 32 random d of
-    1e-12 relative size, at l-init BFGS optima for N in {32, 128, 512, 1024}
-    (p = 2, h = 1; p = 3, h = 2 for N <= 128) and P in {1, 15, P*}, with the
-    dense kernel: in units of eps norm_bound 0.2-0.5 at P = 1, 0.8-1.8 at
-    P = 15, 1.4-2.4 at P* <= 66, and 5.7, 8 and 25 at P = 129, 258 and 514.
-    So 4 is about twice the scatter up to P of a few tens. A floor above the
-    scatter cuts searches that still make progress: with 16 and 64 in place
-    of 4, the l-init mean residual at N=32, p=3, h=2, P=15 (20 restarts)
-    rose from 1.586e-9 by 0.3% and 11%.
+    optimized points: 4 eps ||H||, with ||H|| bounded by the spectrum's
+    ``norm_bound``.
+
+    Measured as the standard deviation of E(x + d) - E(x) - g.d over 32
+    random d of 1e-12 relative size, at points that l-init BFGS reached for
+    N in {32, 128, 512, 1024} (p = 2, h = 1; and p = 3, h = 2 for N <= 128)
+    and P in {1, 15, P*}. In units of eps norm_bound it was 0.2-0.5 at
+    P = 1, 0.8-1.8 at P = 15 and 1.4-2.4 at P* <= 66; it grows with depth,
+    to 5.7 at P = 129 and 8 and 25 at P = 258 and 514. So 4 is about twice
+    the scatter up to P of a few tens; deeper circuits meet the floor later
+    than their scatter would allow. A floor above the scatter cuts searches
+    that still make progress: with 16 and 64 in place of 4, the l-init mean
+    residual at N=32, p=3, h=2, P=15 (20 restarts) rose from 1.586e-9 by
+    0.3% and 11%.
     """
     return 4.0 * np.finfo(float).eps * cached_spectrum(spec).norm_bound
 
@@ -360,11 +368,14 @@ def optimize(
 
     One restart per seed, a single one being the batch of one, all run in
     lock-step through one batched ``energy_and_gradient`` call per round;
-    returns a tuple of results in the order of ``seeds``. The gamma
-    coordinates are rescaled by N^(p-1), a diagonal preconditioner that does
-    not change the reported optimum: the phase layer winds as gamma M^p with
-    |M^p| up to N^p, so the raw curvature is wildly anisotropic between gamma
-    and beta. The line searches stop at the rounding scatter, ``_noise_floor``.
+    returns a tuple of results in the order of ``seeds``.
+
+    Internally the gamma coordinates are rescaled by N^(p-1): the phase layer
+    winds as gamma M^p with |M^p| up to N^p, so the raw landscape curvature is
+    wildly anisotropic between gamma and beta directions. The rescaling acts
+    as a diagonal preconditioner and does not change the reported optimum.
+
+    The line searches stop at the energy's rounding scatter, ``_noise_floor``.
     """
     if not isinstance(seeds, Sequence) or not seeds:
         raise ValueError(f"seeds must be a non-empty sequence, got {type(seeds).__name__} {seeds!r}")

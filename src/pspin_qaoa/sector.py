@@ -4,10 +4,13 @@ The fully-connected p-spin Hamiltonian commutes with total spin, and the
 dynamics we simulate starts from the fully x-polarized state, so everything
 lives in the (N+1)-dimensional Dicke subspace labeled by the magnetization
 M_k = N - 2k, with k the number of down spins. In that basis the target is
-the tridiagonal ``target_tridiagonal(spec)``. The cached ``sector_table``
-builds, once per (N, p) and read-only, all that does not depend on the
-field h: the float image of the exact integers -(M_k)^p, the target
-diagonal and the collective-X off-diagonal.
+the tridiagonal ``target_tridiagonal(spec)``.
+
+Everything that does not depend on the field h is built once per (N, p) per
+process by the cached ``sector_table``: the float image of the exact
+integers -(M_k)^p, the target diagonal and the collective-X off-diagonal,
+all read-only. The target, the circuit context, the energy, the gap and the
+spectrum read it instead of rebuilding it.
 
 For even p the target, the phase and the mixer also commute with the spin
 flip k -> N - k, and |+> is even under it, so the dynamics stays in the
@@ -15,24 +18,26 @@ reflection-even block of floor(N/2)+1 states, again tridiagonal. For odd p
 it uses the whole sector. ``dynamics_block`` picks that block for any
 sector tridiagonal; the circuit, the dynamical gap and the ground state all
 work in it. ``x_spectral_decomposition`` builds its parity-folded basis once
-per (N, parity), from X's closed form: collective X, |+> and the lift.
+per (N, parity), from X's closed form: collective X, |+> and the lift to
+the sector.
 
 The target's spectra are of symmetric tridiagonals, and ``_tridiagonal_eigh``
 is the one path to LAPACK: bisection (dstebz) for eigenvalues selected by
-index, inverse iteration (dstein) for their vectors, the routines and
-arguments ``scipy.linalg.eigh_tridiagonal`` picks, so the numbers are the
-same bit for bit, without its per-call argument handling. Its guards are
-kept, as one dot product per array, and the eigenvalue count is checked: a
-non-finite entry, a nonzero LAPACK ``info`` or a short count raises
-``LinAlgError``, which ``dynamical_gap`` passes on and ``diagonalize_target``
-raises as ``RuntimeError``. ``ProblemSpec`` refuses a field large enough to
-overflow the solvers, so no accepted spec reaches those guards.
+index, inverse iteration (dstein) for their vectors. These are the routines,
+with the arguments, that ``scipy.linalg.eigh_tridiagonal`` picks, so the
+numbers are the same bit for bit, without its per-call argument handling.
+Its guards are kept, as one dot product per array, and the eigenvalue
+count is checked too: a non-finite entry, a nonzero LAPACK ``info`` or a
+short count raises ``LinAlgError``, which ``dynamical_gap`` passes on and
+``diagonalize_target`` raises as ``RuntimeError``. ``ProblemSpec`` refuses
+a field large enough to overflow the solvers, so no accepted spec reaches
+those guards.
 
-``lapack`` is scipy's compiled extension ``scipy.linalg._flapack``, whose
-routines ``scipy.linalg.lapack`` re-exports, loaded from its file by
-``_load_flapack``: importing ``scipy.linalg`` would run its package init,
-which pulls in numpy.f2py, numpy.testing and numpy.ma, unused here, about
-two thirds of a cold start.
+``lapack`` is scipy's compiled extension ``scipy.linalg._flapack``, the
+module whose routines ``scipy.linalg.lapack`` re-exports, loaded from its
+file by ``_load_flapack``. Importing ``scipy.linalg`` instead would run its
+package init, which pulls in numpy.f2py, numpy.testing and numpy.ma, none
+of which this package uses: about two thirds of a cold start.
 """
 
 from __future__ import annotations
@@ -97,14 +102,16 @@ _RECURRENCE_DTYPE = np.longdouble  # the precision of ``x_spectral_decomposition
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """The triple (N, p, h) defining the target Hamiltonian. A field with
-    h (N + 1) >= 2^448 is refused with an OverflowError: every off-diagonal
-    entry of the sector target, and of its block, is at most h (N + 1) /
-    sqrt(2), and LAPACK's bisection (dstebz) squares each one, so from
-    h (N + 1) = 2^512.5 on it overflows; inverse iteration (dstein) multiplies
-    such squares by further factors, and returned a NaN ground state with
-    info = 0 from about h (N + 1) = 2^476 on (p = 3, N = 256 .. 16384,
-    measured). The bound keeps every square below 2^896.
+    """The triple (N, p, h) defining the target Hamiltonian.
+
+    A field with h (N + 1) >= 2^448 is refused with an OverflowError. Every
+    off-diagonal entry of the sector target, and of its reflection-even
+    block, is at most h (N + 1) / sqrt(2), and LAPACK's bisection (dstebz)
+    squares each one, so from h (N + 1) = 2^512.5 on it overflows; inverse
+    iteration (dstein) multiplies such squares by further size and growth
+    factors, and returned a NaN ground state with info = 0 from about
+    h (N + 1) = 2^476 on (p = 3, N = 256 .. 16384, measured). The bound keeps
+    every square below 2^896.
     """
 
     n_sites: int
@@ -250,16 +257,18 @@ def gershgorin_bound(diag: np.ndarray, off: np.ndarray) -> float:
 
 
 def reflection_even_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The reflection-even block of a mirror-symmetric sector tridiagonal,
-    as new arrays (diagonal, off-diagonal). ``diag`` (length N+1) and ``off``
-    (length N) must be symmetric under k -> N - k. In the basis
-    (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for even N, the block has
-    floor(N/2)+1 states and is again tridiagonal:
+    """The reflection-even block of a mirror-symmetric sector tridiagonal.
+
+    ``diag`` (length N+1) and ``off`` (length N) must be symmetric under
+    k -> N - k. In the basis (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for
+    even N, the block has floor(N/2)+1 states and is again tridiagonal:
 
     - odd N: diagonal diag[:(N+1)/2] whose last entry gains off[(N-1)/2], the
       coupling of the two middle states; off-diagonal off[:(N-1)/2];
     - even N: diagonal diag[:N/2+1]; off-diagonal off[:N/2] with its last
       entry, the coupling to |N/2>, times sqrt(2).
+
+    Returns new arrays (diagonal, off-diagonal).
     """
     n = off.size
     half = (n + 1) // 2
@@ -287,17 +296,19 @@ def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, index, vectors: bool = True)
     """Eigenvalues lo..hi (from 0), ``index = (lo, hi)``, of the symmetric
     tridiagonal (d, e), ascending, and with ``vectors`` their orthonormal
     eigenvectors as columns: ``(w, v)`` or ``w``. The eigenvalues come from
-    bisection, dstebz with range "I" and abstol 0, each accurate to a few ulp
-    of the Gershgorin bound of (d, e); the vectors from dstein. A 1x1 matrix
-    is its own spectrum (f2py refuses an empty off-diagonal). Raises
+    bisection, dstebz with range "I" and abstol 0, so each is accurate to a
+    few ulp of the Gershgorin bound of (d, e); the vectors from dstein. A 1x1
+    matrix is its own spectrum (f2py refuses an empty off-diagonal). Raises
     LinAlgError for a non-finite entry, a nonzero LAPACK ``info``, fewer
     eigenvalues than selected, or a non-finite dstein vector (dstein can
-    overflow with info = 0). The entry guard is one BLAS dot per array, d.d
-    and e.e, in which NaN and inf propagate, so it also refuses finite
-    entries whose squares sum past the float range (numpy warns first);
-    dstebz squares the off-diagonal, so 2^512 is out of its range anyway. No
-    ``ProblemSpec`` reaches that: with h (N + 1) < 2^448 and N < 2^64 both
-    sums stay below 2^960.
+    overflow with info = 0).
+
+    The entry guard is one BLAS dot per array, d.d and e.e, in which NaN and
+    inf propagate. So it also refuses finite entries whose squares sum past
+    the float range (numpy warns of that overflow first); dstebz squares the
+    off-diagonal, so an entry of 2^512 or more is out of its range anyway.
+    No ``ProblemSpec`` reaches that: with h (N + 1) < 2^448 and N < 2^64
+    both sums stay below 2^960.
     """
     if not (isfinite(d.dot(d)) and isfinite(e.dot(e))):
         raise LinAlgError("the tridiagonal has a non-finite entry, or its squares overflow")
@@ -337,9 +348,10 @@ def x_spectral_decomposition(n_sites: int, even_parity: bool, /) -> XSpectralDec
 
     Error by longdouble: 80-bit (x86-64 Linux) measured F within 0.25 eps of
     sqrt(2) d^{N/2}(pi/2) to N = 65, and to N = 2048 |+> within 0.51 eps
-    relative, |F_s^T F_s - I| <= 6 eps, |X V - V lam| <= 0.11 eps N for the
-    V that F folds. IEEE quad (aarch64 Linux) and float64 (Windows; here
-    76 eps, 12.3 eps N, 67 eps) unverified.
+    relative, each F_s^T F_s within 6 eps of I (0 at half 1's lam = 0, whose
+    v_lam has no odd rows), |X V - V lam| <= 0.11 eps N for the V F folds.
+    IEEE quad (aarch64 Linux) and float64 (Windows; here 76 eps, 12.3 eps N,
+    67 eps) unverified.
     """
     n, half, work = n_sites, n_sites // 2, _RECURRENCE_DTYPE
     dim, fold = (half + 1, 2 - n % 2) if even_parity else (n + 1, 2)
@@ -367,38 +379,44 @@ def x_spectral_decomposition(n_sites: int, even_parity: bool, /) -> XSpectralDec
     vec[:pairs] *= np.sqrt(work(2 if even_parity else 1))  # sqrt(2) on a pair state
     order = np.arange(dim) % fold * width + np.arange(dim) // fold  # where block amplitude k is stored
     k = np.arange(n + 1)
-    index = order[np.minimum(k, n - k)] if even_parity else order
+    mirror = np.minimum(k, n - k)  # the recurrence row of sector amplitude k
+    index = order[mirror] if even_parity else order
     weight = np.where(even_parity & (2 * k != n), np.sqrt(0.5), 1.0)
     plus, folded = np.zeros(fold * width, dtype=complex), np.zeros((fold, width, width))
-    plus[order[: half + 1]] = vec[:, -1]
+    plus[order] = vec[mirror[:dim], -1]
     vec *= np.sqrt(np.where(lam == 0, work(1), work(fold)))  # each half-column of unit norm
-    folded.reshape(-1, width)[order[: half + 1]] = vec  # row order[k] holds block amplitude k
-    if not even_parity:  # rows k > N/2 of the sector mirror N - k
-        plus[order[half + 1 :]] = plus[order[(n - 1) // 2 :: -1]]
-        folded.reshape(-1, width)[order[half + 1 :]] = parity * vec[(n - 1) // 2 :: -1]
+    rows = folded.reshape(-1, width)  # row order[k] holds block amplitude k
+    for row in range(dim):  # one at a time, no temporary; past N/2 the sector mirrors N - k
+        np.multiply(vec[mirror[row]], parity if row > half else 1, out=rows[order[row]])
     for arr in (lam, folded, plus, order, index, weight):
         arr.setflags(write=False)
     return XSpectralDecomposition(lam, folded, plus, order, index, weight)
 
 
 def dynamical_gap(spec: ProblemSpec) -> float:
-    """Spectral gap relevant for dynamics started from the x-polarized state:
-    E1 - E0 within ``dynamics_block``. For even p the full-sector gap
-    collapses to an exponentially small parity splitting below the critical
-    field, but the dynamics never couples the two parity sectors, so the gap
-    is taken within the reflection-even block; for odd p it is the
-    full-sector gap.
+    """Spectral gap relevant for dynamics started from the x-polarized state.
 
-    The two lowest eigenvalues come from one LAPACK bisection (dstebz) in
-    O(N), on the sector off-diagonal -h x_off of the cached ``sector_table``
-    (the diagonal is its read-only array) or, for even p, the block built
-    from those. The only check is ``_tridiagonal_eigh``'s entry guard. Each
-    eigenvalue is accurate to a few ulp of the Gershgorin bound
-    max|d| + 2 max|o| of the sector ``target_tridiagonal``; the tests hold
-    the gap to 1e-13 times that bound against 40-digit mpmath and dense
-    eigensolvers. The bound is absolute: below the critical field the gap
-    can be exponentially small. Raises ValueError for N = 1 with even p,
-    whose block has one state, and LinAlgError if dstebz fails.
+    This is the gap E1 - E0 within ``dynamics_block``. For even p the
+    full-sector gap collapses to an exponentially small parity splitting
+    below the critical field, but the dynamics never couples the two parity
+    sectors, so the gap is taken within the reflection-even block; for odd p
+    there is no such symmetry and it is the full-sector gap.
+
+    Either way the block is tridiagonal, and its two lowest eigenvalues come
+    from one LAPACK bisection (dstebz) in O(N). A call builds the sector
+    off-diagonal -h x_off from the cached ``sector_table`` (the diagonal is
+    its read-only array) and, for even p, the block's two arrays from those.
+    It validates nothing the spec has not: the only check is
+    ``_tridiagonal_eigh``'s entry guard, one dot product per array. Each
+    eigenvalue is accurate to a few ulp of
+    max|d| + 2 max|o|, with d and o the sector diagonal and off-diagonal of
+    ``target_tridiagonal``: the Gershgorin bound on the norm. The tests hold
+    the gap to 1e-13 times that bound against 40-digit mpmath and against
+    dense eigensolvers. The bound is absolute: below the critical field the
+    gap can be exponentially small.
+
+    Raises ValueError for N = 1 with even p, whose block has one state, and
+    LinAlgError if dstebz fails.
     """
     d, e = dynamics_block(spec.p_exponent, *target_tridiagonal(spec))
     if d.size < 2:
@@ -416,26 +434,29 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
     reach, all that the circuit reads of h.
 
     The ground state is the lowest eigenvector of ``dynamics_block`` (dstebz,
-    then dstein), in natural block order, signed so that its largest
-    amplitude is positive; e_min is its eigenvalue. For even p it is the
-    reflection-even ground state, exactly mirror-symmetric like the circuit
-    state: below the critical field the sector's even and odd ground states
-    split by an exponentially small amount, so the sector's lowest
-    eigenvector would mix the two. Either way the block holds a sector
-    ground state, so e_min is the sector's: for h > 0 the sector and the
-    block are irreducible tridiagonals with negative off-diagonal, whose
-    ground states are unique and positive (Perron-Frobenius); at h = 0 it is
-    block state 0, of energy -N, for even p the cat state (|0> + |N>)/sqrt(2).
-    e_max is the top of the sector, one more bisection without vectors: for
-    even p and odd N the top state is reflection-odd, outside the block.
+    then inverse iteration, dstein), kept in block coordinates in natural
+    order and signed so that its largest amplitude is positive; e_min is its
+    eigenvalue. For even p it is the reflection-even ground state, which lifts
+    to an exactly mirror-symmetric sector state like the circuit state: below
+    the critical field the full sector's even and odd ground states split by
+    an exponentially small amount, so its lowest eigenvector would be an
+    arbitrary mix of the two. Either way the block holds a ground state of the
+    sector, so e_min is the sector's. For h > 0 the sector and the block are
+    irreducible tridiagonals with negative off-diagonal, whose ground states
+    are unique and positive (Perron-Frobenius), so reflection-even; at h = 0
+    it is block state 0, of energy -N, which for even p lifts to the cat state
+    (|0> + |N>)/sqrt(2). e_max is the top of the sector, one more bisection
+    without eigenvectors: for even p and odd N the top state is
+    reflection-odd, so the block would miss it.
 
     Both ends are accurate to a few ulp of ``norm_bound``, the
-    ``gershgorin_bound`` of the sector tridiagonal; the tests hold them to
-    1e-13 times that bound against 40-digit mpmath, and e_min within 2 eps
-    ``norm_bound`` of the sector's own bisection (bit for bit for odd p). The
-    ground state is within about eps ||H|| / ``dynamical_gap`` in norm,
-    ill-conditioned, with any fidelity against it, where that gap is
-    exponentially small (odd p near the critical field). A LAPACK failure
+    ``gershgorin_bound`` of the sector diagonal and off-diagonal; the tests
+    hold them to 1e-13 times that bound against 40-digit mpmath, and e_min
+    within 2 eps ``norm_bound`` of the sector's own bisection (bit for bit
+    for odd p, where the block is the sector). The ground state is within
+    about eps ||H|| / ``dynamical_gap`` in norm; for odd p near the critical
+    field that gap is exponentially small, so the ground state, and any
+    fidelity taken against it, is ill-conditioned there. A LAPACK failure
     raises RuntimeError.
     """
     diag, off = target_tridiagonal(spec)

@@ -198,11 +198,17 @@ class TestMixerLayer:
 LAYERS = ["apply_phase", "to_x_basis", "from_x_basis", "apply_mixer", "apply_x"]
 
 
-def layer_factors(ctx, method, angles):
-    """The factors ``method`` takes for ``angles``: none, or those of the
-    phase or mixer layer."""
-    return {"apply_phase": (ctx.phase_factors(angles),),
-            "apply_mixer": (ctx.mixer_factors(angles),)}.get(method, ())
+def apply_layer(ctx, method, state, angles):
+    """``method`` on ``state`` with the factors it takes for ``angles``:
+    those of the phase or mixer layer, or none. F^T and F act on the
+    stored pairs of the state, into those of a new array."""
+    if method in ("to_x_basis", "from_x_basis"):
+        out = np.empty_like(state)
+        getattr(ctx, method)(engine._store_views(ctx, state)[2], engine._store_views(ctx, out)[2])
+        return out
+    factors = {"apply_phase": (ctx.phase_factors(angles),),
+               "apply_mixer": (ctx.mixer_factors(angles),)}.get(method, ())
+    return getattr(ctx, method)(state, *factors)
 
 
 class TestBlockKernel:
@@ -218,15 +224,15 @@ class TestBlockKernel:
         ctx = context(8, 3)
         column = random_vector(ctx.plus.size, 12)[:, None]
         with pytest.raises(ValueError, match=r"shape \(10, 1\)"):
-            getattr(ctx, method)(column, *layer_factors(ctx, method, 0.3))
+            apply_layer(ctx, method, column, 0.3)
 
     @pytest.mark.parametrize("method", LAYERS)
     @pytest.mark.parametrize("n,p", [(1, 2), (1, 3), (8, 2), (129, 3)])
     def test_lone_state_is_row_zero_of_its_stack(self, method, n, p):
         ctx = context(n, p)
         psi = random_vector(ctx.plus.size, 13)
-        lone = getattr(ctx, method)(psi, *layer_factors(ctx, method, 0.3))
-        stack = getattr(ctx, method)(psi[None], *layer_factors(ctx, method, np.array([0.3])))
+        lone = apply_layer(ctx, method, psi, 0.3)
+        stack = apply_layer(ctx, method, psi[None], np.array([0.3]))
         assert lone.shape == psi.shape and stack.shape == (1, psi.size)
         np.testing.assert_array_equal(lone, stack[0])
 
@@ -371,12 +377,9 @@ class TestAdjointSweep:
 
     @pytest.mark.parametrize("n,p,depth", [(9, 3, 1), (12, 2, 4), (33, 3, 15)])
     def test_calls_each_mixer_half_twice_per_layer(self, monkeypatch, n, p, depth):
-        # the sweeps make their GEMMs on the stores' float64 pairs, through
-        # the kernels that to_x_basis and from_x_basis wrap
         spec = ProblemSpec(n, p, 0.7)
         circuit_context(spec)
-        names = ("_to_x", "_from_x", "to_x_basis", "from_x_basis", "apply_mixer", "apply_x")
-        calls = {name: 0 for name in names}
+        calls = {name: 0 for name in ("to_x_basis", "from_x_basis", "apply_mixer", "apply_x")}
 
         def counting(name):
             method = getattr(engine.CircuitContext, name)
@@ -391,8 +394,8 @@ class TestAdjointSweep:
             monkeypatch.setattr(engine.CircuitContext, name, counting(name))
         rows = np.array([random_angles(spec, depth, seed) for seed in range(2)])
         energy_and_gradient(spec, rows)
-        assert calls == {"_to_x": 2 * depth, "_from_x": 2 * depth, "to_x_basis": 0,
-                         "from_x_basis": 0, "apply_mixer": 0, "apply_x": 0}
+        assert calls == {"to_x_basis": 2 * depth, "from_x_basis": 2 * depth,
+                         "apply_mixer": 0, "apply_x": 0}
 
 
 def dense_energy_and_gradient(spec, x):

@@ -4,6 +4,7 @@ import pytest
 import re
 import scipy.linalg
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
@@ -280,6 +281,17 @@ def unfolded(dec, dtype=float) -> tuple[np.ndarray, np.ndarray]:
     return mags[rank], vec[order][:, rank]
 
 
+def folded_gram(dec) -> np.ndarray:
+    """The exact F_s^T F_s of each half: the identity, but for a 0 in half 1
+    at the column of lam = 0. X's recurrence at lam = 0 gives v_1 = 0 and so
+    zero odd rows: that eigenvector lives in half 0 alone."""
+    s, h = dec.folded.shape[:2]
+    gram = np.stack([np.eye(h)] * s)
+    if s == 2:
+        gram[1][dec.eigenvalues == 0, dec.eigenvalues == 0] = 0.0
+    return gram
+
+
 def x_residual(n: int, even_parity: bool, vec: np.ndarray, lam: np.ndarray) -> float:
     """max |X V - V diag(lam)|, in extended precision from V."""
     work = np.longdouble
@@ -395,6 +407,26 @@ class TestCollectiveX:
         with pytest.raises(ValueError, match=rf"N = 20001 \(m = 20002 states\) would take {nbytes(20001, 2, 10001)}"):
             x_spectral_decomposition(20001, False)
 
+    @pytest.mark.parametrize("n,even_parity", [(1025, False), (1024, False), (1024, True), (1023, True)])
+    def test_the_count_is_the_peak_of_the_build(self, n, even_parity):
+        # F and the recurrence's rows are all the build holds at once: the
+        # mirrored rows of the sector are written without a temporary, and
+        # the rest of the traced peak is row-sized (1.02-1.06 here, where a
+        # half-size mirror temporary read 1.54)
+        half = n // 2
+        dim, fold = (half + 1, 2 - n % 2) if even_parity else (n + 1, 2)
+        width = -(-dim // fold)
+        wide = np.dtype(sector._RECURRENCE_DTYPE).itemsize
+        nbytes = 8 * fold * width**2 + wide * (half + 2) * width
+        tracemalloc.start()
+        try:
+            dec = x_spectral_decomposition.__wrapped__(n, even_parity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.folded.shape == (fold, width, width)
+        assert nbytes <= peak <= 1.1 * nbytes
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 32, 63, 64])
     @pytest.mark.parametrize("even_parity", [False, True])
     def test_matches_the_closed_form(self, n, even_parity):
@@ -407,17 +439,12 @@ class TestCollectiveX:
 
     @pytest.mark.parametrize("even_parity", [False, True])
     def test_orthogonal_with_a_small_residual(self, even_parity):
-        # orthogonality from float64 products, the residual in extended
-        # precision
-        # of the rounded F: each half is orthonormal but for the zero
-        # half-column of lam = 0, and the V it describes, unfolded in
-        # extended precision, keeps the residual bound
+        # orthogonality of the rounded F from float64 products, the residual
+        # of the V it folds, unfolded in extended precision
         n, eps = 1024, np.finfo(float).eps
         dec = x_spectral_decomposition.__wrapped__(n, even_parity)
-        for half in dec.folded:
-            gram = half.T @ half
-            assert np.max(np.abs(gram - np.diag(np.round(np.diag(gram))))) <= 8 * eps
-            assert np.sum(np.round(np.diag(gram))) >= half.shape[1] - 1
+        for half, expected in zip(dec.folded, folded_gram(dec)):
+            assert np.max(np.abs(half.T @ half - expected)) <= 8 * eps
         lam, vec = unfolded(dec, np.longdouble)
         assert x_residual(n, even_parity, vec, lam) <= 0.5 * eps * n
 
@@ -430,9 +457,8 @@ class TestCollectiveX:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             dec = x_spectral_decomposition.__wrapped__(n, False)
         assert np.isfinite(dec.folded).all()
-        for half in dec.folded:
-            gram = half.T @ half
-            assert np.max(np.abs(gram - np.diag(np.round(np.diag(gram))))) <= 100 * eps
+        for half, expected in zip(dec.folded, folded_gram(dec)):
+            assert np.max(np.abs(half.T @ half - expected)) <= 100 * eps
         lam, vec = unfolded(dec, np.longdouble)
         assert x_residual(n, False, vec, lam) <= 10 * eps * n
         exact = plus_amplitudes(n)
