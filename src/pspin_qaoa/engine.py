@@ -6,10 +6,10 @@ target commute with the spin flip k -> N - k and |+> is even under it, so
 the circuit runs in the reflection-even block of the sector: the
 floor(N/2)+1 states (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for even N
 (``sector.dynamics_block``). For odd p it runs in the whole sector of N+1
-states. Either way the per-(N, p) context holds the phases and the
-per-(N, parity) ``x_spectral_decomposition``: |+>, the lift and collective
-X in the parity-folded basis F. The field h enters only through the target,
-the per-(N, p, h) ``cached_spectrum``: the block tridiagonal and ground state.
+states. Either way the context, one per spec, holds the phases (only N and
+p shape its arrays) and the ``x_spectral_decomposition`` that the contexts
+of one (N, parity) share: |+>, the lift and collective X in the parity-folded
+basis F. h enters only through the target's per-spec ``cached_spectrum``.
 
 A state's m amplitudes are stored folded, as s halves of h (even k, then
 odd k; s = 1 for even p at odd N), its last axis n = s h long: (n,) for one
@@ -103,14 +103,14 @@ class EvaluationRecord:
 
 
 class CircuitContext:
-    """Per-(N, p) immutable workspace shared by many evaluations.
+    """Immutable workspace shared by many evaluations, one per spec.
 
     For even p every field describes the reflection-even block, for odd p the
     whole sector; the kernels do not tell the two apart. States are stored
     folded (``XSpectralDecomposition``): sector amplitude k is stored
-    amplitude ``lift_index[k]`` times ``lift_weight[k]``. Of ``spec`` only N
-    and p are read: no attribute depends on h. It holds ``xdec``'s arrays,
-    and builds one of its own: hz in the stored order, 0 on the padding.
+    amplitude ``lift_index[k]`` times ``lift_weight[k]``. Only N and p shape
+    its arrays, h stays in ``spec.field``: ``xdec``'s, shared by every context
+    of one (N, parity), and its own hz in the stored order, 0 on the padding.
     """
 
     def __init__(self, spec: ProblemSpec):

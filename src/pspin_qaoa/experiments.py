@@ -360,11 +360,26 @@ def _sign(v: float) -> float:
     return 1.0 if v >= 0 else -1.0
 
 
+def _line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line through (x, y); returns (slope, r_squared, the sum
+    of squared residuals). Refuses underdetermined fits."""
+    if len(x) < 3:
+        raise ValueError(f"need at least 3 usable rows for the fit, got {len(x)}")
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), r_squared, ss_res
+
+
 def fit_scaling_exponent(rows: Sequence[SweepRow]) -> tuple[float, float]:
-    """Least-squares slope of log(mean residual) vs log(1 - P/P*).
+    """Least-squares slope of log(mean residual) vs log(1 - P/P*), and the
+    fit's sum of squared residuals.
 
     Rows with residual below ZERO_RESIDUAL are exact zeros and excluded, as are
-    rows outside 0.1 <= P/P* <= 0.9. Refuses underdetermined fits.
+    rows outside 0.1 <= P/P* <= 0.9.
     """
     xs, ys = [], []
     for row in rows:
@@ -376,21 +391,8 @@ def fit_scaling_exponent(rows: Sequence[SweepRow]) -> tuple[float, float]:
             continue
         xs.append(math.log(1.0 - ratio))
         ys.append(math.log(row.mean_residual))
-    if len(xs) < 3:
-        raise ValueError(f"need at least 3 usable rows for the fit, got {len(xs)}")
-    coeffs, res, *_ = np.polyfit(xs, ys, 1, full=True)
-    fit_residual = float(res[0]) if len(res) else 0.0
-    return float(coeffs[0]), fit_residual
-
-
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares line through (x, y); returns (slope, r_squared)."""
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r_squared
+    slope, _, ss_res = _line_fit(xs, ys)
+    return slope, ss_res
 
 
 def fit_gap_exponent(rows: Sequence[GapRow], p: int) -> tuple[float, float]:
@@ -399,21 +401,14 @@ def fit_gap_exponent(rows: Sequence[GapRow], p: int) -> tuple[float, float]:
     Returns (slope, r_squared).
     """
     usable = [r for r in rows if np.isfinite(r.minimal_gap) and r.minimal_gap > 0]
-    if len(usable) < 3:
-        raise ValueError("need at least 3 usable rows for the gap fit")
-    x = np.array([math.log(r.n_sites) if p == 2 else r.n_sites for r in usable], float)
-    y = np.array([math.log(r.minimal_gap) for r in usable])
-    return _line_fit(x, y)
+    x = [math.log(r.n_sites) if p == 2 else r.n_sites for r in usable]
+    return _line_fit(x, [math.log(r.minimal_gap) for r in usable])[:2]
 
 
 def fit_iteration_slope(rows: Sequence[SweepRow]) -> tuple[float, float]:
     """Linear fit of mean iteration count vs N; returns (slope, r_squared)."""
     usable = [r for r in rows if np.isfinite(r.mean_iters)]
-    if len(usable) < 3:
-        raise ValueError("need at least 3 usable rows for the iteration fit")
-    x = np.array([r.n_sites for r in usable], float)
-    y = np.array([r.mean_iters for r in usable])
-    return _line_fit(x, y)
+    return _line_fit([r.n_sites for r in usable], [r.mean_iters for r in usable])[:2]
 
 
 def run_experiment(config: ExperimentConfig) -> list:

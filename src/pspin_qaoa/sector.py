@@ -201,9 +201,11 @@ class SectorTable:
 
 @dataclass(frozen=True)
 class TargetSpectrum:
-    """Sector spectrum ends, the ``gershgorin_bound`` on its norm that their
-    accuracy is stated in, and, read-only in ``dynamics_block`` coordinates,
-    the block target tridiagonal and its ground state."""
+    """Sector spectrum ends; ``norm_bound`` = max|d| + 2 max|o|, the Gershgorin
+    bound on the norm of the sector target (d, o), so on every energy of a
+    normalized state, about N (1 + h) and at least N, that their accuracy is
+    stated in; and, read-only in ``dynamics_block`` coordinates, the block
+    target tridiagonal and its ground state."""
 
     e_min: float
     e_max: float
@@ -247,29 +249,22 @@ def target_tridiagonal(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     return table.target_diag, -spec.field * table.x_off
 
 
-def gershgorin_bound(diag: np.ndarray, off: np.ndarray) -> float:
-    """max|d| + 2 max|o|, a bound on the norm of the symmetric tridiagonal
-    (d, o), and so on every energy of a normalized state.
-
-    For the sector target it is about N (1 + h), at least N.
-    """
-    return float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
-
-
-def reflection_even_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The reflection-even block of a mirror-symmetric sector tridiagonal.
+def dynamics_block(p: int, diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The block of a mirror-symmetric sector tridiagonal that the dynamics
+    from |+> stays in: for odd p the whole sector, the arrays themselves; for
+    even p the reflection-even block, new arrays (diagonal, off-diagonal).
 
     ``diag`` (length N+1) and ``off`` (length N) must be symmetric under
     k -> N - k. In the basis (|k> + |N-k>)/sqrt(2), k < N/2, plus |N/2> for
-    even N, the block has floor(N/2)+1 states and is again tridiagonal:
+    even N, the even block has floor(N/2)+1 states and is again tridiagonal:
 
     - odd N: diagonal diag[:(N+1)/2] whose last entry gains off[(N-1)/2], the
       coupling of the two middle states; off-diagonal off[:(N-1)/2];
     - even N: diagonal diag[:N/2+1]; off-diagonal off[:N/2] with its last
       entry, the coupling to |N/2>, times sqrt(2).
-
-    Returns new arrays (diagonal, off-diagonal).
     """
+    if p % 2 == 1:
+        return diag, off
     n = off.size
     half = (n + 1) // 2
     if n % 2 == 1:
@@ -281,15 +276,6 @@ def reflection_even_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.n
         e = off[: n // 2].copy()
         e[-1] *= np.sqrt(2.0)
     return d, e
-
-
-def dynamics_block(p: int, diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The block of a sector tridiagonal that the dynamics from |+> stays in.
-
-    The reflection-even block of ``reflection_even_tridiagonal`` for even p,
-    the whole sector (the arrays themselves) for odd p.
-    """
-    return (diag, off) if p % 2 == 1 else reflection_even_tridiagonal(diag, off)
 
 
 def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, index, vectors: bool = True):
@@ -449,8 +435,8 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
     without eigenvectors: for even p and odd N the top state is
     reflection-odd, so the block would miss it.
 
-    Both ends are accurate to a few ulp of ``norm_bound``, the
-    ``gershgorin_bound`` of the sector diagonal and off-diagonal; the tests
+    Both ends are accurate to a few ulp of ``norm_bound``, the Gershgorin
+    bound max|d| + 2 max|o| of the sector diagonal and off-diagonal; the tests
     hold them to 1e-13 times that bound against 40-digit mpmath, and e_min
     within 2 eps ``norm_bound`` of the sector's own bisection (bit for bit
     for odd p, where the block is the sector). The ground state is within
@@ -470,9 +456,8 @@ def diagonalize_target(spec: ProblemSpec) -> TargetSpectrum:
             f"p={spec.p_exponent}, h={spec.field}"
         ) from exc
     e_min, v = float(w[0]), v[:, 0]
+    norm_bound = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
     ground = (-v if v[np.argmax(np.abs(v))] < 0 else v).astype(complex)
     for arr in (d, e, ground):
         arr.setflags(write=False)
-    return TargetSpectrum(
-        e_min=e_min, e_max=e_max, norm_bound=gershgorin_bound(diag, off), diag=d, off=e, ground=ground
-    )
+    return TargetSpectrum(e_min=e_min, e_max=e_max, norm_bound=norm_bound, diag=d, off=e, ground=ground)

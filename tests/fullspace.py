@@ -86,10 +86,9 @@ def target_matrix(spec) -> np.ndarray:
     return mat
 
 
-def dense_even_gap(spec) -> float:
-    """Gap of the reflection-even block, by a dense projector and a full eigh."""
-    mat = target_matrix(spec)
-    n = spec.n_sites
+def even_projector(n: int) -> np.ndarray:
+    """The (N+1) x (floor(N/2)+1) isometry onto the reflection-even block:
+    column k < N/2 is (|k> + |N-k>)/sqrt(2), the last column |N/2> at even N."""
     half = (n + 1) // 2
     m = half + (1 if n % 2 == 0 else 0)
     proj = np.zeros((n + 1, m))
@@ -97,7 +96,13 @@ def dense_even_gap(spec) -> float:
         proj[j, j] = proj[n - j, j] = 1.0 / np.sqrt(2.0)
     if n % 2 == 0:
         proj[n // 2, m - 1] = 1.0
-    w = scipy.linalg.eigh(proj.T @ mat @ proj, eigvals_only=True)
+    return proj
+
+
+def dense_even_gap(spec) -> float:
+    """Gap of the reflection-even block, by a dense projector and a full eigh."""
+    proj = even_projector(spec.n_sites)
+    w = scipy.linalg.eigh(proj.T @ target_matrix(spec) @ proj, eigvals_only=True)
     return float(w[1] - w[0])
 
 

@@ -42,7 +42,7 @@ from pspin_qaoa.optimizer import RandomInit, l_init, optimize, r_init
 from pspin_qaoa.sector import (
     ProblemSpec,
     diagonalize_target,
-    reflection_even_tridiagonal,
+    dynamics_block,
 )
 
 
@@ -521,7 +521,7 @@ class TestFoldedLayout:
         ctx = context(n, 2 if even_parity else 3)
         diag, off = np.zeros(n + 1), np.sqrt((np.arange(n) + 1.0) * (n - np.arange(n)))
         if even_parity:
-            diag, off = reflection_even_tridiagonal(diag, off)
+            diag, off = dynamics_block(2, diag, off)
         xmat = scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
         psi = random_vector(diag.size, n)
         stored = np.zeros(ctx.plus.size, dtype=complex)

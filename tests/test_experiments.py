@@ -223,6 +223,28 @@ class TestFits:
         assert abs(slope - 2.5) < 1e-10
         assert r2 > 1 - 1e-12
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("bad_gap", [math.nan, 0.0, -1e-3])
+    def test_gap_fit_refuses_underdetermined(self, p, bad_gap):
+        # 3 rows, one failed (nan) or without a gap (<= 0): 2 usable
+        rows = [
+            GapRow(n_sites=n, p_exponent=p, h_at_minimum=1.3, minimal_gap=gap)
+            for n, gap in ((16, 0.5), (32, 0.25), (64, bad_gap))
+        ]
+        for few in (rows, rows[:2]):
+            with pytest.raises(ValueError, match="at least 3 usable rows"):
+                fit_gap_exponent(few, p)
+
+    def test_iteration_fit_refuses_underdetermined(self):
+        # 3 rows, one failed (nan mean_iters): 2 usable
+        rows = []
+        for n, iters in ((8, 23.0), (12, 33.0), (16, math.nan)):
+            row = synthetic_rows(3.0, n_sites=n, depths=[2])[0]
+            rows.append(row.__class__(**{**row.__dict__, "mean_iters": iters}))
+        for few in (rows, rows[:2]):
+            with pytest.raises(ValueError, match="at least 3 usable rows"):
+                fit_iteration_slope(few)
+
 
 class TestRunners:
     def test_scaling_rows_and_determinism(self):

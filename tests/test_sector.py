@@ -17,6 +17,7 @@ from fullspace import (
     collective_x_matrix,
     dense_even_gap,
     embed_sector_state,
+    even_projector,
     full_target_matrix,
     sector_ground_state,
     sector_tridiagonal,
@@ -30,7 +31,6 @@ from pspin_qaoa.sector import (
     diagonalize_target,
     dynamical_gap,
     dynamics_block,
-    reflection_even_tridiagonal,
     sector_table,
     target_tridiagonal,
     x_spectral_decomposition,
@@ -298,7 +298,7 @@ def x_residual(n: int, even_parity: bool, vec: np.ndarray, lam: np.ndarray) -> f
     i = np.arange(n, dtype=work)
     diag, off = np.zeros(n + 1, dtype=work), np.sqrt((i + 1) * (n - i))
     if even_parity:
-        diag, off = reflection_even_tridiagonal(diag, off)
+        diag, off = dynamics_block(2, diag, off)
     v = vec.astype(work)
     xv = diag[:, None] * v - v * lam.astype(work)
     xv[:-1] += off[:, None] * v[1:]
@@ -348,7 +348,7 @@ class TestCollectiveX:
             dec = x_spectral_decomposition(n, even_parity)
             xmat = collective_x_matrix(n)
             if even_parity:
-                d, e = reflection_even_tridiagonal(np.zeros(n + 1), np.diag(xmat, 1))
+                d, e = dynamics_block(2, np.zeros(n + 1), np.diag(xmat, 1))
                 xmat = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
             folded, lam, h = dec.folded, dec.eigenvalues, dec.eigenvalues.size
             if folded.shape[0] == 1:
@@ -603,6 +603,29 @@ class TestSectorTable:
         dynamical_gap(spec)
         for a, b in zip(arrays, before):
             assert np.array_equal(a, b)
+
+
+class TestDynamicsBlock:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_even_p_is_the_dense_projection(self, n):
+        # entry for entry P^T T P for random mirror-symmetric T. To first
+        # order the error is at most 2 eps |T_kk| <= 2 eps ||T||: 2u from
+        # 1/sqrt(2)^2 and 2u from rounding the two products
+        proj = even_projector(n)
+        for seed in range(20):
+            rng = np.random.default_rng([n, seed])
+            diag, off = rng.standard_normal(n + 1), rng.standard_normal(n)
+            diag, off = diag + diag[::-1], off + off[::-1]
+            t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            d, e = dynamics_block(2, diag, off)
+            block = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            bound = 2 * np.finfo(float).eps * np.linalg.norm(t, 2)
+            assert np.max(np.abs(block - proj.T @ t @ proj)) <= bound, (n, seed)
+
+    def test_odd_p_returns_the_arrays_themselves(self):
+        diag, off = np.arange(6.0), np.ones(5)
+        d, e = dynamics_block(3, diag, off)
+        assert d is diag and e is off
 
 
 class TestTargetMatrix:
